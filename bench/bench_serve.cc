@@ -314,8 +314,11 @@ int main(int argc, char** argv) {
 
   // Objective() derivation is O(shards · d²) — microseconds — so time a
   // fixed-count loop per repeat and report the median per-call cost.
-  const auto time_objective = [&](const serve::IncrementalObjective& store) {
+  // Takes a copy: Objective() re-sums stale shards, so it is non-const. One
+  // untimed call re-sums them, so the loop times the fold alone.
+  const auto time_objective = [&](serve::IncrementalObjective store) {
     constexpr size_t kCalls = 512;
+    (void)store.Objective();
     std::vector<double> seconds;
     seconds.reserve(flags.repeats);
     for (size_t r = 0; r < flags.repeats; ++r) {

@@ -154,9 +154,10 @@ int main() {
   //    coefficient from the raw tuples and reruns the mechanism on the same
   //    log-position noise substream the service used.
   std::printf("\nincremental maintenance vs full recompute:\n");
-  const serve::IncrementalObjective scratch =
+  serve::IncrementalObjective scratch =
       service->objective().RebuildFromScratch();
-  const opt::QuadraticModel maintained = service->objective().Objective();
+  const opt::QuadraticModel maintained =
+      serve::IncrementalObjective(service->objective()).Objective();
   const uint64_t objective_ulp =
       MaxUlpDistance(maintained, scratch.Objective());
   std::printf("    objective vs scratch rebuild  : %llu ulp\n",
@@ -256,8 +257,9 @@ int main() {
   }
   ok &= Check(service->objective().StoreStateBitwiseEquals(fresh_store),
               "compacted store bitwise == fresh store fed the live tuples");
-  ok &= Check(MaxUlpDistance(service->objective().Objective(),
-                             fresh_store.Objective()) == 0,
+  ok &= Check(MaxUlpDistance(
+                  serve::IncrementalObjective(service->objective()).Objective(),
+                  fresh_store.Objective()) == 0,
               "compacted objective bitwise == fresh store's objective");
 
   // Ids issued before the compaction still resolve (the store remapped

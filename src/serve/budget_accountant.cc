@@ -24,6 +24,11 @@ std::string FormatEpsilon(double epsilon) {
   return buf;
 }
 
+// What a restored ledger amount (total, spent, one charge) may hold.
+bool IsLedgerAmount(double epsilon) {
+  return std::isfinite(epsilon) && epsilon >= 0.0;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<BudgetAccountant>> BudgetAccountant::Create(
@@ -160,11 +165,38 @@ Status BudgetAccountant::RestoreFrom(io::ByteReader& reader) {
   FM_RETURN_NOT_OK(reader.ReadDouble(&spent));
   FM_RETURN_NOT_OK(reader.ReadU64(&next_reservation));
   FM_RETURN_NOT_OK(reader.ReadU64(&charge_count));
+  // A ledger that could grant budget it does not hold is refused: a NaN
+  // `spent` makes every later Reserve's remaining-budget comparison false,
+  // so every Reserve would succeed.
+  if (!IsLedgerAmount(total) || !IsLedgerAmount(spent)) {
+    return Status::IoError("snapshot ledger holds a non-finite or negative ε");
+  }
+  if (total != total_epsilon_) {
+    return Status::IoError("snapshot ledger total ε " + FormatEpsilon(total) +
+                           " differs from the configured " +
+                           FormatEpsilon(total_epsilon_));
+  }
+  if (spent > total + kSlack) {
+    return Status::IoError("snapshot ledger spent " + FormatEpsilon(spent) +
+                           " exceeds its total " + FormatEpsilon(total));
+  }
+  // Each charge occupies at least its ε and its label's length prefix, so
+  // a count the remaining bytes cannot hold is refused before reserving.
+  constexpr size_t kMinChargeBytes = 2 * sizeof(uint64_t);
+  if (charge_count > reader.remaining() / kMinChargeBytes) {
+    return Status::IoError("snapshot ledger charge count " +
+                           std::to_string(charge_count) +
+                           " exceeds its payload");
+  }
   std::vector<ChargeRecord> charges;
   charges.reserve(static_cast<size_t>(charge_count));
   for (uint64_t i = 0; i < charge_count; ++i) {
     ChargeRecord charge;
     FM_RETURN_NOT_OK(reader.ReadDouble(&charge.epsilon));
+    if (!IsLedgerAmount(charge.epsilon)) {
+      return Status::IoError("snapshot ledger charge " + std::to_string(i) +
+                             " is non-finite or negative");
+    }
     FM_RETURN_NOT_OK(reader.ReadLengthPrefixed(&charge.label));
     charges.push_back(std::move(charge));
   }

@@ -105,7 +105,11 @@ class BudgetAccountant {
   /// Replaces this ledger's state with a SerializeTo payload read from
   /// `reader`. Restored spent/total values are bit-exact, so post-recovery
   /// budget arithmetic (and its formatted diagnostics) matches the
-  /// uninterrupted service byte for byte.
+  /// uninterrupted service byte for byte. Fails with kIoError — before any
+  /// state changes — when the payload is truncated, when total, spent or a
+  /// charge is non-finite or negative, when total differs from this
+  /// ledger's configured total, when spent exceeds total, or when the
+  /// charge count exceeds what the remaining bytes can hold.
   Status RestoreFrom(io::ByteReader& reader);
 
  private:

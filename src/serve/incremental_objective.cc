@@ -103,6 +103,7 @@ size_t IncrementalObjective::AppendTuple(const double* x, double y) {
     shard_sums_.emplace_back(num_coefficients(), 0.0);
     shard_comps_.emplace_back(num_coefficients(), 0.0);
     shard_live_.push_back(0);
+    shard_stale_.push_back(0);
   }
   ++shard_live_[shard];
   return slot;
@@ -116,10 +117,13 @@ Result<TupleId> IncrementalObjective::Insert(const double* x, size_t dim,
   // Appending this tuple's compensated contribution is exactly the next
   // step of a from-scratch in-order accumulation of the shard's live slots
   // (the batch kernels are bit-identical to single-tuple calls in the same
-  // order), so the class invariant is preserved bitwise.
-  core::AccumulateTupleContribution(kind_, xs_.data() + slot * dim_, dim_,
-                                    ys_[slot], shard_sums_[shard].data(),
-                                    shard_comps_[shard].data());
+  // order), so the class invariant is preserved bitwise. A stale shard is
+  // left alone: its re-sum covers the new slot.
+  if (!shard_stale_[shard]) {
+    core::AccumulateTupleContribution(kind_, xs_.data() + slot * dim_, dim_,
+                                      ys_[slot], shard_sums_[shard].data(),
+                                      shard_comps_[shard].data());
+  }
   return slot_to_id_[slot];
 }
 
@@ -154,13 +158,14 @@ Result<TupleId> IncrementalObjective::InsertBatch(
   // partials gain its new slots' contributions in slot order, which is the
   // same per-shard operation sequence the serial Insert loop performs —
   // shards are independent, so running them concurrently cannot change a
-  // bit, for any pool size.
+  // bit, for any pool size. Stale shards are skipped, as in Insert.
   const size_t first_shard = first / core::kObjectiveShardRows;
   const size_t last_shard = (ys_.size() - 1) / core::kObjectiveShardRows;
   exec::ParallelFor(
       last_shard - first_shard + 1,
       [&](size_t i) {
         const size_t shard = first_shard + i;
+        if (shard_stale_[shard]) return;
         const size_t shard_begin = shard * core::kObjectiveShardRows;
         const size_t begin = std::max<size_t>(first, shard_begin);
         const size_t end = std::min<size_t>(
@@ -203,11 +208,46 @@ void IncrementalObjective::AccumulateShardSlots(size_t shard, double* sum,
   AccumulateSlotRange(begin, end, sum, comp);
 }
 
-void IncrementalObjective::RecomputeShard(size_t shard) {
+void IncrementalObjective::MarkStale(size_t shard) {
+  if (shard_stale_[shard]) return;  // partials already zeroed
+  // Per-shard recompute (not compensated subtraction), deferred: zeroing
+  // drops every old contribution at once, and the next Objective() re-sums
+  // the shard from its live tuples, restoring the invariant bitwise — see
+  // the class comment and docs/DETERMINISM.md.
   std::fill(shard_sums_[shard].begin(), shard_sums_[shard].end(), 0.0);
   std::fill(shard_comps_[shard].begin(), shard_comps_[shard].end(), 0.0);
-  AccumulateShardSlots(shard, shard_sums_[shard].data(),
-                       shard_comps_[shard].data());
+  shard_stale_[shard] = 1;
+}
+
+void IncrementalObjective::RefreshStaleShards(exec::ThreadPool* pool) {
+  std::vector<size_t> stale;
+  for (size_t s = 0; s < shard_stale_.size(); ++s) {
+    if (shard_stale_[s]) stale.push_back(s);
+  }
+  // A stale shard's partials are all +0.0, so accumulating its live slots
+  // is the from-scratch in-order build the invariant names — the same
+  // per-shard operation sequence RebuildFromScratch runs. Shards are
+  // independent, so no pool size can change a bit.
+  exec::ParallelFor(
+      stale.size(),
+      [&](size_t i) {
+        const size_t s = stale[i];
+        AccumulateShardSlots(s, shard_sums_[s].data(), shard_comps_[s].data());
+      },
+      pool != nullptr ? *pool : exec::ThreadPool::Global());
+  std::fill(shard_stale_.begin(), shard_stale_.end(), 0);
+}
+
+std::pair<const double*, const double*>
+IncrementalObjective::CanonicalPartials(size_t shard,
+                                        std::vector<double>* scratch) const {
+  if (!shard_stale_[shard]) {
+    return {shard_sums_[shard].data(), shard_comps_[shard].data()};
+  }
+  const size_t coefficients = num_coefficients();
+  scratch->assign(2 * coefficients, 0.0);
+  AccumulateShardSlots(shard, scratch->data(), scratch->data() + coefficients);
+  return {scratch->data(), scratch->data() + coefficients};
 }
 
 Status IncrementalObjective::Delete(TupleId id) {
@@ -222,11 +262,7 @@ Status IncrementalObjective::Delete(TupleId id) {
   std::fill(xs_.begin() + static_cast<ptrdiff_t>(slot * dim_),
             xs_.begin() + static_cast<ptrdiff_t>((slot + 1) * dim_), 0.0);
   ys_[slot] = 0.0;
-  // Per-shard recompute (not compensated subtraction): the shard's state
-  // returns to exactly the compensated in-order sum of its remaining live
-  // tuples, keeping the invariant bitwise — see the class comment and
-  // docs/DETERMINISM.md.
-  RecomputeShard(shard);
+  MarkStale(shard);
   return Status::OK();
 }
 
@@ -236,7 +272,7 @@ Status IncrementalObjective::Update(TupleId id, const double* x, size_t dim,
   FM_RETURN_NOT_OK(ValidateTuple(x, dim, y));
   std::memcpy(xs_.data() + slot * dim_, x, dim_ * sizeof(double));
   ys_[slot] = y;
-  RecomputeShard(slot / core::kObjectiveShardRows);
+  MarkStale(slot / core::kObjectiveShardRows);
   return Status::OK();
 }
 
@@ -244,8 +280,10 @@ size_t IncrementalObjective::Compact(exec::ThreadPool* pool) {
   const size_t old_slots = ys_.size();
   if (old_slots == live_count_) {
     // Dense already. A never-holed (or freshly compacted) store is by
-    // construction in the fresh-store layout; leaving it untouched keeps
-    // Compact() idempotent and bitwise a no-op.
+    // construction in the fresh-store layout; re-summing the shards updates
+    // left stale is all that remains, and it changes no bit an observer
+    // sees — Compact() stays idempotent.
+    RefreshStaleShards(pool);
     return 0;
   }
   // Slide the survivors down in slot order. Relative order is preserved, so
@@ -275,31 +313,29 @@ size_t IncrementalObjective::Compact(exec::ThreadPool* pool) {
   // order would have performed (shard boundaries depend only on the slot
   // index, and the batch kernels are bit-identical to single-tuple calls in
   // the same order), so the post-compaction state is bit-identical to that
-  // fresh store for every pool size.
+  // fresh store for every pool size. Every shard starts zeroed and stale,
+  // and the stale-shard re-sum rebuilds them all.
   const size_t shards =
       (write + core::kObjectiveShardRows - 1) / core::kObjectiveShardRows;
   shard_sums_.assign(shards, std::vector<double>(num_coefficients(), 0.0));
   shard_comps_.assign(shards, std::vector<double>(num_coefficients(), 0.0));
   shard_live_.assign(shards, 0);
+  shard_stale_.assign(shards, 1);
   ReleaseExcessCapacity(shard_sums_);
   ReleaseExcessCapacity(shard_comps_);
   ReleaseExcessCapacity(shard_live_);
+  ReleaseExcessCapacity(shard_stale_);
   for (size_t s = 0; s < shards; ++s) {
     shard_live_[s] = static_cast<uint32_t>(
         std::min<size_t>(write - s * core::kObjectiveShardRows,
                          core::kObjectiveShardRows));
   }
-  exec::ParallelFor(
-      shards,
-      [&](size_t s) {
-        AccumulateShardSlots(s, shard_sums_[s].data(),
-                             shard_comps_[s].data());
-      },
-      pool != nullptr ? *pool : exec::ThreadPool::Global());
+  RefreshStaleShards(pool);
   return old_slots - write;
 }
 
-opt::QuadraticModel IncrementalObjective::Objective() const {
+opt::QuadraticModel IncrementalObjective::Objective(exec::ThreadPool* pool) {
+  RefreshStaleShards(pool);
   const size_t coefficients = num_coefficients();
   std::vector<double> sum(coefficients, 0.0);
   std::vector<double> comp(coefficients, 0.0);
@@ -347,6 +383,7 @@ IncrementalObjective IncrementalObjective::RebuildFromScratch(
   fresh.slot_to_id_ = slot_to_id_;
   fresh.next_id_ = next_id_;
   fresh.shard_live_ = shard_live_;
+  fresh.shard_stale_.assign(shard_sums_.size(), 0);
   fresh.shard_sums_.assign(shard_sums_.size(),
                            std::vector<double>(num_coefficients(), 0.0));
   fresh.shard_comps_.assign(shard_comps_.size(),
@@ -378,9 +415,17 @@ bool IncrementalObjective::StoreStateBitwiseEquals(
   if (!doubles_equal(xs_, other.xs_) || !doubles_equal(ys_, other.ys_)) {
     return false;
   }
+  // Canonical partials on both sides, so staleness — which decides only
+  // when a shard is re-summed — never makes equal states compare unequal.
+  const size_t bytes = num_coefficients() * sizeof(double);
+  std::vector<double> scratch;
+  std::vector<double> other_scratch;
   for (size_t s = 0; s < shard_sums_.size(); ++s) {
-    if (!doubles_equal(shard_sums_[s], other.shard_sums_[s]) ||
-        !doubles_equal(shard_comps_[s], other.shard_comps_[s])) {
+    const auto [sum, comp] = CanonicalPartials(s, &scratch);
+    const auto [other_sum, other_comp] =
+        other.CanonicalPartials(s, &other_scratch);
+    if (std::memcmp(sum, other_sum, bytes) != 0 ||
+        std::memcmp(comp, other_comp, bytes) != 0) {
       return false;
     }
   }
@@ -398,10 +443,11 @@ void IncrementalObjective::SerializeTo(std::string* out) const {
   io::AppendBytes(out, live_.data(), live_.size());
   for (const TupleId id : slot_to_id_) io::AppendU64(out, id);
   io::AppendU64(out, shard_sums_.size());
+  std::vector<double> scratch;
   for (size_t s = 0; s < shard_sums_.size(); ++s) {
-    io::AppendDoubleArray(out, shard_sums_[s].data(), shard_sums_[s].size());
-    io::AppendDoubleArray(out, shard_comps_[s].data(),
-                          shard_comps_[s].size());
+    const auto [sum, comp] = CanonicalPartials(s, &scratch);
+    io::AppendDoubleArray(out, sum, num_coefficients());
+    io::AppendDoubleArray(out, comp, num_coefficients());
     io::AppendU32(out, shard_live_[s]);
   }
 }
@@ -421,16 +467,26 @@ Status IncrementalObjective::RestoreFrom(io::ByteReader& reader) {
   FM_RETURN_NOT_OK(reader.ReadU64(&next_id));
   FM_RETURN_NOT_OK(reader.ReadU64(&live_count));
   FM_RETURN_NOT_OK(reader.ReadU64(&slots));
-  if (live_count > slots) {
-    return Status::IoError("snapshot live count exceeds its slot count");
-  }
-  next_id_ = next_id;
-  live_count_ = static_cast<size_t>(live_count);
   const size_t slot_count = static_cast<size_t>(slots);
   FM_RETURN_NOT_OK(reader.ReadDoubleArray(&xs_, slot_count * dim_));
   FM_RETURN_NOT_OK(reader.ReadDoubleArray(&ys_, slot_count));
   live_.resize(slot_count);
   FM_RETURN_NOT_OK(reader.ReadBytes(live_.data(), slot_count));
+  // live_count and the per-shard live counts below are derived from the
+  // liveness bytes; a payload whose counts disagree with them would make
+  // Objective() fold the wrong shards, so it is refused, not trusted.
+  size_t live_slots = 0;
+  for (const uint8_t live : live_) {
+    if (live > 1) {
+      return Status::IoError("snapshot liveness byte is neither 0 nor 1");
+    }
+    live_slots += live;
+  }
+  if (live_count != live_slots) {
+    return Status::IoError(
+        "snapshot live count does not match its liveness bytes");
+  }
+  live_count_ = live_slots;
   slot_to_id_.resize(slot_count);
   for (size_t i = 0; i < slot_count; ++i) {
     FM_RETURN_NOT_OK(reader.ReadU64(&slot_to_id_[i]));
@@ -438,6 +494,11 @@ Status IncrementalObjective::RestoreFrom(io::ByteReader& reader) {
       return Status::IoError("snapshot id table is not strictly increasing");
     }
   }
+  if (slot_count > 0 && next_id <= slot_to_id_.back()) {
+    return Status::IoError(
+        "snapshot next id does not exceed every id in its table");
+  }
+  next_id_ = next_id;
   uint64_t shards = 0;
   FM_RETURN_NOT_OK(reader.ReadU64(&shards));
   const size_t expected_shards =
@@ -448,12 +509,22 @@ Status IncrementalObjective::RestoreFrom(io::ByteReader& reader) {
   shard_sums_.resize(static_cast<size_t>(shards));
   shard_comps_.resize(static_cast<size_t>(shards));
   shard_live_.resize(static_cast<size_t>(shards));
+  shard_stale_.assign(static_cast<size_t>(shards), 0);
   for (size_t s = 0; s < shard_sums_.size(); ++s) {
     FM_RETURN_NOT_OK(
         reader.ReadDoubleArray(&shard_sums_[s], num_coefficients()));
     FM_RETURN_NOT_OK(
         reader.ReadDoubleArray(&shard_comps_[s], num_coefficients()));
     FM_RETURN_NOT_OK(reader.ReadU32(&shard_live_[s]));
+    const auto begin = live_.begin() +
+                       static_cast<ptrdiff_t>(s * core::kObjectiveShardRows);
+    const auto end = live_.begin() +
+                     static_cast<ptrdiff_t>(std::min<size_t>(
+                         slot_count, (s + 1) * core::kObjectiveShardRows));
+    if (shard_live_[s] != static_cast<size_t>(std::count(begin, end, 1))) {
+      return Status::IoError(
+          "snapshot shard live count does not match its liveness bytes");
+    }
   }
   return Status::OK();
 }

@@ -2,6 +2,7 @@
 #define FM_SERVE_INCREMENTAL_OBJECTIVE_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/io_util.h"
@@ -29,9 +30,12 @@ using TupleId = uint64_t;
 /// under INSERT / DELETE / UPDATE — the serving layer's answer to the
 /// paper's central structural fact that both FM objectives are plain sums of
 /// per-tuple contributions. An insert is an O(d²) compensated delta; a
-/// delete recomputes only its 1024-row shard; deriving the current objective
-/// is O(live shards · d²) — so a continuously-updated private model never
-/// pays the O(n · d²) full re-summation that an offline rebuild would.
+/// delete or update is O(log n + d²) and marks its 1024-row shard stale;
+/// deriving the current objective re-sums each stale shard once, in
+/// parallel, then folds in O(live shards · d²) — so a continuously-updated
+/// private model never pays the O(n · d²) full re-summation that an offline
+/// rebuild would, and the deletes between two trains cost one re-sum per
+/// touched shard, not one per delete.
 ///
 /// State model. Every inserted tuple occupies a physical slot; deletion
 /// marks the slot dead and leaves a hole until the next compaction. Clients
@@ -47,18 +51,28 @@ using TupleId = uint64_t;
 /// accumulator uses. The class invariant — what makes incremental
 /// maintenance trustworthy — is:
 ///
-///   every shard's (sum, comp) state is bit-identical to a from-scratch
-///   compensated accumulation of its live tuples in slot order.
+///   every non-stale shard's (sum, comp) state is bit-identical to a
+///   from-scratch compensated accumulation of its live tuples in slot
+///   order; a stale shard's state is all +0.0.
 ///
 /// Inserts preserve it because appending a tuple's compensated contribution
-/// IS the next step of that from-scratch accumulation. Deletes preserve it
-/// by per-shard recompute: the affected shard's partials are rebuilt from
-/// its remaining live tuples (≤ 1024 of them — bounded, cheap, and exact in
-/// the sense above). Compensated *subtraction* of the deleted contribution
-/// was considered and rejected: it leaves the shard state dependent on the
-/// full insert/delete history, so errors could accumulate over an unbounded
-/// request log and the ≤1-ulp-of-fresh-build guarantee would degrade to
-/// ≤k-ulp after k deletes (see docs/DETERMINISM.md, "The serving layer").
+/// IS the next step of that from-scratch accumulation; an insert into a
+/// stale shard leaves the partials alone, since the shard's re-sum covers
+/// the new slot. Deletes and updates preserve it by zeroing the shard's
+/// partials — so no deleted contribution stays resident — and marking the
+/// shard stale; the next Objective() re-sums every stale shard from its live
+/// tuples (≤ 1024 of them — bounded, and exact in the sense above).
+/// Compensated *subtraction* of the deleted contribution was considered and
+/// rejected: it leaves the shard state dependent on the full insert/delete
+/// history, so errors could accumulate over an unbounded request log and the
+/// ≤1-ulp-of-fresh-build guarantee would degrade to ≤k-ulp after k deletes
+/// (see docs/DETERMINISM.md, "The serving layer").
+///
+/// Every observer sees canonical partials. Objective() re-sums the stale
+/// shards before folding, which is why it is not const; the const readers
+/// SerializeTo and StoreStateBitwiseEquals compute a stale shard's partials
+/// into scratch. Staleness decides only *when* a shard is re-summed, never a
+/// bit an observer sees.
 ///
 /// Consequences of the invariant:
 ///  - Objective() — the serial in-shard-order compensated reduction — is a
@@ -85,8 +99,9 @@ using TupleId = uint64_t;
 /// (docs/DETERMINISM.md, "Compaction"). TupleIds are untouched: survivors
 /// keep their ids, dead ids stay dead (kNotFound) forever.
 ///
-/// Thread-compatibility: const methods may run concurrently; mutations
-/// require external serialization (serve::Service provides it).
+/// Thread-compatibility: const methods may run concurrently; mutations —
+/// Objective() among them — require external serialization (serve::Service
+/// provides it).
 class IncrementalObjective {
  public:
   /// An empty store for `dim`-dimensional tuples contributing to `kind`.
@@ -123,33 +138,36 @@ class IncrementalObjective {
   /// True when `id` refers to a live tuple.
   bool Contains(TupleId id) const;
 
-  /// Marks `id`'s tuple dead, scrubs its raw values, and recomputes its
-  /// shard from the remaining live tuples.
-  /// O(log n + kObjectiveShardRows · d²). Fails with kNotFound when the id
-  /// was never assigned or its tuple is already dead.
+  /// Marks `id`'s tuple dead, scrubs its raw values, zeroes its shard's
+  /// partials and marks the shard stale; the next Objective() re-sums it.
+  /// O(log n + d²). Fails with kNotFound when the id was never assigned or
+  /// its tuple is already dead.
   Status Delete(TupleId id);
 
-  /// Replaces `id`'s tuple in place (validating the new tuple) and
-  /// recomputes its shard once. Equivalent to Delete + re-Insert, except
-  /// the id — and the slot layout — are preserved.
+  /// Replaces `id`'s tuple in place (validating the new tuple) and marks
+  /// its shard stale, as Delete does. Equivalent to Delete + re-Insert,
+  /// except the id — and the slot layout — are preserved. O(log n + d²).
   Status Update(TupleId id, const double* x, size_t dim, double y);
 
   /// Densely rewrites the store in live-slot order, rebuilds every shard
   /// partial from scratch on `pool` (per-shard parallel; nullptr → the
   /// global FM_THREADS pool), drops the dead tail, and releases freed
   /// capacity. Returns the number of slots reclaimed (0 for an
-  /// already-dense store, which is left untouched). Afterwards the store
-  /// state is bit-identical to a fresh store fed Materialize()'s tuples in
-  /// order, and every surviving TupleId still resolves.
+  /// already-dense store, of which only the stale shards are re-summed).
+  /// Afterwards no shard is stale, the store state is bit-identical to a
+  /// fresh store fed Materialize()'s tuples in order, and every surviving
+  /// TupleId still resolves.
   size_t Compact(exec::ThreadPool* pool = nullptr);
 
-  /// The current objective over all live tuples: live shards' partials
-  /// reduced serially in shard order, compensation carried, then rounded.
+  /// The current objective over all live tuples. First re-sums every stale
+  /// shard from its live tuples, one task per shard on `pool` (nullptr →
+  /// the global FM_THREADS pool); then reduces the live shards' partials
+  /// serially in shard order, compensation carried, and rounds.
   /// Fully-dead shards are skipped — their partials are exact (+0, +0)
   /// pairs whose folding cannot change a bit (see the .cc note), so a
   /// half-churned store pays O(live shards · d²), not O(all shards · d²).
-  /// Deterministic per the class invariant.
-  opt::QuadraticModel Objective() const;
+  /// Deterministic per the class invariant, for every pool size.
+  opt::QuadraticModel Objective(exec::ThreadPool* pool = nullptr);
 
   /// The live tuples, densely packed in slot (= id) order. O(n · d).
   data::RegressionDataset Materialize() const;
@@ -171,31 +189,39 @@ class IncrementalObjective {
   uint64_t materialize_count() const { return materialize_count_; }
 
   /// Appends the full store state — tuples, liveness, id table, shard
-  /// partials, raw double bytes — to `out` (snapshot payload). RestoreFrom
-  /// reproduces the state bit-for-bit: the restored store
+  /// partials, raw double bytes — to `out` (snapshot payload). The partials
+  /// are the canonical ones (a stale shard's computed into scratch), so the
+  /// bytes do not depend on which shards are stale. RestoreFrom reproduces
+  /// the state bit-for-bit, with no shard stale: the restored store
   /// StoreStateBitwiseEquals the original and assigns the same future ids.
   void SerializeTo(std::string* out) const;
 
   /// Replaces this store's state with a SerializeTo payload read from
-  /// `reader`. On failure the store is left in an unspecified state — the
-  /// caller (snapshot recovery) discards it.
+  /// `reader`. Fails with kIoError when the payload is truncated or its
+  /// derived fields disagree with its tuples: a liveness byte outside
+  /// {0, 1}, a live count or per-shard live count that differs from the
+  /// liveness bytes, or a next id not above every id in the table. On
+  /// failure the store is left in an unspecified state — the caller
+  /// (snapshot recovery) discards it.
   Status RestoreFrom(io::ByteReader& reader);
 
   /// From-scratch reference rebuild: a fresh IncrementalObjective holding
   /// the same slots (including holes) and ids re-accumulated from the raw
-  /// tuples on `pool`. By the class invariant its state — and therefore
-  /// Objective() — is bit-identical to this one; tests and examples use it
-  /// to verify incremental maintenance against a full recompute.
+  /// tuples on `pool`, with no shard stale. By the class invariant its
+  /// state — and therefore Objective() — is bit-identical to this one;
+  /// tests and examples use it to verify incremental maintenance against a
+  /// full recompute.
   IncrementalObjective RebuildFromScratch(exec::ThreadPool* pool = nullptr)
       const;
 
   /// Bitwise comparison of the tuple store and accumulator state: raw
-  /// tuples, liveness, and every shard's (sum, comp) doubles compared by
-  /// their bytes (so −0.0 ≠ +0.0 and NaNs compare by payload). TupleId
-  /// assignment is deliberately excluded — ids encode insert history, which
-  /// a fresh store fed the same tuples does not share. This is the
-  /// observable form of the compaction contract: after Compact(),
-  /// StoreStateBitwiseEquals(fresh store fed Materialize()) holds.
+  /// tuples, liveness, and every shard's canonical (sum, comp) doubles (a
+  /// stale shard's computed into scratch) compared by their bytes (so
+  /// −0.0 ≠ +0.0 and NaNs compare by payload). TupleId assignment is
+  /// deliberately excluded — ids encode insert history, which a fresh store
+  /// fed the same tuples does not share. This is the observable form of the
+  /// compaction contract: after Compact(), StoreStateBitwiseEquals(fresh
+  /// store fed Materialize()) holds.
   bool StoreStateBitwiseEquals(const IncrementalObjective& other) const;
 
  private:
@@ -216,8 +242,17 @@ class IncrementalObjective {
   // Same over all of shard `shard`'s slots.
   void AccumulateShardSlots(size_t shard, double* sum, double* comp) const;
 
-  // Rebuilds shard `shard`'s partials from its live tuples.
-  void RecomputeShard(size_t shard);
+  // Zeroes shard `shard`'s partials and marks it stale.
+  void MarkStale(size_t shard);
+
+  // Re-sums every stale shard from its live tuples, one task per shard on
+  // `pool` (nullptr → the global pool), and clears the stale bits.
+  void RefreshStaleShards(exec::ThreadPool* pool);
+
+  // Shard `shard`'s canonical (sum, comp) partials: the stored ones, or for
+  // a stale shard a from-scratch accumulation into `scratch`.
+  std::pair<const double*, const double*> CanonicalPartials(
+      size_t shard, std::vector<double>* scratch) const;
 
   // Appends storage for one tuple (no accumulation), growing shards and
   // assigning the next TupleId. Returns the new physical slot.
@@ -238,10 +273,13 @@ class IncrementalObjective {
   std::vector<TupleId> slot_to_id_;
   TupleId next_id_ = 0;  // never decremented — ids outlive compactions
   // Per-shard compensated partial coefficient sums over live tuples, plus
-  // per-shard live counts (to skip fully-dead shards in Objective()).
+  // per-shard live counts (to skip fully-dead shards in Objective()) and
+  // stale bits (partials zeroed by a delete or update, awaiting the next
+  // Objective()'s re-sum).
   std::vector<std::vector<double>> shard_sums_;
   std::vector<std::vector<double>> shard_comps_;
   std::vector<uint32_t> shard_live_;
+  std::vector<uint8_t> shard_stale_;
   // Materialize() call counter (diagnostic; see materialize_count()).
   // `mutable` because Materialize is const; reads/writes are serialized by
   // the same external synchronization the mutation API requires.

@@ -671,7 +671,7 @@ Response Service::DoTrainLocked(const Request& request, uint64_t position) {
   }
   Rng rng(Rng::Fork(options_.seed, fork_stream));
   const Result<baselines::TrainedModel> trained =
-      TrainWith(request, options_, objective_.Objective(), rng);
+      TrainWith(request, options_, objective_.Objective(&pool()), rng);
   if (!trained.ok()) {
     r.status = trained.status();
     if (is_private) {

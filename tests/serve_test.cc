@@ -6,7 +6,10 @@
 //    within 1 ulp per coefficient of the dense offline build after deletes
 //    punch holes in the shard packing.
 //  - An insert-then-delete round trip restores the previous accumulator
-//    state exactly (bitwise), not just approximately.
+//    state exactly (bitwise), not just approximately, and the shards a
+//    delete or update leaves stale are invisible to every observer.
+//  - The store and ledger snapshot decoders refuse payloads whose derived
+//    counts disagree with their tuples or whose ledger could overspend.
 //  - serve::BudgetAccountant's reserve/commit/abort ledger balances exactly
 //    under concurrent hammering, and a rejected or aborted request consumes
 //    no budget.
@@ -37,6 +40,7 @@
 #include "baselines/fm_algorithm.h"
 #include "baselines/objective_perturbation.h"
 #include "baselines/output_perturbation.h"
+#include "common/io_util.h"
 #include "common/rng.h"
 #include "common/ulp.h"
 #include "core/objective_accumulator.h"
@@ -110,7 +114,7 @@ serve::IncrementalObjective StoreFromDataset(
 TEST(IncrementalObjective, DenseStoreMatchesOfflineBuildBitwise) {
   // 2500 rows span three 1024-row shards, including a ragged tail.
   const auto ds = MakeDataset(2500, 6, false, 7);
-  const auto store = StoreFromDataset(ds, core::ObjectiveKind::kLinear);
+  auto store = StoreFromDataset(ds, core::ObjectiveKind::kLinear);
   const auto offline =
       core::ObjectiveAccumulator::Build(ds, core::ObjectiveKind::kLinear);
   // No holes → identical shard packing → identical bits, even though the
@@ -120,8 +124,7 @@ TEST(IncrementalObjective, DenseStoreMatchesOfflineBuildBitwise) {
 
 TEST(IncrementalObjective, LogisticKindMatchesOfflineBuildBitwise) {
   const auto ds = MakeDataset(1500, 5, true, 11);
-  const auto store =
-      StoreFromDataset(ds, core::ObjectiveKind::kTruncatedLogistic);
+  auto store = StoreFromDataset(ds, core::ObjectiveKind::kTruncatedLogistic);
   const auto offline = core::ObjectiveAccumulator::Build(
       ds, core::ObjectiveKind::kTruncatedLogistic);
   ExpectBitwiseEqual(store.Objective(), offline.Global());
@@ -129,7 +132,7 @@ TEST(IncrementalObjective, LogisticKindMatchesOfflineBuildBitwise) {
 
 TEST(IncrementalObjective, InsertBatchBitIdenticalToSequentialInserts) {
   const auto ds = MakeDataset(3000, 6, false, 13);
-  const auto sequential = StoreFromDataset(ds, core::ObjectiveKind::kLinear);
+  auto sequential = StoreFromDataset(ds, core::ObjectiveKind::kLinear);
 
   exec::ThreadPool pool1(1);
   exec::ThreadPool pool8(8);
@@ -199,8 +202,7 @@ TEST(IncrementalObjective, UpdateRewritesTupleInPlace) {
   data::RegressionDataset modified = ds;
   modified.x.SetRow(700, replacement);
   modified.y[700] = -0.25;
-  const auto reference =
-      StoreFromDataset(modified, core::ObjectiveKind::kLinear);
+  auto reference = StoreFromDataset(modified, core::ObjectiveKind::kLinear);
   ExpectBitwiseEqual(store.Objective(), reference.Objective());
 }
 
@@ -284,7 +286,7 @@ TEST(IncrementalObjective, CompactMatchesFreshStoreBitwise) {
   // The tentpole contract: the compacted store is bit-identical — tuple
   // storage AND every shard's compensated partials — to a fresh store fed
   // the surviving tuples in order.
-  const auto fresh =
+  auto fresh =
       StoreFromDataset(store.Materialize(), core::ObjectiveKind::kLinear);
   EXPECT_TRUE(store.StoreStateBitwiseEquals(fresh));
   ExpectBitwiseEqual(store.Objective(), fresh.Objective());
@@ -363,7 +365,7 @@ TEST(IncrementalObjective, CompactOnDenseOrEmptiedStoreIsSafe) {
   EXPECT_EQ(store.Compact(), ds.size());
   EXPECT_EQ(store.slot_count(), 0u);
   EXPECT_EQ(store.num_shards(), 0u);
-  const serve::IncrementalObjective empty(4, core::ObjectiveKind::kLinear);
+  serve::IncrementalObjective empty(4, core::ObjectiveKind::kLinear);
   EXPECT_TRUE(store.StoreStateBitwiseEquals(empty));
   ExpectBitwiseEqual(store.Objective(), empty.Objective());
 
@@ -382,7 +384,7 @@ TEST(IncrementalObjective, FullyDeadShardContributesNothingBitwise) {
 
   std::vector<size_t> head(core::kObjectiveShardRows);
   for (size_t i = 0; i < head.size(); ++i) head[i] = i;
-  const auto store0 =
+  auto store0 =
       StoreFromDataset(ds.Select(head), core::ObjectiveKind::kLinear);
 
   ASSERT_TRUE(store.Delete(1024).ok());
@@ -396,6 +398,137 @@ TEST(IncrementalObjective, FullyDeadShardContributesNothingBitwise) {
   ASSERT_TRUE(store.Insert(ds.x.Row(1024), 5, ds.y[1024]).ok());
   EXPECT_EQ(store.live_shards(), 2u);
   ExpectBitwiseEqual(store.Objective(), full);
+}
+
+TEST(IncrementalObjective, StaleShardsAreInvisibleToEveryObserver) {
+  // Deletes and updates in all four shards, then an insert into a stale
+  // shard, leave every shard stale. The const readers must already see the
+  // canonical partials of a from-scratch rebuild, and the deferred re-sum
+  // Objective() runs on the pool must give the rebuild's bits for every
+  // pool size.
+  const auto ds = MakeDataset(3500, 6, false, 127);
+  auto store = StoreFromDataset(ds, core::ObjectiveKind::kLinear);
+  for (const uint64_t id : {5u, 1030u, 2100u, 3499u}) {
+    ASSERT_TRUE(store.Delete(id).ok());
+  }
+  ASSERT_TRUE(store.Update(2500, ds.x.Row(7), 6, ds.y[7]).ok());
+  ASSERT_TRUE(store.Insert(ds.x.Row(8), 6, ds.y[8]).ok());
+
+  auto rebuilt = store.RebuildFromScratch();
+  EXPECT_TRUE(store.StoreStateBitwiseEquals(rebuilt));
+  std::string stale_bytes;
+  std::string rebuilt_bytes;
+  store.SerializeTo(&stale_bytes);
+  rebuilt.SerializeTo(&rebuilt_bytes);
+  EXPECT_EQ(stale_bytes, rebuilt_bytes);
+
+  const opt::QuadraticModel expected = rebuilt.Objective();
+  for (const size_t threads : {1u, 2u, 8u}) {
+    exec::ThreadPool pool(threads);
+    auto flushed = store;
+    ExpectBitwiseEqual(flushed.Objective(&pool), expected);
+    EXPECT_TRUE(flushed.StoreStateBitwiseEquals(rebuilt))
+        << threads << " threads";
+  }
+}
+
+TEST(IncrementalObjective, StaleStoresDifferingInOneTupleCompareUnequal) {
+  // The canonicalising compare must not hide a real difference: two stores
+  // whose stale shards differ in one live tuple compare unequal, whether
+  // neither, one or both have been re-summed.
+  const auto ds = MakeDataset(2100, 5, false, 131);
+  auto a = StoreFromDataset(ds, core::ObjectiveKind::kLinear);
+  auto b = a;
+  ASSERT_TRUE(a.Delete(40).ok());
+  ASSERT_TRUE(b.Delete(40).ok());
+  ASSERT_TRUE(a.Update(1500, ds.x.Row(1), 5, ds.y[1]).ok());
+  ASSERT_TRUE(b.Update(1500, ds.x.Row(2), 5, ds.y[2]).ok());
+  EXPECT_FALSE(a.StoreStateBitwiseEquals(b));
+  a.Objective();
+  EXPECT_FALSE(a.StoreStateBitwiseEquals(b));
+  EXPECT_FALSE(b.StoreStateBitwiseEquals(a));
+  b.Objective();
+  EXPECT_FALSE(a.StoreStateBitwiseEquals(b));
+}
+
+// Overwrites `field.size()` bytes of `bytes` at `offset`.
+std::string Patched(std::string bytes, size_t offset,
+                    const std::string& field) {
+  return bytes.replace(offset, field.size(), field);
+}
+
+std::string U64Field(uint64_t value) {
+  std::string field;
+  io::AppendU64(&field, value);
+  return field;
+}
+
+// A SerializeTo payload of a 1100-slot, d=3 store with holes at ids 4, 77
+// and 1050, and the byte offsets of the fields the restore tests alter.
+struct StorePayload {
+  std::string bytes;
+  size_t next_id = 9;      // after dim (u64) and kind (u8)
+  size_t live_count = 17;  // after next_id
+  size_t live = 0;         // first liveness byte
+  size_t shard0_live = 0;  // shard 0's u32 live count (1022)
+};
+
+StorePayload EncodeStoreWithHoles() {
+  constexpr size_t kDim = 3;
+  auto store = StoreFromDataset(MakeDataset(1100, kDim, false, 137),
+                                core::ObjectiveKind::kLinear);
+  for (const uint64_t id : {4u, 77u, 1050u}) {
+    EXPECT_TRUE(store.Delete(id).ok());
+  }
+  StorePayload p;
+  store.SerializeTo(&p.bytes);
+  const size_t slots = store.slot_count();
+  // live_count, slots, then the slot-major features and the labels.
+  p.live = p.live_count + 16 + slots * (kDim + 1) * sizeof(double);
+  // The liveness bytes, the id table, the shard count, then shard 0's sum
+  // and compensation arrays.
+  p.shard0_live = p.live + slots + slots * sizeof(uint64_t) +
+                  sizeof(uint64_t) +
+                  2 * core::NumObjectiveCoefficients(kDim) * sizeof(double);
+  return p;
+}
+
+Status RestoreStore(const std::string& bytes) {
+  serve::IncrementalObjective store(3, core::ObjectiveKind::kLinear);
+  io::ByteReader reader(bytes);
+  return store.RestoreFrom(reader);
+}
+
+TEST(IncrementalObjective, RestoreRejectsALivenessByteOutsideZeroOne) {
+  StorePayload p = EncodeStoreWithHoles();
+  ASSERT_TRUE(RestoreStore(p.bytes).ok());
+  p.bytes[p.live] = 2;
+  EXPECT_EQ(RestoreStore(p.bytes).code(), StatusCode::kIoError);
+}
+
+TEST(IncrementalObjective, RestoreRejectsALiveCountOffItsLivenessBytes) {
+  const StorePayload p = EncodeStoreWithHoles();
+  ASSERT_TRUE(RestoreStore(Patched(p.bytes, p.live_count, U64Field(1097)))
+                  .ok());
+  EXPECT_EQ(RestoreStore(Patched(p.bytes, p.live_count, U64Field(1096)))
+                .code(),
+            StatusCode::kIoError);
+}
+
+TEST(IncrementalObjective, RestoreRejectsAShardLiveCountOffItsLivenessBytes) {
+  const StorePayload p = EncodeStoreWithHoles();
+  std::string field;
+  io::AppendU32(&field, 1021);
+  EXPECT_EQ(RestoreStore(Patched(p.bytes, p.shard0_live, field)).code(),
+            StatusCode::kIoError);
+}
+
+TEST(IncrementalObjective, RestoreRejectsANextIdNotAboveEveryAssignedId) {
+  const StorePayload p = EncodeStoreWithHoles();
+  ASSERT_TRUE(
+      RestoreStore(Patched(p.bytes, p.next_id, U64Field(1100))).ok());
+  EXPECT_EQ(RestoreStore(Patched(p.bytes, p.next_id, U64Field(1099))).code(),
+            StatusCode::kIoError);
 }
 
 // --------------------------------------------------------------------------
@@ -556,6 +689,47 @@ TEST(BudgetAccountant, DiagnosticsKeepSmallEpsilonPrecision) {
   ASSERT_TRUE(accountant->Commit(r, 1e-9).ok());
 }
 
+TEST(BudgetAccountant, RestoreRefusesALedgerThatCouldOverspend) {
+  auto ledger = serve::BudgetAccountant::Create(1.0).ValueOrDie();
+  const uint64_t r = ledger->Reserve(0.25, "train@1").ValueOrDie();
+  ASSERT_TRUE(ledger->Settle(r, 0.25).ok());
+  std::string valid;
+  ledger->SerializeTo(&valid);
+  // Layout: total and spent (doubles), the reservation counter and the
+  // charge count (u64), then each charge's ε and length-prefixed label.
+  constexpr size_t kTotal = 0;
+  constexpr size_t kSpent = 8;
+  constexpr size_t kChargeCount = 24;
+  constexpr size_t kFirstCharge = 32;
+  const auto restore = [](const std::string& bytes) {
+    auto target = serve::BudgetAccountant::Create(1.0).ValueOrDie();
+    io::ByteReader reader(bytes);
+    return target->RestoreFrom(reader);
+  };
+  const auto with_double = [&](size_t offset, double value) {
+    std::string field;
+    io::AppendDouble(&field, value);
+    return Patched(valid, offset, field);
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_TRUE(restore(valid).ok());
+  // A NaN spent made `remaining` NaN, and with it every later Reserve's
+  // budget check false: the restored ledger granted unlimited ε.
+  EXPECT_EQ(restore(with_double(kSpent, nan)).code(), StatusCode::kIoError);
+  EXPECT_EQ(restore(with_double(kSpent, -0.25)).code(), StatusCode::kIoError);
+  EXPECT_EQ(restore(with_double(kSpent, 1.5)).code(), StatusCode::kIoError);
+  EXPECT_EQ(restore(with_double(kTotal, std::numeric_limits<double>::infinity()))
+                .code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(restore(with_double(kTotal, 2.0)).code(), StatusCode::kIoError);
+  EXPECT_EQ(restore(with_double(kFirstCharge, nan)).code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(
+      restore(Patched(valid, kChargeCount, U64Field(uint64_t{1} << 60)))
+          .code(),
+      StatusCode::kIoError);
+}
+
 // --------------------------------------------------------------------------
 // ModelRegistry
 // --------------------------------------------------------------------------
@@ -681,7 +855,7 @@ TEST(Service, IncrementalModelMatchesScratchRetrainBitwise) {
 
   // Scratch path: recompute the objective from the raw tuples and rerun the
   // mechanism on the same Fork substream the service used.
-  const auto scratch = service->objective().RebuildFromScratch();
+  auto scratch = service->objective().RebuildFromScratch();
   core::FmOptions fm_options;
   fm_options.epsilon = 0.9;
   Rng rng(Rng::Fork(options.seed, train_position));
@@ -986,10 +1160,11 @@ TEST(Service, ChurnSoakStaysBoundedAndThreadCountInvariant) {
   EXPECT_EQ(replay->objective().materialize_count(), 0u);
 
   // (b): bitwise equal to a fresh store fed the live tuples in order.
-  const auto fresh = StoreFromDataset(objective.Materialize(),
-                                      core::ObjectiveKind::kLinear);
+  auto fresh = StoreFromDataset(objective.Materialize(),
+                                core::ObjectiveKind::kLinear);
   EXPECT_TRUE(objective.StoreStateBitwiseEquals(fresh));
-  ExpectBitwiseEqual(objective.Objective(), fresh.Objective());
+  ExpectBitwiseEqual(serve::IncrementalObjective(objective).Objective(),
+                     fresh.Objective());
 }
 
 TEST(Service, EvaluateStreamsTheStoreWithoutMaterializing) {

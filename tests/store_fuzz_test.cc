@@ -4,14 +4,19 @@
 // ops, prove the incrementally-maintained state against the two references
 // the class contract names (src/serve/incremental_objective.h):
 //  - RebuildFromScratch: a from-scratch re-accumulation of the same slots
-//    must be bitwise equal (StoreStateBitwiseEquals), and so must its
-//    Objective() — the "incremental maintenance is exact" invariant.
+//    must be bitwise equal (StoreStateBitwiseEquals and SerializeTo bytes),
+//    and so must its Objective() — the "incremental maintenance is exact"
+//    invariant. Deletes and updates leave shards stale until the next
+//    Objective(); the soak also calls Objective() on the store itself at
+//    seeded random ops, so checks see stale, re-summed, and re-summed-then-
+//    mutated states.
 //  - core::ObjectiveAccumulator::Build over Materialize(): the dense
 //    offline build packs shards differently once deletes punch holes, so
 //    bits may differ — but every coefficient agrees within 1 ulp.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -56,6 +61,7 @@ void RunSoak(core::ObjectiveKind kind, size_t dim, uint64_t seed,
   serve::IncrementalObjective store(dim, kind);
   std::vector<serve::TupleId> live;
   Rng rng(seed);
+  Rng flushes(Rng::Fork(seed, 1));
   std::vector<double> x;
   double y = 0.0;
   size_t checks = 0;
@@ -80,23 +86,37 @@ void RunSoak(core::ObjectiveKind kind, size_t dim, uint64_t seed,
       ASSERT_EQ(store.dead_count(), 0u);
     }
     ASSERT_EQ(store.live_size(), live.size());
+    // Re-sum the stale shards of the live store itself at seeded random
+    // ops, so later mutations land on re-summed shards too.
+    if (flushes.Bernoulli(0.1)) store.Objective(pool);
 
     if (op % kCheckEvery != 0 && op != kOps) continue;
     ++checks;
 
     // Reference 1: from-scratch rebuild of the same slot layout must be
-    // bitwise identical — state and derived objective.
-    const serve::IncrementalObjective rebuilt = store.RebuildFromScratch(pool);
+    // bitwise identical — state, snapshot bytes, and derived objective.
+    serve::IncrementalObjective rebuilt = store.RebuildFromScratch(pool);
     ASSERT_TRUE(store.StoreStateBitwiseEquals(rebuilt))
         << "incremental state diverged from a from-scratch rebuild at op "
         << op;
-    EXPECT_EQ(MaxUlpDistance(store.Objective(), rebuilt.Objective()), 0u);
+    std::string store_bytes;
+    std::string rebuilt_bytes;
+    store.SerializeTo(&store_bytes);
+    rebuilt.SerializeTo(&rebuilt_bytes);
+    ASSERT_EQ(store_bytes, rebuilt_bytes)
+        << "snapshot bytes diverged from a from-scratch rebuild at op " << op;
+    // Objective() on a copy, so the live store's stale shards stay stale for
+    // the ops that follow; the re-sum must not change the canonical state.
+    serve::IncrementalObjective copy = store;
+    const opt::QuadraticModel objective = copy.Objective(pool);
+    EXPECT_EQ(MaxUlpDistance(objective, rebuilt.Objective(pool)), 0u);
+    EXPECT_TRUE(copy.StoreStateBitwiseEquals(store));
 
     // Reference 2: the dense offline accumulator over the live tuples —
     // different shard packing, so 1 ulp per coefficient is the bound.
     const auto offline =
         core::ObjectiveAccumulator::Build(store.Materialize(), kind);
-    EXPECT_LE(MaxUlpDistance(store.Objective(), offline.Global()), 1u)
+    EXPECT_LE(MaxUlpDistance(objective, offline.Global()), 1u)
         << "objective drifted past 1 ulp of the dense build at op " << op;
   }
   EXPECT_GE(checks, kOps / kCheckEvery);
@@ -111,9 +131,9 @@ TEST(StoreFuzz, LogisticSoakMatchesReferencesEveryK) {
 }
 
 TEST(StoreFuzz, SoakIsPoolSizeInvariant) {
-  // The same schedule through an 8-thread pool: RebuildFromScratch and
-  // Compact parallelize per shard, and the soak's bitwise checks must hold
-  // for every pool size.
+  // The same schedule through an 8-thread pool: RebuildFromScratch,
+  // Compact and Objective()'s stale-shard re-sum parallelize per shard, and
+  // the soak's bitwise checks must hold for every pool size.
   exec::ThreadPool pool(8);
   RunSoak(core::ObjectiveKind::kLinear, 5, 0x10af1, &pool);
 }
