@@ -5,7 +5,7 @@
 // equal the live count and Objective() must cost what a fresh store of the
 // same live tuples costs (gated at ≤ 1.5× in tools/run_bench.py).
 //
-// Deliberately self-contained (eval::Stopwatch + median-over-repeats, no
+// Deliberately self-contained (obs::Stopwatch + median-over-repeats, no
 // Google Benchmark) so these numbers — and the CI gates — exist on
 // machines without libbenchmark-dev. tools/run_bench.py --mode serve
 // drives it and re-emits BENCH_serve.json as a CI artifact.
@@ -33,8 +33,8 @@
 #include "common/rng.h"
 #include "core/objective_accumulator.h"
 #include "data/dataset.h"
-#include "eval/stopwatch.h"
 #include "exec/thread_pool.h"
+#include "obs/clock.h"
 #include "serve/service.h"
 #include "serve/wal.h"
 
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
 
   // --- bulk bootstrap -----------------------------------------------------
   const data::RegressionDataset base = RandomDataset(flags.n, flags.dim, 1);
-  eval::Stopwatch watch;
+  obs::Stopwatch watch;
   if (Status status = service->Bootstrap(base); !status.ok()) {
     std::fprintf(stderr, "bootstrap failed: %s\n",
                  status.ToString().c_str());
@@ -322,7 +322,7 @@ int main(int argc, char** argv) {
     std::vector<double> seconds;
     seconds.reserve(flags.repeats);
     for (size_t r = 0; r < flags.repeats; ++r) {
-      eval::Stopwatch loop_watch;
+      obs::Stopwatch loop_watch;
       for (size_t c = 0; c < kCalls; ++c) {
         volatile double sink = store.Objective().beta;
         (void)sink;
@@ -432,7 +432,7 @@ int main(int argc, char** argv) {
                    serve::WalSyncModeToString(mode));
       return result;
     }
-    eval::Stopwatch durable_watch;
+    obs::Stopwatch durable_watch;
     for (size_t pass = 0; pass < repeat; ++pass) {
       for (size_t i = 0; i < durable_log.size(); i += kDurableChunk) {
         const size_t end = std::min(i + kDurableChunk, durable_log.size());

@@ -1,8 +1,7 @@
 #include "dp/budget.h"
 
 #include <cmath>
-
-#include "common/logging.h"
+#include <string>
 
 namespace fm::dp {
 
@@ -11,25 +10,6 @@ Status ValidateEpsilon(double epsilon) {
     return Status::InvalidArgument("epsilon must be finite and positive, got " +
                                    std::to_string(epsilon));
   }
-  return Status::OK();
-}
-
-PrivacyAccountant::PrivacyAccountant(double total_epsilon)
-    : total_epsilon_(total_epsilon) {
-  FM_CHECK(total_epsilon > 0.0 && std::isfinite(total_epsilon));
-}
-
-Status PrivacyAccountant::Charge(double epsilon, const std::string& label) {
-  FM_RETURN_NOT_OK(ValidateEpsilon(epsilon));
-  // Tolerate round-off when exhausting the budget exactly.
-  if (epsilon > remaining_epsilon() + 1e-12) {
-    return Status::FailedPrecondition(
-        "privacy budget exhausted: requested " + std::to_string(epsilon) +
-        ", remaining " + std::to_string(remaining_epsilon()) + " (" + label +
-        ")");
-  }
-  spent_epsilon_ += epsilon;
-  charges_.push_back(ChargeRecord{epsilon, label});
   return Status::OK();
 }
 

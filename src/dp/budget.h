@@ -1,61 +1,17 @@
 #ifndef FM_DP_BUDGET_H_
 #define FM_DP_BUDGET_H_
 
-#include <string>
-#include <vector>
-
 #include "common/status.h"
 
 namespace fm::dp {
 
 /// The one definition of a usable privacy budget: finite and strictly
 /// positive. Every entry point that accepts an ε — the mechanisms, the
-/// baseline trainers, the accountants, the serving layer — rejects anything
-/// else with this InvalidArgument, so a bad budget fails identically
-/// everywhere instead of flowing into a Laplace scale of ∞ or a negative
-/// ledger charge.
+/// baseline trainers, the serving layer's ledger (serve::BudgetAccountant)
+/// — rejects anything else with this InvalidArgument, so a bad budget fails
+/// identically everywhere instead of flowing into a Laplace scale of ∞ or a
+/// negative ledger charge.
 Status ValidateEpsilon(double epsilon);
-
-/// Sequential-composition privacy accountant.
-///
-/// ε-differential privacy composes additively: running mechanisms with
-/// budgets ε₁, ε₂ on the same data is (ε₁+ε₂)-DP. The accountant tracks a
-/// total budget and the charges made against it, and refuses charges that
-/// would exceed the total. Lemma 5's resampling variant of the Functional
-/// Mechanism charges 2ε through this interface.
-class PrivacyAccountant {
- public:
-  /// Creates an accountant with the given total ε budget (must be positive).
-  explicit PrivacyAccountant(double total_epsilon);
-
-  /// Records a charge of `epsilon` attributed to `label`. Returns
-  /// kFailedPrecondition when the remaining budget is insufficient and leaves
-  /// the accountant unchanged.
-  Status Charge(double epsilon, const std::string& label);
-
-  /// Total budget configured at construction.
-  double total_epsilon() const { return total_epsilon_; }
-
-  /// Sum of accepted charges.
-  double spent_epsilon() const { return spent_epsilon_; }
-
-  /// Budget still available.
-  double remaining_epsilon() const { return total_epsilon_ - spent_epsilon_; }
-
-  /// One recorded charge.
-  struct ChargeRecord {
-    double epsilon;
-    std::string label;
-  };
-
-  /// All accepted charges, in order.
-  const std::vector<ChargeRecord>& charges() const { return charges_; }
-
- private:
-  double total_epsilon_;
-  double spent_epsilon_ = 0.0;
-  std::vector<ChargeRecord> charges_;
-};
 
 }  // namespace fm::dp
 

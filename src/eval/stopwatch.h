@@ -4,14 +4,7 @@
 #include <chrono>
 #include <ctime>
 
-#include "obs/clock.h"
-
 namespace fm::eval {
-
-/// Wall-clock stopwatch for the §7.4 computation-time figures. Backed by
-/// the obs::Clock seam (monotonic by default, injectable in tests) so all
-/// wall timing in the repo shares one time source.
-using Stopwatch = ::fm::obs::Stopwatch;
 
 /// Per-thread CPU-time stopwatch. Used for the §7.4 training-time metric:
 /// unlike wall-clock it is immune to core contention from sibling folds

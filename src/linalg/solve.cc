@@ -4,18 +4,12 @@
 
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
-#include "linalg/lu.h"
 
 namespace fm::linalg {
 
 Result<Vector> SolveSpd(const Matrix& a, const Vector& b) {
   FM_ASSIGN_OR_RETURN(Cholesky chol, Cholesky::Compute(a));
   return chol.Solve(b);
-}
-
-Result<Vector> SolveGeneral(const Matrix& a, const Vector& b) {
-  FM_ASSIGN_OR_RETURN(Lu lu, Lu::Compute(a));
-  return lu.Solve(b);
 }
 
 Result<Vector> SolveSymmetricPseudo(const Matrix& a, const Vector& b,

@@ -12,10 +12,6 @@ namespace fm::linalg {
 /// definite.
 Result<Vector> SolveSpd(const Matrix& a, const Vector& b);
 
-/// Solves the general square system A x = b via partially-pivoted LU. Fails
-/// when A is singular.
-Result<Vector> SolveGeneral(const Matrix& a, const Vector& b);
-
 /// Minimum-norm least-squares solve of symmetric A x = b through the
 /// eigendecomposition: eigencomponents with |λ| <= rcond * max|λ| are
 /// dropped. This is the solver behind §6.2 spectral trimming's

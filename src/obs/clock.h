@@ -67,9 +67,8 @@ inline const Clock* ClockOrDefault(const Clock* clock) {
   return clock != nullptr ? clock : MonotonicClock::Default();
 }
 
-/// Elapsed-time helper over the Clock seam. Replaces the previous
-/// steady_clock-only eval::Stopwatch (which is now an alias for this) and
-/// the hand-rolled timers in the bench/fuzz drivers.
+/// Elapsed-time helper over the Clock seam: the one wall-clock timer of the
+/// bench and fuzz drivers.
 class Stopwatch {
  public:
   explicit Stopwatch(const Clock* clock = nullptr)

@@ -11,8 +11,7 @@ namespace fm::serve {
 
 namespace {
 
-// Tolerates round-off when exhausting the budget or a reservation exactly
-// (matches dp::PrivacyAccountant's slack).
+// Tolerates round-off when exhausting the budget or a reservation exactly.
 constexpr double kSlack = 1e-12;
 
 // std::to_string renders doubles with 6 fixed decimals, which collapses
@@ -24,7 +23,7 @@ std::string FormatEpsilon(double epsilon) {
   return buf;
 }
 
-// What a restored ledger amount (total, spent, one charge) may hold.
+// What a restored ledger amount (spent, one charge) may hold.
 bool IsLedgerAmount(double epsilon) {
   return std::isfinite(epsilon) && epsilon >= 0.0;
 }
@@ -111,10 +110,7 @@ Status BudgetAccountant::Abort(uint64_t reservation) {
   return Status::OK();
 }
 
-double BudgetAccountant::total_epsilon() const {
-  MutexLock lock(mutex_);
-  return total_epsilon_;
-}
+double BudgetAccountant::total_epsilon() const { return total_epsilon_; }
 
 double BudgetAccountant::spent_epsilon() const {
   MutexLock lock(mutex_);
@@ -145,7 +141,6 @@ size_t BudgetAccountant::pending_reservations() const {
 void BudgetAccountant::SerializeTo(std::string* out) const {
   MutexLock lock(mutex_);
   FM_CHECK(pending_.empty());  // checkpoints run at request boundaries
-  io::AppendDouble(out, total_epsilon_);
   io::AppendDouble(out, spent_epsilon_);
   io::AppendU64(out, next_reservation_);
   io::AppendU64(out, charges_.size());
@@ -157,28 +152,22 @@ void BudgetAccountant::SerializeTo(std::string* out) const {
 
 Status BudgetAccountant::RestoreFrom(io::ByteReader& reader) {
   MutexLock lock(mutex_);
-  double total = 0.0;
   double spent = 0.0;
   uint64_t next_reservation = 0;
   uint64_t charge_count = 0;
-  FM_RETURN_NOT_OK(reader.ReadDouble(&total));
   FM_RETURN_NOT_OK(reader.ReadDouble(&spent));
   FM_RETURN_NOT_OK(reader.ReadU64(&next_reservation));
   FM_RETURN_NOT_OK(reader.ReadU64(&charge_count));
   // A ledger that could grant budget it does not hold is refused: a NaN
   // `spent` makes every later Reserve's remaining-budget comparison false,
   // so every Reserve would succeed.
-  if (!IsLedgerAmount(total) || !IsLedgerAmount(spent)) {
+  if (!IsLedgerAmount(spent)) {
     return Status::IoError("snapshot ledger holds a non-finite or negative ε");
   }
-  if (total != total_epsilon_) {
-    return Status::IoError("snapshot ledger total ε " + FormatEpsilon(total) +
-                           " differs from the configured " +
-                           FormatEpsilon(total_epsilon_));
-  }
-  if (spent > total + kSlack) {
+  if (spent > total_epsilon_ + kSlack) {
     return Status::IoError("snapshot ledger spent " + FormatEpsilon(spent) +
-                           " exceeds its total " + FormatEpsilon(total));
+                           " exceeds its total " +
+                           FormatEpsilon(total_epsilon_));
   }
   // Each charge occupies at least its ε and its label's length prefix, so
   // a count the remaining bytes cannot hold is refused before reserving.
@@ -200,7 +189,6 @@ Status BudgetAccountant::RestoreFrom(io::ByteReader& reader) {
     FM_RETURN_NOT_OK(reader.ReadLengthPrefixed(&charge.label));
     charges.push_back(std::move(charge));
   }
-  total_epsilon_ = total;
   spent_epsilon_ = spent;
   reserved_epsilon_ = 0.0;
   next_reservation_ = next_reservation;

@@ -19,8 +19,8 @@ namespace fm::serve {
 /// ε-differential privacy composes sequentially: every training run against
 /// the same live dataset adds its ε to the total disclosure, so a serving
 /// layer that trains on demand needs an accountant that concurrent requests
-/// can race on without over-spending. The offline dp::PrivacyAccountant
-/// charges in one step; this class splits a charge into
+/// can race on without over-spending. This is the repo's one ε ledger, and
+/// it splits a charge into
 ///
 ///   Reserve(worst case) → train → Commit(actual) | Abort(),
 ///
@@ -95,21 +95,21 @@ class BudgetAccountant {
   std::vector<ChargeRecord> charges() const;
   size_t pending_reservations() const;
 
-  /// Appends the ledger — totals, spent, charge history, reservation
-  /// counter — to `out` (snapshot payload). Checkpoints happen at request
-  /// boundaries where no reservation is in flight; pending reservations are
-  /// deliberately not serialized and serialization fails a FM_CHECK when
-  /// any exist.
+  /// Appends the ledger — spent, reservation counter, charge history — to
+  /// `out` (snapshot payload). The total is not written: it is always the
+  /// configured one, which the snapshot's options fingerprint pins.
+  /// Checkpoints happen at request boundaries where no reservation is in
+  /// flight; pending reservations are deliberately not serialized and
+  /// serialization fails a FM_CHECK when any exist.
   void SerializeTo(std::string* out) const;
 
   /// Replaces this ledger's state with a SerializeTo payload read from
-  /// `reader`. Restored spent/total values are bit-exact, so post-recovery
+  /// `reader`. The restored spent value is bit-exact, so post-recovery
   /// budget arithmetic (and its formatted diagnostics) matches the
   /// uninterrupted service byte for byte. Fails with kIoError — before any
-  /// state changes — when the payload is truncated, when total, spent or a
-  /// charge is non-finite or negative, when total differs from this
-  /// ledger's configured total, when spent exceeds total, or when the
-  /// charge count exceeds what the remaining bytes can hold.
+  /// state changes — when the payload is truncated, when spent or a charge
+  /// is non-finite or negative, when spent exceeds this ledger's total, or
+  /// when the charge count exceeds what the remaining bytes can hold.
   Status RestoreFrom(io::ByteReader& reader);
 
  private:
@@ -122,7 +122,7 @@ class BudgetAccountant {
   };
 
   mutable Mutex mutex_;
-  double total_epsilon_ FM_GUARDED_BY(mutex_);
+  const double total_epsilon_;  // immutable after construction; no guard
   double spent_epsilon_ FM_GUARDED_BY(mutex_) = 0.0;
   double reserved_epsilon_ FM_GUARDED_BY(mutex_) = 0.0;
   uint64_t next_reservation_ FM_GUARDED_BY(mutex_) = 1;

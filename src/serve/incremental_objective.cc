@@ -433,60 +433,43 @@ bool IncrementalObjective::StoreStateBitwiseEquals(
 }
 
 void IncrementalObjective::SerializeTo(std::string* out) const {
-  io::AppendU64(out, dim_);
-  io::AppendU8(out, static_cast<uint8_t>(kind_));
   io::AppendU64(out, next_id_);
-  io::AppendU64(out, live_count_);
   io::AppendU64(out, ys_.size());
   io::AppendDoubleArray(out, xs_.data(), xs_.size());
   io::AppendDoubleArray(out, ys_.data(), ys_.size());
   io::AppendBytes(out, live_.data(), live_.size());
   for (const TupleId id : slot_to_id_) io::AppendU64(out, id);
-  io::AppendU64(out, shard_sums_.size());
   std::vector<double> scratch;
   for (size_t s = 0; s < shard_sums_.size(); ++s) {
     const auto [sum, comp] = CanonicalPartials(s, &scratch);
     io::AppendDoubleArray(out, sum, num_coefficients());
     io::AppendDoubleArray(out, comp, num_coefficients());
-    io::AppendU32(out, shard_live_[s]);
   }
 }
 
 Status IncrementalObjective::RestoreFrom(io::ByteReader& reader) {
-  uint64_t dim = 0;
-  uint8_t kind = 0;
-  FM_RETURN_NOT_OK(reader.ReadU64(&dim));
-  FM_RETURN_NOT_OK(reader.ReadU8(&kind));
-  if (dim != dim_ || static_cast<core::ObjectiveKind>(kind) != kind_) {
-    return Status::IoError(
-        "snapshot store dimensionality/kind does not match this service");
-  }
   uint64_t next_id = 0;
-  uint64_t live_count = 0;
   uint64_t slots = 0;
   FM_RETURN_NOT_OK(reader.ReadU64(&next_id));
-  FM_RETURN_NOT_OK(reader.ReadU64(&live_count));
   FM_RETURN_NOT_OK(reader.ReadU64(&slots));
   const size_t slot_count = static_cast<size_t>(slots);
   FM_RETURN_NOT_OK(reader.ReadDoubleArray(&xs_, slot_count * dim_));
   FM_RETURN_NOT_OK(reader.ReadDoubleArray(&ys_, slot_count));
   live_.resize(slot_count);
   FM_RETURN_NOT_OK(reader.ReadBytes(live_.data(), slot_count));
-  // live_count and the per-shard live counts below are derived from the
-  // liveness bytes; a payload whose counts disagree with them would make
-  // Objective() fold the wrong shards, so it is refused, not trusted.
-  size_t live_slots = 0;
-  for (const uint8_t live : live_) {
-    if (live > 1) {
+  // The live count and the per-shard live counts are derived from the
+  // liveness bytes, the shard count from the slot count.
+  const size_t shards =
+      (slot_count + core::kObjectiveShardRows - 1) / core::kObjectiveShardRows;
+  shard_live_.assign(shards, 0);
+  live_count_ = 0;
+  for (size_t slot = 0; slot < slot_count; ++slot) {
+    if (live_[slot] > 1) {
       return Status::IoError("snapshot liveness byte is neither 0 nor 1");
     }
-    live_slots += live;
+    shard_live_[slot / core::kObjectiveShardRows] += live_[slot];
+    live_count_ += live_[slot];
   }
-  if (live_count != live_slots) {
-    return Status::IoError(
-        "snapshot live count does not match its liveness bytes");
-  }
-  live_count_ = live_slots;
   slot_to_id_.resize(slot_count);
   for (size_t i = 0; i < slot_count; ++i) {
     FM_RETURN_NOT_OK(reader.ReadU64(&slot_to_id_[i]));
@@ -499,32 +482,14 @@ Status IncrementalObjective::RestoreFrom(io::ByteReader& reader) {
         "snapshot next id does not exceed every id in its table");
   }
   next_id_ = next_id;
-  uint64_t shards = 0;
-  FM_RETURN_NOT_OK(reader.ReadU64(&shards));
-  const size_t expected_shards =
-      (slot_count + core::kObjectiveShardRows - 1) / core::kObjectiveShardRows;
-  if (shards != expected_shards) {
-    return Status::IoError("snapshot shard count does not match its slots");
-  }
-  shard_sums_.resize(static_cast<size_t>(shards));
-  shard_comps_.resize(static_cast<size_t>(shards));
-  shard_live_.resize(static_cast<size_t>(shards));
-  shard_stale_.assign(static_cast<size_t>(shards), 0);
-  for (size_t s = 0; s < shard_sums_.size(); ++s) {
+  shard_sums_.resize(shards);
+  shard_comps_.resize(shards);
+  shard_stale_.assign(shards, 0);
+  for (size_t s = 0; s < shards; ++s) {
     FM_RETURN_NOT_OK(
         reader.ReadDoubleArray(&shard_sums_[s], num_coefficients()));
     FM_RETURN_NOT_OK(
         reader.ReadDoubleArray(&shard_comps_[s], num_coefficients()));
-    FM_RETURN_NOT_OK(reader.ReadU32(&shard_live_[s]));
-    const auto begin = live_.begin() +
-                       static_cast<ptrdiff_t>(s * core::kObjectiveShardRows);
-    const auto end = live_.begin() +
-                     static_cast<ptrdiff_t>(std::min<size_t>(
-                         slot_count, (s + 1) * core::kObjectiveShardRows));
-    if (shard_live_[s] != static_cast<size_t>(std::count(begin, end, 1))) {
-      return Status::IoError(
-          "snapshot shard live count does not match its liveness bytes");
-    }
   }
   return Status::OK();
 }

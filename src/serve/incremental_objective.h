@@ -188,21 +188,23 @@ class IncrementalObjective {
   /// the serving path stays at zero (evaluate must use ForEachLive).
   uint64_t materialize_count() const { return materialize_count_; }
 
-  /// Appends the full store state — tuples, liveness, id table, shard
-  /// partials, raw double bytes — to `out` (snapshot payload). The partials
-  /// are the canonical ones (a stale shard's computed into scratch), so the
-  /// bytes do not depend on which shards are stale. RestoreFrom reproduces
-  /// the state bit-for-bit, with no shard stale: the restored store
-  /// StoreStateBitwiseEquals the original and assigns the same future ids.
+  /// Appends the store state that cannot be derived — next id, tuples,
+  /// liveness, id table, shard partials, raw double bytes — to `out`
+  /// (snapshot payload). The partials are the canonical ones (a stale
+  /// shard's computed into scratch), so the bytes do not depend on which
+  /// shards are stale. RestoreFrom reproduces the state bit-for-bit, with no
+  /// shard stale: the restored store StoreStateBitwiseEquals the original
+  /// and assigns the same future ids.
   void SerializeTo(std::string* out) const;
 
   /// Replaces this store's state with a SerializeTo payload read from
-  /// `reader`. Fails with kIoError when the payload is truncated or its
-  /// derived fields disagree with its tuples: a liveness byte outside
-  /// {0, 1}, a live count or per-shard live count that differs from the
-  /// liveness bytes, or a next id not above every id in the table. On
-  /// failure the store is left in an unspecified state — the caller
-  /// (snapshot recovery) discards it.
+  /// `reader`. The payload carries no dim or kind (the snapshot's options
+  /// fingerprint pins both to this store's) and no count the liveness bytes
+  /// determine: the live count, shard count and per-shard live counts are
+  /// recomputed. Fails with kIoError when the payload is truncated, a
+  /// liveness byte is outside {0, 1}, or the id table is not strictly
+  /// increasing with the next id above it. On failure the store is left in
+  /// an unspecified state — the caller (snapshot recovery) discards it.
   Status RestoreFrom(io::ByteReader& reader);
 
   /// From-scratch reference rebuild: a fresh IncrementalObjective holding

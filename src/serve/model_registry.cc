@@ -49,10 +49,7 @@ void ModelRegistry::SerializeTo(std::string* out) const {
   io::AppendU64(out, next_version_);
   io::AppendU64(out, history_.size());
   for (const auto& snapshot : history_) {
-    io::AppendU64(out, snapshot->version);
     io::AppendLengthPrefixed(out, snapshot->algorithm);
-    io::AppendU8(out, static_cast<uint8_t>(snapshot->task));
-    io::AppendU64(out, snapshot->omega.size());
     io::AppendDoubleArray(out, snapshot->omega.raw(),
                           snapshot->omega.size());
     io::AppendDouble(out, snapshot->epsilon_spent);
@@ -62,26 +59,29 @@ void ModelRegistry::SerializeTo(std::string* out) const {
   }
 }
 
-Status ModelRegistry::RestoreFrom(io::ByteReader& reader) {
+Status ModelRegistry::RestoreFrom(io::ByteReader& reader, size_t dim,
+                                  data::TaskKind task) {
   MutexLock lock(mutex_);
   uint64_t next_version = 0;
   uint64_t count = 0;
   FM_RETURN_NOT_OK(reader.ReadU64(&next_version));
   FM_RETURN_NOT_OK(reader.ReadU64(&count));
+  // Publish assigns next_version_++ and eviction pops only the oldest, so
+  // the retained versions are the `count` ones just below next_version.
+  if (next_version == 0 || count > next_version - 1) {
+    return Status::IoError("snapshot registry next version " +
+                           std::to_string(next_version) + " cannot follow " +
+                           std::to_string(count) + " retained models");
+  }
   std::deque<std::shared_ptr<const ModelSnapshot>> history;
   for (uint64_t i = 0; i < count; ++i) {
     ModelSnapshot snapshot;
-    uint8_t task = 0;
+    snapshot.version = next_version - count + i;
+    snapshot.task = task;
     uint8_t is_private = 0;
-    uint64_t dim = 0;
-    FM_RETURN_NOT_OK(reader.ReadU64(&snapshot.version));
     FM_RETURN_NOT_OK(reader.ReadLengthPrefixed(&snapshot.algorithm));
-    FM_RETURN_NOT_OK(reader.ReadU8(&task));
-    snapshot.task = static_cast<data::TaskKind>(task);
-    FM_RETURN_NOT_OK(reader.ReadU64(&dim));
     std::vector<double> omega;
-    FM_RETURN_NOT_OK(reader.ReadDoubleArray(&omega,
-                                            static_cast<size_t>(dim)));
+    FM_RETURN_NOT_OK(reader.ReadDoubleArray(&omega, dim));
     snapshot.omega = linalg::Vector(std::move(omega));
     FM_RETURN_NOT_OK(reader.ReadDouble(&snapshot.epsilon_spent));
     FM_RETURN_NOT_OK(reader.ReadU8(&is_private));

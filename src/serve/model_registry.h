@@ -63,13 +63,20 @@ class ModelRegistry {
   size_t size() const;
 
   /// Appends every retained version — coefficients as raw double bytes —
-  /// plus the version counter to `out` (snapshot payload).
+  /// plus the version counter to `out` (snapshot payload). A model's
+  /// version, task and ω length are not written: they are derived on
+  /// restore.
   void SerializeTo(std::string* out) const;
 
   /// Replaces this registry's contents with a SerializeTo payload read from
-  /// `reader`. Restored ω vectors are bit-exact, so predictions served
-  /// after recovery match the uninterrupted service byte for byte.
-  Status RestoreFrom(io::ByteReader& reader);
+  /// `reader`. Every restored model gets the service's `task` and a
+  /// `dim`-long ω; the i-th of n retained models gets version
+  /// next_version − n + i, as Publish assigned it. Restored ω vectors are
+  /// bit-exact, so predictions served after recovery match the
+  /// uninterrupted service byte for byte. Fails with kIoError when the
+  /// payload is truncated, next_version is 0, or it retains more models
+  /// than next_version − 1.
+  Status RestoreFrom(io::ByteReader& reader, size_t dim, data::TaskKind task);
 
  private:
   mutable Mutex mutex_;

@@ -225,7 +225,8 @@ Service::Service(const ServiceOptions& options,
     : options_(options),
       accountant_(std::move(accountant)),
       registry_(options.max_model_history),
-      objective_(options.dim, core::ObjectiveKindForTask(options.task)) {
+      objective_(options.dim, core::ObjectiveKindForTask(options.task)),
+      options_fingerprint_(OptionsFingerprint(options)) {
   if (options_.enable_metrics) {
     telemetry_ = std::make_unique<Telemetry>(options_);
   }
@@ -726,6 +727,12 @@ Response Service::DoPredict(
         " does not match the service's " + std::to_string(options_.dim));
     return r;
   }
+  for (const double v : request.x) {
+    if (!std::isfinite(v)) {
+      r.status = Status::InvalidArgument("feature values must be finite");
+      return r;
+    }
+  }
   r.model_version = snapshot->version;
   r.value = options_.task == data::TaskKind::kLinear
                 ? core::FmLinearRegression::Predict(snapshot->omega, request.x)
@@ -801,22 +808,8 @@ Status Service::EnableDurability(const DurabilityOptions& durability) {
         "the log) — durability needs a snapshot_dir for the base "
         "checkpoint");
   }
-  // Default the WAL's time seam to the service's clock so one injected
-  // clock drives every timestamp. Runtime wiring only, like `env`.
-  DurabilityOptions resolved = durability;
-  if (resolved.wal.clock == nullptr) resolved.wal.clock = options_.clock;
-  options_fingerprint_ = OptionsFingerprint(options_);
-  FM_ASSIGN_OR_RETURN(wal_, Wal::Open(resolved.wal, options_fingerprint_));
-  if (telemetry_ != nullptr) {
-    WalTelemetry sink;
-    sink.commit_batch_records = telemetry_->wal_commit_records;
-    sink.fsync_nanos = telemetry_->wal_fsync_nanos;
-    sink.syncs = telemetry_->wal_syncs;
-    sink.commit_failures = telemetry_->wal_commit_failures;
-    wal_->set_telemetry(sink);
-  }
-  durability_ = std::make_unique<DurabilityOptions>(resolved);
-  last_checkpoint_position_ = next_position_.load(std::memory_order_relaxed);
+  FM_RETURN_NOT_OK(AttachWalLocked(
+      durability, next_position_.load(std::memory_order_relaxed)));
   if (!durability_->snapshot_dir.empty()) {
     // Base checkpoint: captures whatever exists now (typically Bootstrap
     // data), so recovery never needs to re-run Bootstrap.
@@ -841,7 +834,6 @@ Result<std::unique_ptr<Service>> Service::Recover(
   // `svc->` keeps every access below on the same base.
   Service* svc = service.get();
   MutexLock lock(svc->execute_mutex_);
-  svc->options_fingerprint_ = OptionsFingerprint(options);
   const obs::Clock* recovery_clock = obs::ClockOrDefault(options.clock);
   const int64_t recovery_start = recovery_clock->NowNanos();
   uint64_t replayed_records = 0;
@@ -898,20 +890,7 @@ Result<std::unique_ptr<Service>> Service::Recover(
 
   // 3. Attach the WAL for appending; Open truncates any torn tail so new
   //    records land on a record boundary.
-  DurabilityOptions resolved = durability;
-  if (resolved.wal.clock == nullptr) resolved.wal.clock = options.clock;
-  FM_ASSIGN_OR_RETURN(svc->wal_,
-                      Wal::Open(resolved.wal, svc->options_fingerprint_));
-  if (svc->telemetry_ != nullptr) {
-    WalTelemetry sink;
-    sink.commit_batch_records = svc->telemetry_->wal_commit_records;
-    sink.fsync_nanos = svc->telemetry_->wal_fsync_nanos;
-    sink.syncs = svc->telemetry_->wal_syncs;
-    sink.commit_failures = svc->telemetry_->wal_commit_failures;
-    svc->wal_->set_telemetry(sink);
-  }
-  svc->durability_ = std::make_unique<DurabilityOptions>(resolved);
-  svc->last_checkpoint_position_ = snapshot_position;
+  FM_RETURN_NOT_OK(svc->AttachWalLocked(durability, snapshot_position));
   if (svc->telemetry_ != nullptr) {
     obs::MetricsRegistry& reg = svc->telemetry_->registry;
     reg.GetGauge("fm_recovery_nanos")
@@ -921,6 +900,26 @@ Result<std::unique_ptr<Service>> Service::Recover(
         ->Set(static_cast<double>(replayed_records));
   }
   return service;
+}
+
+Status Service::AttachWalLocked(const DurabilityOptions& durability,
+                                uint64_t checkpoint_position) {
+  // Default the WAL's time seam to the service's clock so one injected
+  // clock drives every timestamp. Runtime wiring only, like `env`.
+  DurabilityOptions resolved = durability;
+  if (resolved.wal.clock == nullptr) resolved.wal.clock = options_.clock;
+  FM_ASSIGN_OR_RETURN(wal_, Wal::Open(resolved.wal, options_fingerprint_));
+  if (telemetry_ != nullptr) {
+    WalTelemetry sink;
+    sink.commit_batch_records = telemetry_->wal_commit_records;
+    sink.fsync_nanos = telemetry_->wal_fsync_nanos;
+    sink.syncs = telemetry_->wal_syncs;
+    sink.commit_failures = telemetry_->wal_commit_failures;
+    wal_->set_telemetry(sink);
+  }
+  durability_ = std::make_unique<DurabilityOptions>(resolved);
+  last_checkpoint_position_ = checkpoint_position;
+  return Status::OK();
 }
 
 Status Service::Checkpoint() {

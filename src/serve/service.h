@@ -354,6 +354,13 @@ class Service {
   void RecordSegmentLatency(RequestKind kind, int64_t nanos, size_t count);
   void PollGaugesLocked() FM_REQUIRES(execute_mutex_);
 
+  // Opens the WAL under options_fingerprint_ (clock defaulted to the
+  // service's, telemetry wired) and records `durability` and the position
+  // of the last checkpoint. Shared by EnableDurability and Recover.
+  Status AttachWalLocked(const DurabilityOptions& durability,
+                         uint64_t checkpoint_position)
+      FM_REQUIRES(execute_mutex_);
+
   // Checkpoint machinery; requires execute_mutex_ and enabled durability.
   // CheckpointLocked wraps WriteSnapshotLocked (the encode + write + prune
   // body) with snapshot telemetry.
@@ -421,7 +428,7 @@ class Service {
   std::unique_ptr<Wal> wal_ FM_GUARDED_BY(execute_mutex_);
   std::unique_ptr<DurabilityOptions> durability_
       FM_GUARDED_BY(execute_mutex_);
-  uint64_t options_fingerprint_ FM_GUARDED_BY(execute_mutex_) = 0;
+  const uint64_t options_fingerprint_;  // of options_; immutable, no guard
   uint64_t last_checkpoint_position_ FM_GUARDED_BY(execute_mutex_) = 0;
 
   // Degradation state (docs/FAULTS.md). The mode is atomic so

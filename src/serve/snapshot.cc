@@ -14,7 +14,7 @@ namespace fm::serve {
 namespace {
 
 constexpr char kMagic[8] = {'F', 'M', 'S', 'N', 'A', 'P', '0', '1'};
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
 constexpr char kSuffix[] = ".fmsnap";
 constexpr char kPrefix[] = "snapshot-";
 constexpr char kTmpSuffix[] = ".fmsnap.tmp";
@@ -54,7 +54,13 @@ Status DecodeSnapshotComponents(const std::string& components,
   io::ByteReader reader(components);
   FM_RETURN_NOT_OK(objective->RestoreFrom(reader));
   FM_RETURN_NOT_OK(accountant->RestoreFrom(reader));
-  FM_RETURN_NOT_OK(registry->RestoreFrom(reader));
+  // The registry's models share the store's dim and task; both are pinned
+  // by the options fingerprint the file was checked against.
+  const data::TaskKind task =
+      objective->kind() == core::ObjectiveKindForTask(data::TaskKind::kLinear)
+          ? data::TaskKind::kLinear
+          : data::TaskKind::kLogistic;
+  FM_RETURN_NOT_OK(registry->RestoreFrom(reader, objective->dim(), task));
   if (!reader.empty()) {
     return Status::IoError("snapshot payload has trailing bytes");
   }

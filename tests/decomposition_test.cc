@@ -5,7 +5,6 @@
 #include "common/rng.h"
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
-#include "linalg/lu.h"
 #include "linalg/matrix.h"
 #include "linalg/solve.h"
 
@@ -60,41 +59,6 @@ TEST(CholeskyTest, LogDeterminant) {
   EXPECT_NEAR(chol.ValueOrDie().LogDeterminant(), std::log(36.0), 1e-12);
 }
 
-TEST(LuTest, SolveMatchesCholeskyOnSpd) {
-  Rng rng(43);
-  const Matrix a = RandomSpd(8, rng);
-  Vector b(8);
-  for (auto& v : b) v = rng.Uniform(-2.0, 2.0);
-  const auto lu = Lu::Compute(a);
-  const auto chol = Cholesky::Compute(a);
-  ASSERT_TRUE(lu.ok() && chol.ok());
-  EXPECT_TRUE(AllClose(lu.ValueOrDie().Solve(b),
-                       chol.ValueOrDie().Solve(b), 1e-9));
-}
-
-TEST(LuTest, SolvesNonSymmetricSystem) {
-  Matrix a = {{0.0, 2.0, 1.0}, {1.0, -2.0, -3.0}, {-1.0, 1.0, 2.0}};
-  Vector x_true = {1.0, 2.0, -1.0};
-  const Vector b = MatVec(a, x_true);
-  const auto lu = Lu::Compute(a);
-  ASSERT_TRUE(lu.ok()) << lu.status();
-  EXPECT_TRUE(AllClose(lu.ValueOrDie().Solve(b), x_true, 1e-12));
-}
-
-TEST(LuTest, DeterminantAndInverse) {
-  Matrix a = {{2.0, 1.0}, {1.0, 3.0}};
-  const auto lu = Lu::Compute(a);
-  ASSERT_TRUE(lu.ok());
-  EXPECT_NEAR(lu.ValueOrDie().Determinant(), 5.0, 1e-12);
-  const Matrix inv = lu.ValueOrDie().Inverse();
-  EXPECT_LT(MaxAbsDiff(MatMul(a, inv), Matrix::Identity(2)), 1e-12);
-}
-
-TEST(LuTest, DetectsSingular) {
-  Matrix a = {{1.0, 2.0}, {2.0, 4.0}};
-  EXPECT_EQ(Lu::Compute(a).status().code(), StatusCode::kNumericalError);
-}
-
 TEST(EigenSymTest, DiagonalMatrixSortedDescending) {
   const Matrix a = Matrix::Diagonal(Vector{1.0, 5.0, -2.0});
   const auto eig = EigenSym(a);
@@ -144,17 +108,6 @@ TEST(EigenSymTest, KnownEigenpair) {
 TEST(EigenSymTest, RejectsNonSymmetric) {
   Matrix a = {{1.0, 2.0}, {0.0, 1.0}};
   EXPECT_EQ(EigenSym(a).status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SolveTest, SpdAndGeneralAgree) {
-  Rng rng(59);
-  const Matrix a = RandomSpd(5, rng);
-  Vector b(5);
-  for (auto& v : b) v = rng.Uniform(-1.0, 1.0);
-  const auto x1 = SolveSpd(a, b);
-  const auto x2 = SolveGeneral(a, b);
-  ASSERT_TRUE(x1.ok() && x2.ok());
-  EXPECT_TRUE(AllClose(x1.ValueOrDie(), x2.ValueOrDie(), 1e-9));
 }
 
 TEST(SolveTest, PseudoSolveDropsNullSpace) {

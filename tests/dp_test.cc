@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "dp/budget.h"
 #include "dp/laplace_mechanism.h"
 
 namespace fm::dp {
@@ -66,42 +65,6 @@ TEST(LaplaceMechanismTest, SymmetricPerturbationPreservesSymmetry) {
   const linalg::Matrix noisy = mech.ValueOrDie().PerturbSymmetric(m, rng);
   EXPECT_TRUE(noisy.IsSymmetric(0.0));
   EXPECT_GT(linalg::MaxAbsDiff(noisy, m), 0.0);  // noise actually applied
-}
-
-TEST(PrivacyAccountantTest, TracksCharges) {
-  PrivacyAccountant accountant(1.0);
-  EXPECT_DOUBLE_EQ(accountant.remaining_epsilon(), 1.0);
-  ASSERT_TRUE(accountant.Charge(0.4, "fm-linear").ok());
-  ASSERT_TRUE(accountant.Charge(0.6, "fm-logistic").ok());
-  EXPECT_NEAR(accountant.remaining_epsilon(), 0.0, 1e-12);
-  EXPECT_EQ(accountant.charges().size(), 2u);
-  EXPECT_EQ(accountant.charges()[0].label, "fm-linear");
-}
-
-TEST(PrivacyAccountantTest, RefusesOverdraft) {
-  PrivacyAccountant accountant(0.5);
-  ASSERT_TRUE(accountant.Charge(0.3, "a").ok());
-  const Status overdraft = accountant.Charge(0.3, "b");
-  EXPECT_EQ(overdraft.code(), StatusCode::kFailedPrecondition);
-  // Failed charge must not mutate the ledger.
-  EXPECT_DOUBLE_EQ(accountant.spent_epsilon(), 0.3);
-  EXPECT_EQ(accountant.charges().size(), 1u);
-}
-
-TEST(PrivacyAccountantTest, RejectsBadCharges) {
-  PrivacyAccountant accountant(1.0);
-  EXPECT_EQ(accountant.Charge(0.0, "zero").code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(accountant.Charge(-0.1, "negative").code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(PrivacyAccountantTest, ResamplingDoubleChargeFitsExactly) {
-  // Lemma 5 usage: one FM run at ε plus the resampling surcharge ε.
-  PrivacyAccountant accountant(1.6);
-  EXPECT_TRUE(accountant.Charge(0.8, "fm attempt").ok());
-  EXPECT_TRUE(accountant.Charge(0.8, "resampling surcharge").ok());
-  EXPECT_FALSE(accountant.Charge(0.01, "extra").ok());
 }
 
 }  // namespace

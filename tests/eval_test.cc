@@ -8,7 +8,6 @@
 #include "eval/cross_validation.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
-#include "eval/stopwatch.h"
 #include "exec/thread_pool.h"
 
 namespace fm::eval {
@@ -61,15 +60,6 @@ TEST(MetricsTest, TaskErrorDispatches) {
   const linalg::Vector omega{1.0};
   EXPECT_DOUBLE_EQ(TaskError(data::TaskKind::kLinear, omega, ds), 0.0);
   EXPECT_DOUBLE_EQ(TaskError(data::TaskKind::kLogistic, omega, ds), 0.0);
-}
-
-TEST(StopwatchTest, MeasuresElapsedTime) {
-  Stopwatch watch;
-  volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += std::sqrt(double(i));
-  EXPECT_GT(watch.Seconds(), 0.0);
-  watch.Reset();
-  EXPECT_LT(watch.Seconds(), 1.0);
 }
 
 TEST(CrossValidationTest, PerfectModelPerfectScore) {

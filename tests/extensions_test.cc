@@ -1,6 +1,5 @@
-// Tests for the extension modules: Householder QR, the exponential
-// mechanism, output perturbation, and Algorithm 1 on degree ≥ 3 polynomial
-// objectives.
+// Tests for the extension modules: output perturbation and Algorithm 1 on
+// degree ≥ 3 polynomial objectives.
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -8,136 +7,11 @@
 #include "baselines/output_perturbation.h"
 #include "common/rng.h"
 #include "core/functional_mechanism.h"
-#include "dp/exponential_mechanism.h"
 #include "eval/metrics.h"
-#include "linalg/lu.h"
-#include "linalg/qr.h"
-#include "linalg/solve.h"
 #include "opt/logistic_loss.h"
 
 namespace fm {
 namespace {
-
-linalg::Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
-  Rng rng(seed);
-  linalg::Matrix m(rows, cols);
-  for (auto& v : m.data()) v = rng.Uniform(-1.0, 1.0);
-  return m;
-}
-
-TEST(QrTest, RUpperTriangularAndReconstructs) {
-  const auto a = RandomMatrix(8, 5, 201);
-  const auto qr = linalg::Qr::Compute(a);
-  ASSERT_TRUE(qr.ok()) << qr.status();
-  const linalg::Matrix r = qr.ValueOrDie().R();
-  for (size_t i = 0; i < r.rows(); ++i) {
-    for (size_t j = 0; j < i; ++j) EXPECT_DOUBLE_EQ(r(i, j), 0.0);
-  }
-  // ‖Ax − b‖ minimized ⇒ residual orthogonal to the columns of A.
-  Rng rng(203);
-  linalg::Vector b(8);
-  for (auto& v : b) v = rng.Uniform(-2.0, 2.0);
-  const linalg::Vector x = qr.ValueOrDie().SolveLeastSquares(b);
-  linalg::Vector residual = MatVec(a, x);
-  residual -= b;
-  const linalg::Vector atr = MatTVec(a, residual);
-  EXPECT_LT(atr.NormInf(), 1e-10);
-}
-
-TEST(QrTest, ApplyQTransposePreservesNorm) {
-  const auto a = RandomMatrix(10, 4, 205);
-  const auto qr = linalg::Qr::Compute(a);
-  ASSERT_TRUE(qr.ok());
-  Rng rng(207);
-  linalg::Vector b(10);
-  for (auto& v : b) v = rng.Uniform(-1.0, 1.0);
-  const linalg::Vector qtb = qr.ValueOrDie().ApplyQTranspose(b);
-  EXPECT_NEAR(qtb.Norm2(), b.Norm2(), 1e-10);  // orthogonal transform
-}
-
-TEST(QrTest, AgreesWithNormalEquationsOnWellConditioned) {
-  const auto a = RandomMatrix(60, 5, 209);
-  Rng rng(211);
-  linalg::Vector b(60);
-  for (auto& v : b) v = rng.Uniform(-1.0, 1.0);
-  const auto via_qr = linalg::LeastSquaresQr(a, b);
-  const auto via_normal = linalg::LeastSquares(a, b);
-  ASSERT_TRUE(via_qr.ok() && via_normal.ok());
-  EXPECT_TRUE(
-      linalg::AllClose(via_qr.ValueOrDie(), via_normal.ValueOrDie(), 1e-8));
-}
-
-TEST(QrTest, AbsDeterminantMatchesLu) {
-  const auto a = RandomMatrix(6, 6, 213);
-  const auto qr = linalg::Qr::Compute(a);
-  const auto lu = linalg::Lu::Compute(a);
-  ASSERT_TRUE(qr.ok() && lu.ok());
-  EXPECT_NEAR(qr.ValueOrDie().AbsDeterminant(),
-              std::fabs(lu.ValueOrDie().Determinant()), 1e-9);
-}
-
-TEST(QrTest, RejectsWideMatrixAndHandlesRankDeficiency) {
-  EXPECT_FALSE(linalg::Qr::Compute(RandomMatrix(3, 5, 215)).ok());
-  // Duplicate column → rank deficient → LeastSquaresQr falls back to the
-  // minimum-norm pseudo solution.
-  linalg::Matrix a(20, 2);
-  Rng rng(217);
-  for (size_t i = 0; i < 20; ++i) {
-    a(i, 0) = rng.Uniform(-1.0, 1.0);
-    a(i, 1) = a(i, 0);
-  }
-  linalg::Vector b(20);
-  for (size_t i = 0; i < 20; ++i) b[i] = 4.0 * a(i, 0);
-  const auto x = linalg::LeastSquaresQr(a, b);
-  ASSERT_TRUE(x.ok());
-  EXPECT_NEAR(x.ValueOrDie()[0], 2.0, 1e-8);
-  EXPECT_NEAR(x.ValueOrDie()[1], 2.0, 1e-8);
-}
-
-TEST(ExponentialMechanismTest, ValidatesParameters) {
-  EXPECT_TRUE(dp::ExponentialMechanism::Create(0.5, 1.0).ok());
-  EXPECT_FALSE(dp::ExponentialMechanism::Create(0.0, 1.0).ok());
-  EXPECT_FALSE(dp::ExponentialMechanism::Create(0.5, -1.0).ok());
-}
-
-TEST(ExponentialMechanismTest, ProbabilitiesFollowScores) {
-  const auto mech = dp::ExponentialMechanism::Create(2.0, 1.0).ValueOrDie();
-  const auto probs =
-      mech.SelectionProbabilities({0.0, 1.0, 1.0}).ValueOrDie();
-  EXPECT_NEAR(probs[0] + probs[1] + probs[2], 1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(probs[1], probs[2]);
-  // p₁/p₀ = exp(ε·(1−0)/(2S)) = e.
-  EXPECT_NEAR(probs[1] / probs[0], std::exp(1.0), 1e-9);
-}
-
-TEST(ExponentialMechanismTest, StableUnderLargeScores) {
-  const auto mech = dp::ExponentialMechanism::Create(1.0, 1.0).ValueOrDie();
-  const auto probs =
-      mech.SelectionProbabilities({1e6, 1e6 + 1.0}).ValueOrDie();
-  EXPECT_TRUE(std::isfinite(probs[0]));
-  EXPECT_NEAR(probs[1] / probs[0], std::exp(0.5), 1e-9);
-}
-
-TEST(ExponentialMechanismTest, EmpiricalFrequenciesMatch) {
-  const auto mech = dp::ExponentialMechanism::Create(2.0, 1.0).ValueOrDie();
-  Rng rng(219);
-  const std::vector<double> scores = {0.0, 1.0};
-  int count1 = 0;
-  const int trials = 50000;
-  for (int t = 0; t < trials; ++t) {
-    count1 += mech.Select(scores, rng).ValueOrDie() == 1;
-  }
-  const double expected = std::exp(1.0) / (1.0 + std::exp(1.0));
-  EXPECT_NEAR(static_cast<double>(count1) / trials, expected, 0.01);
-}
-
-TEST(ExponentialMechanismTest, RejectsBadScores) {
-  const auto mech = dp::ExponentialMechanism::Create(1.0, 1.0).ValueOrDie();
-  Rng rng(221);
-  EXPECT_FALSE(mech.Select({}, rng).ok());
-  EXPECT_FALSE(
-      mech.Select({1.0, std::numeric_limits<double>::infinity()}, rng).ok());
-}
 
 data::RegressionDataset MakeLogisticData(size_t n, size_t d, uint64_t seed) {
   Rng rng(seed);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "opt/gradient_descent.h"
 #include "opt/logistic_loss.h"
 #include "opt/quadratic_model.h"
 
@@ -180,46 +179,6 @@ TEST(FitLogisticNewtonTest, RejectsBadInput) {
                 .status()
                 .code(),
             StatusCode::kFailedPrecondition);
-}
-
-TEST(GradientDescentTest, MinimizesQuadratic) {
-  QuadraticModel q;
-  q.m = {{2.0, 0.0}, {0.0, 0.5}};
-  q.alpha = {-4.0, 1.0};
-  q.beta = 0.0;
-  const auto closed = q.Minimize().ValueOrDie();
-  const auto gd = MinimizeGradientDescent(
-      [&](const linalg::Vector& w) { return q.Evaluate(w); },
-      [&](const linalg::Vector& w) { return q.Gradient(w); },
-      linalg::Vector(2));
-  ASSERT_TRUE(gd.ok());
-  EXPECT_TRUE(gd.ValueOrDie().converged);
-  EXPECT_TRUE(linalg::AllClose(gd.ValueOrDie().minimizer, closed, 1e-5));
-}
-
-TEST(GradientDescentTest, AgreesWithNewtonOnLogistic) {
-  Rng rng(89);
-  linalg::Vector y;
-  const linalg::Matrix x = MakeLogisticData(500, {2.0, -1.0}, &y, rng);
-  const LogisticObjective objective(x, y);
-  const auto newton = FitLogisticNewton(x, y).ValueOrDie();
-  GradientDescentOptions options;
-  options.max_iterations = 20000;
-  options.gradient_tolerance = 1e-6;
-  const auto gd = MinimizeGradientDescent(
-      [&](const linalg::Vector& w) { return objective.Value(w); },
-      [&](const linalg::Vector& w) { return objective.Gradient(w); },
-      linalg::Vector(2), options);
-  ASSERT_TRUE(gd.ok());
-  EXPECT_TRUE(linalg::AllClose(gd.ValueOrDie().minimizer, newton, 1e-2));
-}
-
-TEST(GradientDescentTest, RejectsEmptyStart) {
-  EXPECT_FALSE(MinimizeGradientDescent(
-                   [](const linalg::Vector&) { return 0.0; },
-                   [](const linalg::Vector& w) { return w; },
-                   linalg::Vector())
-                   .ok());
 }
 
 }  // namespace

@@ -466,30 +466,23 @@ std::string U64Field(uint64_t value) {
 // A SerializeTo payload of a 1100-slot, d=3 store with holes at ids 4, 77
 // and 1050, and the byte offsets of the fields the restore tests alter.
 struct StorePayload {
+  serve::IncrementalObjective store{3, core::ObjectiveKind::kLinear};
   std::string bytes;
-  size_t next_id = 9;      // after dim (u64) and kind (u8)
-  size_t live_count = 17;  // after next_id
-  size_t live = 0;         // first liveness byte
-  size_t shard0_live = 0;  // shard 0's u32 live count (1022)
+  size_t next_id = 0;  // the first field
+  size_t live = 0;     // first liveness byte
 };
 
 StorePayload EncodeStoreWithHoles() {
   constexpr size_t kDim = 3;
-  auto store = StoreFromDataset(MakeDataset(1100, kDim, false, 137),
-                                core::ObjectiveKind::kLinear);
-  for (const uint64_t id : {4u, 77u, 1050u}) {
-    EXPECT_TRUE(store.Delete(id).ok());
-  }
   StorePayload p;
-  store.SerializeTo(&p.bytes);
-  const size_t slots = store.slot_count();
-  // live_count, slots, then the slot-major features and the labels.
-  p.live = p.live_count + 16 + slots * (kDim + 1) * sizeof(double);
-  // The liveness bytes, the id table, the shard count, then shard 0's sum
-  // and compensation arrays.
-  p.shard0_live = p.live + slots + slots * sizeof(uint64_t) +
-                  sizeof(uint64_t) +
-                  2 * core::NumObjectiveCoefficients(kDim) * sizeof(double);
+  p.store = StoreFromDataset(MakeDataset(1100, kDim, false, 137),
+                             core::ObjectiveKind::kLinear);
+  for (const uint64_t id : {4u, 77u, 1050u}) {
+    EXPECT_TRUE(p.store.Delete(id).ok());
+  }
+  p.store.SerializeTo(&p.bytes);
+  // next_id and the slot count, then the slot-major features and labels.
+  p.live = 16 + p.store.slot_count() * (kDim + 1) * sizeof(double);
   return p;
 }
 
@@ -499,28 +492,26 @@ Status RestoreStore(const std::string& bytes) {
   return store.RestoreFrom(reader);
 }
 
+TEST(IncrementalObjective, RestoreDerivesLiveCountsFromLivenessBytes) {
+  const StorePayload p = EncodeStoreWithHoles();
+  serve::IncrementalObjective restored(3, core::ObjectiveKind::kLinear);
+  io::ByteReader reader(p.bytes);
+  ASSERT_TRUE(restored.RestoreFrom(reader).ok());
+  EXPECT_EQ(restored.live_size(), 1097u);
+  EXPECT_EQ(restored.dead_count(), 3u);
+  EXPECT_EQ(restored.num_shards(), 2u);
+  EXPECT_EQ(restored.live_shards(), 2u);
+  // Bitwise equality covers the per-shard live counts Objective() folds by.
+  EXPECT_TRUE(restored.StoreStateBitwiseEquals(p.store));
+  serve::IncrementalObjective original = p.store;
+  ExpectBitwiseEqual(restored.Objective(), original.Objective());
+}
+
 TEST(IncrementalObjective, RestoreRejectsALivenessByteOutsideZeroOne) {
   StorePayload p = EncodeStoreWithHoles();
   ASSERT_TRUE(RestoreStore(p.bytes).ok());
   p.bytes[p.live] = 2;
   EXPECT_EQ(RestoreStore(p.bytes).code(), StatusCode::kIoError);
-}
-
-TEST(IncrementalObjective, RestoreRejectsALiveCountOffItsLivenessBytes) {
-  const StorePayload p = EncodeStoreWithHoles();
-  ASSERT_TRUE(RestoreStore(Patched(p.bytes, p.live_count, U64Field(1097)))
-                  .ok());
-  EXPECT_EQ(RestoreStore(Patched(p.bytes, p.live_count, U64Field(1096)))
-                .code(),
-            StatusCode::kIoError);
-}
-
-TEST(IncrementalObjective, RestoreRejectsAShardLiveCountOffItsLivenessBytes) {
-  const StorePayload p = EncodeStoreWithHoles();
-  std::string field;
-  io::AppendU32(&field, 1021);
-  EXPECT_EQ(RestoreStore(Patched(p.bytes, p.shard0_live, field)).code(),
-            StatusCode::kIoError);
 }
 
 TEST(IncrementalObjective, RestoreRejectsANextIdNotAboveEveryAssignedId) {
@@ -695,12 +686,11 @@ TEST(BudgetAccountant, RestoreRefusesALedgerThatCouldOverspend) {
   ASSERT_TRUE(ledger->Settle(r, 0.25).ok());
   std::string valid;
   ledger->SerializeTo(&valid);
-  // Layout: total and spent (doubles), the reservation counter and the
-  // charge count (u64), then each charge's ε and length-prefixed label.
-  constexpr size_t kTotal = 0;
-  constexpr size_t kSpent = 8;
-  constexpr size_t kChargeCount = 24;
-  constexpr size_t kFirstCharge = 32;
+  // Layout: spent (double), the reservation counter and the charge count
+  // (u64), then each charge's ε and length-prefixed label.
+  constexpr size_t kSpent = 0;
+  constexpr size_t kChargeCount = 16;
+  constexpr size_t kFirstCharge = 24;
   const auto restore = [](const std::string& bytes) {
     auto target = serve::BudgetAccountant::Create(1.0).ValueOrDie();
     io::ByteReader reader(bytes);
@@ -718,10 +708,6 @@ TEST(BudgetAccountant, RestoreRefusesALedgerThatCouldOverspend) {
   EXPECT_EQ(restore(with_double(kSpent, nan)).code(), StatusCode::kIoError);
   EXPECT_EQ(restore(with_double(kSpent, -0.25)).code(), StatusCode::kIoError);
   EXPECT_EQ(restore(with_double(kSpent, 1.5)).code(), StatusCode::kIoError);
-  EXPECT_EQ(restore(with_double(kTotal, std::numeric_limits<double>::infinity()))
-                .code(),
-            StatusCode::kIoError);
-  EXPECT_EQ(restore(with_double(kTotal, 2.0)).code(), StatusCode::kIoError);
   EXPECT_EQ(restore(with_double(kFirstCharge, nan)).code(),
             StatusCode::kIoError);
   EXPECT_EQ(
@@ -760,6 +746,30 @@ TEST(ModelRegistry, VersionsAndSnapshotIsolation) {
   EXPECT_EQ(registry.Get(3).ValueOrDie()->omega[0], 3.0);
   EXPECT_EQ(registry.size(), 2u);
   EXPECT_EQ(registry.latest_version(), 3u);
+}
+
+TEST(ModelRegistry, RestoreRejectsACountNextVersionCannotFollow) {
+  serve::ModelRegistry registry;
+  serve::ModelSnapshot snapshot;
+  snapshot.algorithm = "FM";
+  snapshot.omega = linalg::Vector{0.5, -0.25};
+  registry.Publish(snapshot);
+  registry.Publish(snapshot);
+  std::string valid;
+  registry.SerializeTo(&valid);
+  // Layout: next_version and the model count (u64), then the models.
+  constexpr size_t kNextVersion = 0;
+  const auto restore = [](const std::string& bytes) {
+    serve::ModelRegistry target;
+    io::ByteReader reader(bytes);
+    return target.RestoreFrom(reader, 2, data::TaskKind::kLinear);
+  };
+  ASSERT_TRUE(restore(valid).ok());
+  EXPECT_EQ(restore(Patched(valid, kNextVersion, U64Field(0))).code(),
+            StatusCode::kIoError);
+  // Two retained models need next_version ≥ 3.
+  EXPECT_EQ(restore(Patched(valid, kNextVersion, U64Field(2))).code(),
+            StatusCode::kIoError);
 }
 
 // --------------------------------------------------------------------------
@@ -925,6 +935,17 @@ TEST(Service, EdgeRequestsReportPerRequestErrors) {
       serve::TrainerKind::kFunctionalMechanism, 0.5));  // empty store
   log.push_back(serve::Request::Evaluate());            // no model
   log.push_back(serve::Request::Delete(0));             // nothing to delete
+  // Non-finite predict features, once a model exists.
+  const auto data = MakeDataset(20, 3, false, 59);
+  for (size_t i = 0; i < data.size(); ++i) {
+    log.push_back(serve::Request::Insert(data.x.RowVector(i), data.y[i]));
+  }
+  log.push_back(serve::Request::Train(serve::TrainerKind::kTruncated, 0.0));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  log.push_back(serve::Request::Predict(linalg::Vector{0.1, nan, 0.0}));
+  log.push_back(serve::Request::Predict(linalg::Vector{-inf, 0.0, 0.0}));
+  log.push_back(serve::Request::Predict(linalg::Vector{0.0, 0.0, inf}));
   const auto responses = service->ExecuteLog(log);
   EXPECT_EQ(responses[0].status.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(responses[1].status.code(), StatusCode::kFailedPrecondition);
@@ -932,6 +953,14 @@ TEST(Service, EdgeRequestsReportPerRequestErrors) {
   EXPECT_EQ(responses[3].status.code(), StatusCode::kNotFound);
   // A failed train on an empty store touched no budget.
   EXPECT_EQ(service->accountant().spent_epsilon(), 0.0);
+  const size_t train = 4 + data.size();
+  ASSERT_TRUE(responses[train].status.ok()) << responses[train].status;
+  for (size_t i = train + 1; i < responses.size(); ++i) {
+    EXPECT_EQ(responses[i].status.code(), StatusCode::kInvalidArgument) << i;
+    EXPECT_NE(responses[i].status.message().find("must be finite"),
+              std::string::npos)
+        << responses[i].status.message();
+  }
 
   EXPECT_EQ(serve::Service::Create(serve::ServiceOptions{}).status().code(),
             StatusCode::kInvalidArgument);  // dim = 0

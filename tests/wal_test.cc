@@ -437,13 +437,21 @@ TEST(Wal, OptionsFingerprintCoversSemanticFieldsOnly) {
 // Snapshots
 // --------------------------------------------------------------------------
 
+bool DoublesBitwiseEqual(const double* a, const double* b, size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
 TEST(Snapshot, ComponentsRoundTripBitwise) {
-  // Build non-trivial component state through a real service run.
+  // Build non-trivial component state through a real service run. A short
+  // model history makes eviction drop the oldest versions, so the restored
+  // versions must come from the registry's next version, not from 1.
   auto options = MakeOptions(nullptr);
+  options.max_model_history = 2;
   auto service = serve::Service::Create(options).ValueOrDie();
   const auto log = BuildMixedLog(options.dim, 90, 0xBEEF);
   service->ExecuteLog(log);
-  ASSERT_GT(service->registry().latest_version(), 0u);
+  ASSERT_EQ(service->registry().size(), 2u);
+  ASSERT_GT(service->registry().latest_version(), 2u);
   ASSERT_GT(service->accountant().charges().size(), 0u);
 
   const std::string payload = serve::EncodeSnapshot(
@@ -468,17 +476,46 @@ TEST(Snapshot, ComponentsRoundTripBitwise) {
                                               accountant.get(), &registry)
                   .ok());
   EXPECT_TRUE(objective.StoreStateBitwiseEquals(service->objective()));
+
+  // Every ledger field and charge, bitwise.
   EXPECT_EQ(UlpDistance(accountant->spent_epsilon(),
                         service->accountant().spent_epsilon()),
             0u);
-  EXPECT_EQ(accountant->charges().size(),
-            service->accountant().charges().size());
+  const auto charges = accountant->charges();
+  const auto original_charges = service->accountant().charges();
+  ASSERT_EQ(charges.size(), original_charges.size());
+  for (size_t i = 0; i < charges.size(); ++i) {
+    EXPECT_TRUE(DoublesBitwiseEqual(&charges[i].epsilon,
+                                    &original_charges[i].epsilon, 1))
+        << "charge " << i;
+    EXPECT_EQ(charges[i].label, original_charges[i].label) << "charge " << i;
+  }
+
+  // Every field of every retained model, including the derived version,
+  // task and ω length.
   EXPECT_EQ(registry.latest_version(), service->registry().latest_version());
-  const auto restored = registry.Latest();
-  const auto original = service->registry().Latest();
-  ASSERT_NE(restored, nullptr);
-  for (size_t j = 0; j < original->omega.size(); ++j) {
-    EXPECT_EQ(UlpDistance(restored->omega[j], original->omega[j]), 0u);
+  ASSERT_EQ(registry.size(), service->registry().size());
+  const uint64_t latest = service->registry().latest_version();
+  for (uint64_t version = latest - registry.size() + 1; version <= latest;
+       ++version) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    const auto restored = registry.Get(version);
+    const auto original = service->registry().Get(version);
+    ASSERT_TRUE(restored.ok()) << restored.status();
+    ASSERT_TRUE(original.ok()) << original.status();
+    const serve::ModelSnapshot& got = *restored.ValueOrDie();
+    const serve::ModelSnapshot& want = *original.ValueOrDie();
+    EXPECT_EQ(got.version, want.version);
+    EXPECT_EQ(got.algorithm, want.algorithm);
+    EXPECT_EQ(got.task, want.task);
+    ASSERT_EQ(got.omega.size(), want.omega.size());
+    EXPECT_TRUE(DoublesBitwiseEqual(got.omega.raw(), want.omega.raw(),
+                                    want.omega.size()));
+    EXPECT_TRUE(
+        DoublesBitwiseEqual(&got.epsilon_spent, &want.epsilon_spent, 1));
+    EXPECT_EQ(got.is_private, want.is_private);
+    EXPECT_EQ(got.log_position, want.log_position);
+    EXPECT_EQ(got.trained_on, want.trained_on);
   }
 }
 
@@ -505,7 +542,23 @@ TEST(Snapshot, LoadSkipsCorruptNewestAndPrunes) {
   EXPECT_EQ(contents.next_position, 10u);
   EXPECT_EQ(contents.components, newer);
 
-  // Corrupt the newest file; recovery must fall back to the older one.
+  // A newest file whose header claims format version 1 (which wrote fields
+  // version 2 derives) is skipped like any other invalid snapshot, even
+  // though its CRC holds.
+  const std::string v1 = dir + "/" + serve::SnapshotFileName(15);
+  ASSERT_TRUE(
+      serve::WriteSnapshotFile(dir, 15, fp, payload_for(15, newer), false)
+          .ok());
+  std::string v1_bytes = io::ReadFileToString(v1).ValueOrDie();
+  std::string version_field;
+  io::AppendU32(&version_field, 1);
+  v1_bytes.replace(8, version_field.size(), version_field);  // after magic
+  ASSERT_TRUE(io::WriteFileAtomic(v1, v1_bytes, false).ok());
+  contents = serve::LoadLatestSnapshot(dir, fp).ValueOrDie();
+  EXPECT_EQ(contents.next_position, 10u);
+  EXPECT_EQ(contents.components, newer);
+
+  // Corrupt the newest valid file; recovery must fall back to the older one.
   const std::string newest = dir + "/" + serve::SnapshotFileName(10);
   auto bytes = io::ReadFileToString(newest).ValueOrDie();
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x40);

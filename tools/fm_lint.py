@@ -43,6 +43,13 @@ surrounding comment):
                          observation-only fields enable_metrics,
                          trace_requests, or clock — telemetry must not leak
                          into durable-state identity or replay codecs.
+  fm-test-only-module    Every src/ file must be reachable from a program
+                         that is not a test: a walk of `#include "..."`
+                         edges from every file under bench/, examples/,
+                         fuzz/ and perfbench/ (reaching src/X.h also
+                         reaches src/X.cc) must visit it. A file the walk
+                         misses is compiled only for tests/ and is flagged
+                         at line 1.
 """
 
 import argparse
@@ -66,6 +73,11 @@ SRC_DIR = "src"
 WRAPPER_HEADER = "src/common/thread_annotations.h"
 
 CXX_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp", ".cxx")
+
+# Roots of the fm-test-only-module walk: every program that is not a test.
+NON_TEST_ROOTS = ("bench", "examples", "fuzz", "perfbench")
+
+QUOTED_INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
 
 OBSERVATION_ONLY_FUNCTIONS = {
     "src/serve/wal.cc": ("OptionsFingerprint",),
@@ -407,6 +419,50 @@ def check_observation_only(root, findings):
                         "identity or replay codecs"))
 
 
+def resolve_include(root, includer, name):
+    """The repo file a quoted `#include "name"` in `includer` names: the
+    includer's own directory first, then the src/ include root. None for
+    anything else (system and third-party headers)."""
+    for base in (os.path.dirname(includer), SRC_DIR):
+        candidate = os.path.normpath(os.path.join(base, name))
+        if os.path.isfile(os.path.join(root, candidate)):
+            return candidate
+    return None
+
+
+def check_test_only_modules(root, findings):
+    pending = list(iter_source_files(root, NON_TEST_ROOTS))
+    reached = set(pending)
+    while pending:
+        relpath = pending.pop()
+        with open(os.path.join(root, relpath), encoding="utf-8",
+                  errors="replace") as f:
+            names = QUOTED_INCLUDE.findall(f.read())
+        for name in names:
+            header = resolve_include(root, relpath, name)
+            if header is None:
+                continue
+            # A header pulls in its translation unit: src/X.h -> src/X.cc.
+            source = os.path.splitext(header)[0] + ".cc"
+            for target in (header, source):
+                if (target not in reached
+                        and os.path.isfile(os.path.join(root, target))):
+                    reached.add(target)
+                    pending.append(target)
+    for relpath in iter_source_files(root, (SRC_DIR,)):
+        if relpath in reached:
+            continue
+        with open(os.path.join(root, relpath), encoding="utf-8",
+                  errors="replace") as f:
+            raw_lines = f.read().split("\n")
+        if not waived(raw_lines, 1, "fm-test-only-module"):
+            findings.append(Finding(
+                "fm-test-only-module", relpath, 1,
+                "no #include path from bench/, examples/, fuzz/ or "
+                "perfbench/ reaches this file, so only tests/ use it — "
+                "delete it or give it a caller outside tests/"))
+
+
 def run_lint(root):
     findings = []
 
@@ -435,6 +491,7 @@ def run_lint(root):
         check_discarded_status(unit, findings)
 
     check_observation_only(root, findings)
+    check_test_only_modules(root, findings)
 
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
@@ -502,28 +559,50 @@ SELF_CHECK_PLANTS = [
      "  return hash;\n"
      "}\n",
      "fm-observation-only", 4),
+    ("src/dp/planted_test_only.h",
+     "#ifndef PLANTED_TEST_ONLY_H_\n"
+     "#define PLANTED_TEST_ONLY_H_\n"
+     "int ReachedOnlyFromTests();\n"
+     "#endif\n",
+     "fm-test-only-module", 1),
 ]
+
+# Clean files for the fm-test-only-module walk: a non-test program that
+# includes every planted file except the test-only one, and a header/source
+# pair it reaches through the header alone.
+SELF_CHECK_REACHED_PAIR = {
+    "src/exec/planted_pair.h": "int Paired();\n",
+    "src/exec/planted_pair.cc": "#include \"exec/planted_pair.h\"\n"
+                                "int Paired() { return 1; }\n",
+}
 
 
 def self_check():
     ok = True
+    # Clean companions of the plants. The planted wal.cc's replay.cc sibling
+    # is absent; silence the codec-function probe with minimal clean codecs.
+    clean = dict(SELF_CHECK_REACHED_PAIR)
+    clean["src/serve/replay.cc"] = (
+        "struct ServiceOptions { unsigned dim; };\n"
+        "void EncodeServiceOptions(char*, const ServiceOptions&) {\n"
+        "}\n"
+        "int DecodeServiceOptions(const char*, ServiceOptions*) {\n"
+        "  return 0;\n"
+        "}\n")
+    reached = [relpath for relpath, _, rule, _ in SELF_CHECK_PLANTS
+               if rule != "fm-test-only-module"]
+    reached += ["src/serve/replay.cc", "src/exec/planted_pair.h"]
+    clean["examples/planted_main.cc"] = "".join(
+        f'#include "{os.path.relpath(relpath, SRC_DIR)}"\n'
+        for relpath in reached)
+    files = [(relpath, content) for relpath, content, _, _ in
+             SELF_CHECK_PLANTS] + list(clean.items())
     with tempfile.TemporaryDirectory(prefix="fm_lint_self_check_") as tmp:
-        for relpath, content, _, _ in SELF_CHECK_PLANTS:
+        for relpath, content in files:
             full = os.path.join(tmp, relpath)
             os.makedirs(os.path.dirname(full), exist_ok=True)
             with open(full, "w", encoding="utf-8") as f:
                 f.write(content)
-        # The planted replay.cc is absent; silence the codec-function probe
-        # by planting minimal clean codecs.
-        replay = os.path.join(tmp, "src/serve/replay.cc")
-        with open(replay, "w", encoding="utf-8") as f:
-            f.write(
-                "struct ServiceOptions { unsigned dim; };\n"
-                "void EncodeServiceOptions(char*, const ServiceOptions&) {\n"
-                "}\n"
-                "int DecodeServiceOptions(const char*, ServiceOptions*) {\n"
-                "  return 0;\n"
-                "}\n")
         findings = run_lint(tmp)
         found = {(f.rule, f.path, f.line) for f in findings}
         for relpath, _, rule, line in SELF_CHECK_PLANTS:
