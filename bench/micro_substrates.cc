@@ -1,14 +1,14 @@
 // E15: google-benchmark micro-benchmarks for the substrate hot paths —
-// Gram-matrix construction, GEMM, Cholesky, Jacobi eigendecomposition,
-// Laplace sampling, full FM fits and the Newton logistic solver.
+// Gram-matrix construction, Cholesky, Jacobi eigendecomposition, Laplace
+// sampling, full FM fits and the Newton logistic solver.
 //
-// The kernel-layer benchmarks (BM_MatMul, BM_GramMatrix, BM_Cholesky,
-// BM_MatVec, BM_LogisticGradient, BM_ObjectiveAccumulatorBuild) honor the
-// FM_BLOCKED_LINALG environment knob: tools/run_bench.py runs this binary
-// once with the blocked kernels and once with the scalar reference and
-// writes the speedups to BENCH_linalg.json.
+// BM_CompensatedBatch is a twin: its `blocked` and `ref` instances time a
+// production kernel and its scalar Ref* oracle on the same inputs.
+// tools/run_bench.py pairs the two and writes the speedups to
+// BENCH_linalg.json.
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +22,7 @@
 #include "dp/laplace_mechanism.h"
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
+#include "linalg/kernels.h"
 #include "opt/logistic_loss.h"
 
 namespace {
@@ -77,20 +78,47 @@ void BM_Cholesky(benchmark::State& state) {
 }
 BENCHMARK(BM_Cholesky)->Arg(4)->Arg(13)->Arg(64)->Arg(128)->Arg(256);
 
-// Square GEMM — the d²·n / d³ term the fig7–fig9 scalability plots measure.
-// The ≥256² sizes are the CI perf gate: blocked must beat the scalar
-// reference there (tools/run_bench.py --gate).
-void BM_MatMul(benchmark::State& state) {
+// The compensated per-tuple accumulation behind the store, the fold cache
+// and every insert: state.range(0) tuples of dimension state.range(1),
+// kCompensatedBatch at a time. The coefficients restart from zero every
+// iteration (a fill costing 1/n of the work), so both twins add into the
+// same starting state.
+void BM_CompensatedBatch(
+    benchmark::State& state,
+    decltype(&linalg::kernels::CompensatedTupleUpdateBatch) kernel) {
+  constexpr size_t kB = linalg::kernels::kCompensatedBatch;
   const size_t n = static_cast<size_t>(state.range(0));
-  const auto a = RandomMatrix(n, n, 21);
-  const auto b = RandomMatrix(n, n, 22);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::MatMul(a, b));
+  const size_t d = static_cast<size_t>(state.range(1));
+  const auto x = RandomMatrix(n, d, 27);
+  Rng rng(28);
+  std::vector<double> alpha_bias(n), beta(n);
+  for (size_t i = 0; i < n; ++i) {
+    alpha_bias[i] = rng.Uniform(-1.0, 1.0);
+    beta[i] = rng.Uniform(0.0, 1.0);
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0) *
-                          state.range(0) * state.range(0));
+  const size_t ncoef = d * (d + 1) / 2 + d + 1;
+  std::vector<double> sum(ncoef), comp(ncoef);
+  for (auto _ : state) {
+    std::fill(sum.begin(), sum.end(), 0.0);
+    std::fill(comp.begin(), comp.end(), 0.0);
+    for (size_t i = 0; i + kB <= n; i += kB) {
+      const double* xs[kB];
+      for (size_t r = 0; r < kB; ++r) xs[r] = x.Row(i + r);
+      kernel(sum.data(), comp.data(), xs, d, 0.125, &alpha_bias[i], &beta[i]);
+    }
+    benchmark::DoNotOptimize(sum.data());
+    benchmark::DoNotOptimize(comp.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_MatMul)->Arg(64)->Arg(128)->Arg(256)->Arg(384);
+BENCHMARK_CAPTURE(BM_CompensatedBatch, blocked,
+                  &linalg::kernels::CompensatedTupleUpdateBatch)
+    ->Args({10000, 14})
+    ->Args({4096, 50});
+BENCHMARK_CAPTURE(BM_CompensatedBatch, ref,
+                  &linalg::kernels::RefCompensatedTupleUpdateBatch)
+    ->Args({10000, 14})
+    ->Args({4096, 50});
 
 void BM_MatVec(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));

@@ -11,8 +11,7 @@
 //      total = spent + remaining, and nothing is pending when the log ends.
 //   3. Serving is deterministic: rerunning this binary reproduces every
 //      byte (training randomness comes from the request's log position) —
-//      and every byte is identical across FM_THREADS / FM_BLOCKED_LINALG
-//      (diffed in CI).
+//      and every byte is identical across FM_THREADS (diffed in CI).
 //   4. Compaction is invisible to clients: after a burst of deletes, one
 //      Request::Compact collapses the slot space to exactly the live
 //      count, the store comes out bit-identical to a fresh store fed the
@@ -384,9 +383,9 @@ int main() {
   // 8. Telemetry. The main service counted every request above into
   //    exactly one per-kind outcome counter; the counters are deterministic
   //    (they mirror the log, not the clock) so they can be printed here —
-  //    this stdout is byte-diffed across FM_THREADS / FM_BLOCKED_LINALG in
-  //    CI. Latency histograms exist too, but wall-clock numbers stay off
-  //    this stdout; the exporters are checked for shape only.
+  //    this stdout is byte-diffed across FM_THREADS in CI. Latency
+  //    histograms exist too, but wall-clock numbers stay off this stdout;
+  //    the exporters are checked for shape only.
   std::printf("\ntelemetry (deterministic counters only):\n");
   obs::MetricsRegistry* metrics = service->metrics();
   static const char* const kOutcomes[] = {

@@ -3,9 +3,9 @@
 // Modes (see docs/FUZZING.md):
 //   fuzz_determinism --seeds=50 --requests=200 [--time_budget_s=1500]
 //       Budgeted fuzz: generate seeded workloads and execute each under the
-//       full knob matrix (threads x kernel mode x batching x crash points,
-//       plus a metrics-off run per thread/kernel pair — telemetry is
-//       observation-only and must not change a byte).
+//       full knob matrix (threads x batching, plus a crash-points run and a
+//       metrics-off run per thread count — telemetry is observation-only
+//       and must not change a byte).
 //       On divergence the log is ddmin-minimized and written as a repro
 //       artifact; exit code 1.
 //   fuzz_determinism --replay=path/to/repro.fmfuzz [--minimize]
@@ -16,7 +16,7 @@
 //       FaultInjectingEnv (deterministic fsync failures, ENOSPC windows,
 //       EINTR/short writes, torn renames) and assert that (a) every
 //       response — including degraded-mode and poisoned-WAL rejections —
-//       is byte-identical across FM_THREADS {1,8} x FM_BLOCKED_LINALG, and
+//       is byte-identical across FM_THREADS {1,8} and with metrics off, and
 //       (b) after destroy + Recover the state equals the live state bitwise
 //       (no acknowledged response is ever lost). docs/FAULTS.md.
 //   fuzz_determinism --self_check
@@ -31,6 +31,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -147,8 +148,7 @@ void PrintDivergence(const Divergence& divergence) {
   std::printf("  DIVERGENCE at position %llu (%s stream)\n",
               static_cast<unsigned long long>(divergence.position),
               divergence.what.c_str());
-  std::printf("  knobs: %s (vs reference threads=1,linalg=blocked,"
-              "batching=chunks)\n",
+  std::printf("  knobs: %s (vs reference threads=1,batching=chunks)\n",
               divergence.knob_name.c_str());
 }
 
@@ -239,11 +239,11 @@ int RunFuzz(const Flags& flags) {
 }
 
 int RunFaults(const Flags& flags) {
+  const size_t runs = std::size(fm::serve::kFaultRunConfigs);
   std::printf(
-      "fuzz_determinism --faults: %zu seeds x %zu requests, 5 runs per seed "
-      "(threads {1,8} x linalg {blocked,scalar}, plus metrics-off), "
-      "recovery proof per run\n",
-      flags.seeds, flags.requests);
+      "fuzz_determinism --faults: %zu seeds x %zu requests, %zu runs per "
+      "seed (threads {1,8}, plus metrics-off), recovery proof per run\n",
+      flags.seeds, flags.requests, runs);
 
   const std::string scratch_dir = flags.out_dir + "/fault-scratch";
   const fm::obs::Stopwatch stopwatch;
@@ -304,10 +304,10 @@ int RunFaults(const Flags& flags) {
     }
   }
   std::printf(
-      "summary: %zu logs x 5 fault runs = %zu replays in %.1fs, "
+      "summary: %zu logs x %zu fault runs = %zu replays in %.1fs, "
       "%llu faults injected, %llu degraded rejections, %zu poisoned run(s), "
       "%zu failure(s)\n",
-      executed, executed * 5, stopwatch.Seconds(),
+      executed, runs, executed * runs, stopwatch.Seconds(),
       static_cast<unsigned long long>(injected_total),
       static_cast<unsigned long long>(degraded_total), poisoned_runs,
       failures);

@@ -41,17 +41,12 @@ void AccumulateTupleContribution(ObjectiveKind kind, const double* x,
   ObjectiveTupleParams(kind, y, &m_scale, &alpha_bias, &beta);
   // The whole per-tuple contribution — the rank-1 slice of a shard's
   // rank-k update (M's upper triangle at m_scale, then α at alpha_bias,
-  // then β) — lands through one fused kernel call. Both kernel modes keep
-  // the per-tuple Neumaier compensation and are bit-identical to each
-  // other and to the pre-kernel code, so the ≤1-ulp fold-derivation
-  // guarantee and the thread-count determinism contract are untouched.
-  if (linalg::kernels::BlockedEnabled()) {
-    linalg::kernels::CompensatedTupleUpdate(sum, comp, x, dim, m_scale,
-                                            alpha_bias, beta);
-  } else {
-    linalg::kernels::RefCompensatedTupleUpdate(sum, comp, x, dim, m_scale,
-                                               alpha_bias, beta);
-  }
+  // then β) — lands through one fused kernel call. The kernel keeps the
+  // per-tuple Neumaier compensation and is bit-identical to its scalar
+  // oracle, so the ≤1-ulp fold-derivation guarantee and the thread-count
+  // determinism contract are untouched.
+  linalg::kernels::CompensatedTupleUpdate(sum, comp, x, dim, m_scale,
+                                          alpha_bias, beta);
 }
 
 void AccumulateTupleContributionBatch(ObjectiveKind kind,
@@ -66,13 +61,8 @@ void AccumulateTupleContributionBatch(ObjectiveKind kind,
     batch_xs[r] = xs[r];
     ObjectiveTupleParams(kind, ys[r], &m_scale, &alpha_bias[r], &beta[r]);
   }
-  if (linalg::kernels::BlockedEnabled()) {
-    linalg::kernels::CompensatedTupleUpdateBatch(sum, comp, batch_xs, dim,
-                                                 m_scale, alpha_bias, beta);
-  } else {
-    linalg::kernels::RefCompensatedTupleUpdateBatch(sum, comp, batch_xs, dim,
-                                                    m_scale, alpha_bias, beta);
-  }
+  linalg::kernels::CompensatedTupleUpdateBatch(sum, comp, batch_xs, dim,
+                                               m_scale, alpha_bias, beta);
 }
 
 opt::QuadraticModel RoundObjectiveCoefficients(size_t dim, const double* sum,
@@ -122,8 +112,7 @@ void ObjectiveAccumulator::AccumulateRange(size_t begin, size_t end,
                                            std::vector<double>& comp) const {
   // Full batches go through the rank-kCompensatedBatch kernel (amortizing
   // the coefficient-stream loads); compensation stays per tuple, so batched
-  // and row-at-a-time accumulation — and both kernel modes — are
-  // bit-identical.
+  // and row-at-a-time accumulation are bit-identical.
   constexpr size_t kB = linalg::kernels::kCompensatedBatch;
   size_t row = begin;
   for (; row + kB <= end; row += kB) {

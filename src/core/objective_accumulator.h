@@ -38,8 +38,8 @@ ObjectiveKind ObjectiveKindForTask(data::TaskKind task);
 // over per-tuple contributions in a fixed order. These free functions are
 // that one shared specification; any two accumulations of the same tuples
 // in the same order produce the same bits regardless of which layer ran
-// them (and regardless of FM_BLOCKED_LINALG — the kernels are
-// bit-identical across modes by the PR 3 contract).
+// them (the kernel is bit-identical to its scalar oracle,
+// linalg::kernels::RefCompensatedTupleUpdate).
 // ---------------------------------------------------------------------------
 
 /// Rows per parallel/incremental shard. Fixed (never derived from the thread
@@ -72,8 +72,7 @@ void ObjectiveTupleParams(ObjectiveKind kind, double y, double* m_scale,
 
 /// Adds one tuple's contribution into the flat (sum, comp) arrays (size
 /// NumObjectiveCoefficients(dim)), compensation applied per tuple, through
-/// the kernel layer (blocked or scalar-reference per FM_BLOCKED_LINALG —
-/// bit-identical either way).
+/// the blocked kernel layer.
 void AccumulateTupleContribution(ObjectiveKind kind, const double* x,
                                  size_t dim, double y, double* sum,
                                  double* comp);
@@ -112,11 +111,10 @@ opt::QuadraticModel RoundObjectiveCoefficients(size_t dim, const double* sum,
 /// the exact tuple sum (within 1 ulp per coefficient) — the test fold is
 /// only 1/k of the data, so the subtraction loses at most a factor k/(k−1)
 /// of magnitude and the compensation absorbs what little cancellation
-/// occurs. The kernel layer (PR 3) accelerates the accumulation without
-/// touching these semantics: tuples stream through
+/// occurs. The kernel layer accelerates the accumulation without touching
+/// these semantics: tuples stream through
 /// linalg::kernels::CompensatedTupleUpdate(Batch) in per-shard row order,
-/// and blocked vs scalar-reference mode (FM_BLOCKED_LINALG) never changes a
-/// bit (tests/kernels_test.cc).
+/// bit-identical to the scalar oracles (tests/kernels_test.cc).
 ///
 /// The accumulator keeps a pointer to the dataset it was built from (to read
 /// test-slice tuples); the dataset must outlive it.

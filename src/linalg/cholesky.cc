@@ -17,12 +17,11 @@ namespace {
 // block were already subtracted by earlier trailing updates), solve the
 // panel below it, then apply the rank-b trailing update as a grouped
 // symmetric subtract. Per element every product l(i,k)·l(j,k) is consumed
-// in ascending-k order with one grouped subtract per block, in both the
-// blocked and the reference mode, so the factors agree bit for bit; for
-// n ≤ kCholeskyNb (one block) this reduces exactly to the classic scalar
-// left-looking loop. Returns the first non-positive pivot column, or n on
-// success.
-size_t FactorLowerInPlace(Matrix& l, bool blocked) {
+// in ascending-k order with one grouped subtract per block, as
+// RefSyrkLowerSubtract specifies; for n ≤ kCholeskyNb (one block) this
+// reduces exactly to the classic scalar left-looking loop. Returns the
+// first non-positive pivot column, or n on success.
+size_t FactorLowerInPlace(Matrix& l) {
   const size_t n = l.rows();
   for (size_t jb = 0; jb < n; jb += kernels::kCholeskyNb) {
     const size_t b = std::min(kernels::kCholeskyNb, n - jb);
@@ -52,11 +51,7 @@ size_t FactorLowerInPlace(Matrix& l, bool blocked) {
     const size_t nt = n - (jb + b);
     const double* panel = l.Row(jb + b) + jb;
     double* trailing = l.Row(jb + b) + (jb + b);
-    if (blocked) {
-      kernels::SyrkLowerSubtract(panel, n, nt, b, trailing, n);
-    } else {
-      kernels::RefSyrkLowerSubtract(panel, n, nt, b, trailing, n);
-    }
+    kernels::SyrkLowerSubtract(panel, n, nt, b, trailing, n);
   }
   return n;
 }
@@ -75,7 +70,7 @@ Result<Cholesky> Cholesky::Compute(const Matrix& a) {
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j <= i; ++j) l(i, j) = a(i, j);
   }
-  const size_t pivot = FactorLowerInPlace(l, kernels::BlockedEnabled());
+  const size_t pivot = FactorLowerInPlace(l);
   if (pivot < n) {
     return Status::NumericalError(
         "matrix is not positive definite (non-positive pivot at column " +

@@ -1,11 +1,8 @@
 #include "linalg/kernels.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <vector>
-
-#include "common/env_util.h"
 
 // The Ref* implementations are the deterministic anchor and the perf
 // baseline that BENCH_linalg.json speedups are measured against; keep them
@@ -21,8 +18,6 @@ namespace fm::linalg::kernels {
 
 namespace {
 
-std::atomic<int> g_blocked{-1};  // -1 = not yet read from the environment
-
 // Neumaier compensated add, branch form — shared by scalar reference paths.
 inline void CompensatedAddScalar(double& sum, double& comp, double v) {
   const double t = sum + v;
@@ -34,93 +29,7 @@ inline void CompensatedAddScalar(double& sum, double& comp, double v) {
   sum = t;
 }
 
-// GEMM register-tile panel: C(rows×m) += A(rows×kb) · B(kb×m) for one
-// k-panel, `R` rows at a time. Per element the in-panel products are summed
-// sequentially in k into `acc` and added to C once — the summation spec
-// both GEMM implementations follow.
-template <size_t R>
-void GemmMicroPanel(const double* __restrict a, size_t lda,
-                    const double* __restrict b, size_t ldb,
-                    double* __restrict c, size_t ldc, size_t kb, size_t m) {
-  size_t j0 = 0;
-  for (; j0 + kGemmNr <= m; j0 += kGemmNr) {
-    double acc[R][kGemmNr] = {};
-    for (size_t kk = 0; kk < kb; ++kk) {
-      const double* __restrict bk = b + kk * ldb + j0;
-      for (size_t r = 0; r < R; ++r) {
-        const double ar = a[r * lda + kk];
-        for (size_t v = 0; v < kGemmNr; ++v) acc[r][v] += ar * bk[v];
-      }
-    }
-    for (size_t r = 0; r < R; ++r) {
-      double* __restrict crow = c + r * ldc + j0;
-      for (size_t v = 0; v < kGemmNr; ++v) crow[v] += acc[r][v];
-    }
-  }
-  for (; j0 < m; ++j0) {  // ragged column tail, same per-panel grouping
-    double acc[R] = {};
-    for (size_t kk = 0; kk < kb; ++kk) {
-      const double bkj = b[kk * ldb + j0];
-      for (size_t r = 0; r < R; ++r) acc[r] += a[r * lda + kk] * bkj;
-    }
-    for (size_t r = 0; r < R; ++r) c[r * ldc + j0] += acc[r];
-  }
-}
-
 }  // namespace
-
-bool BlockedEnabled() {
-  int v = g_blocked.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = GetEnvInt64("FM_BLOCKED_LINALG", 1) != 0 ? 1 : 0;
-    g_blocked.store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
-}
-
-void SetBlockedEnabled(bool enabled) {
-  g_blocked.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// GEMM
-// ---------------------------------------------------------------------------
-
-void GemmAccumulate(const double* a, size_t lda, const double* b, size_t ldb,
-                    double* c, size_t ldc, size_t n, size_t k, size_t m) {
-  for (size_t k0 = 0; k0 < k; k0 += kGemmKc) {
-    const size_t kb = std::min(kGemmKc, k - k0);
-    const double* ap = a + k0;
-    const double* bp = b + k0 * ldb;
-    size_t i0 = 0;
-    for (; i0 + kGemmMr <= n; i0 += kGemmMr) {
-      GemmMicroPanel<kGemmMr>(ap + i0 * lda, lda, bp, ldb, c + i0 * ldc, ldc,
-                              kb, m);
-    }
-    for (; i0 < n; ++i0) {
-      GemmMicroPanel<1>(ap + i0 * lda, lda, bp, ldb, c + i0 * ldc, ldc, kb,
-                        m);
-    }
-  }
-}
-
-FM_SCALAR_REF
-void RefGemmAccumulate(const double* a, size_t lda, const double* b,
-                       size_t ldb, double* c, size_t ldc, size_t n, size_t k,
-                       size_t m) {
-  for (size_t k0 = 0; k0 < k; k0 += kGemmKc) {
-    const size_t kb = std::min(kGemmKc, k - k0);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < m; ++j) {
-        double acc = 0.0;
-        for (size_t kk = 0; kk < kb; ++kk) {
-          acc += a[i * lda + k0 + kk] * b[(k0 + kk) * ldb + j];
-        }
-        c[i * ldc + j] += acc;
-      }
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // SYRK upper: C(j,l) += Σ_r X(r,j)·X(r,l), l ≥ j.

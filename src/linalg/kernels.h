@@ -6,27 +6,21 @@
 namespace fm::linalg::kernels {
 
 /// Cache-blocked, SIMD-friendly micro-kernels behind every linalg hot path
-/// (GEMM, rank-k symmetric updates, matvec, compensated accumulation), plus
-/// scalar reference implementations of each.
+/// (rank-k symmetric updates, matvec, compensated accumulation), plus a
+/// scalar reference (`Ref*`) implementation of each.
 ///
 /// ## Determinism contract (bit-identity)
 ///
-/// Every blocked kernel produces **bit-identical** results to its `Ref*`
-/// scalar counterpart, for all shapes. This is what makes the
-/// `FM_BLOCKED_LINALG` escape hatch a pure performance knob: accuracy
-/// output (figs 4–6, CV statistics) is byte-identical either way, and
-/// `tests/kernels_test.cc` asserts exact equality across ragged sizes.
+/// Production code calls the blocked kernels only. Each `Ref*` function is
+/// the scalar oracle its blocked kernel must reproduce **bit for bit**, for
+/// all shapes: `tests/kernels_test.cc` calls both directly and asserts
+/// exact equality across ragged sizes, and the micro-benchmark times both
+/// on the same inputs.
 ///
 /// The identity is achieved by fixing a *summation specification* that both
 /// implementations follow, rather than by restricting the blocked code to
 /// the naive loop order:
 ///
-/// - **GEMM** (`C += A·B`): for each element C(i,j), the k-dimension is cut
-///   into panels of `kGemmKc`; within a panel the products a(i,k)·b(k,j)
-///   are summed sequentially in k order into a fresh accumulator, and panel
-///   totals are added to C(i,j) in panel order. The blocked kernel holds
-///   the accumulator in a register tile; the reference holds it in a local
-///   double — same additions, same order, same bits.
 /// - **SYRK** (`C(upper) += XᵀX`): the rows of X are cut into panels of
 ///   `kSyrkRowPanel`; per element, in-panel products are summed in row
 ///   order and panel totals added in panel order.
@@ -51,31 +45,9 @@ namespace fm::linalg::kernels {
 /// outputs is not allowed (hence `__restrict`).
 
 /// Block-size constants (see docs/PERFORMANCE.md for the rationale).
-inline constexpr size_t kGemmKc = 256;      ///< GEMM k-panel depth
-inline constexpr size_t kGemmMr = 4;        ///< GEMM register-tile rows
-inline constexpr size_t kGemmNr = 8;        ///< GEMM register-tile columns
 inline constexpr size_t kSyrkRowPanel = 64; ///< SYRK rows per packed panel
 inline constexpr size_t kCholeskyNb = 32;   ///< blocked Cholesky panel width
 inline constexpr size_t kMatVecMr = 4;      ///< matvec rows in flight (ILP)
-
-/// True when the blocked kernels are in use (the default). Controlled by
-/// the `FM_BLOCKED_LINALG` environment variable, read once on first use:
-/// `FM_BLOCKED_LINALG=0` selects the scalar reference implementations
-/// everywhere, for differential testing and as the perf baseline.
-bool BlockedEnabled();
-
-/// Overrides the `FM_BLOCKED_LINALG` setting at runtime (tests and the
-/// bench harness toggle both paths within one process).
-void SetBlockedEnabled(bool enabled);
-
-// ---------------------------------------------------------------------------
-// GEMM: C(n×m) += A(n×k) · B(k×m).
-// ---------------------------------------------------------------------------
-void GemmAccumulate(const double* a, size_t lda, const double* b, size_t ldb,
-                    double* c, size_t ldc, size_t n, size_t k, size_t m);
-void RefGemmAccumulate(const double* a, size_t lda, const double* b,
-                       size_t ldb, double* c, size_t ldc, size_t n, size_t k,
-                       size_t m);
 
 // ---------------------------------------------------------------------------
 // SYRK (upper): C(j,l) += Σ_r X(r,j)·X(r,l) for l ≥ j; C is d×d, X rows×d.
@@ -97,9 +69,9 @@ void RefSyrkLowerSubtract(const double* p, size_t ldp, size_t n, size_t width,
                           double* c, size_t ldc);
 
 // ---------------------------------------------------------------------------
-// BLAS-1 style fused kernels. Dot is a strictly sequential reduction (same
-// bits in both modes — it is its own reference); Axpy vectorizes legally
-// because distinct elements are independent.
+// BLAS-1 style fused kernels. Dot is a strictly sequential reduction (it is
+// its own reference); Axpy vectorizes legally because distinct elements are
+// independent.
 // ---------------------------------------------------------------------------
 double Dot(const double* __restrict a, const double* __restrict b, size_t n);
 void Axpy(double* __restrict y, double alpha, const double* __restrict x,

@@ -161,34 +161,11 @@ Matrix operator*(double scalar, Matrix m) {
   return m;
 }
 
-Matrix MatMul(const Matrix& a, const Matrix& b) {
-  FM_CHECK(a.cols() == b.rows());
-  Matrix out(a.rows(), b.cols());
-  // Register-tiled, k-panel-blocked GEMM; the scalar reference follows the
-  // identical summation grouping, so the two modes agree bit for bit (see
-  // linalg/kernels.h).
-  if (kernels::BlockedEnabled()) {
-    kernels::GemmAccumulate(a.data().data(), a.cols(), b.data().data(),
-                            b.cols(), out.data().data(), out.cols(), a.rows(),
-                            a.cols(), b.cols());
-  } else {
-    kernels::RefGemmAccumulate(a.data().data(), a.cols(), b.data().data(),
-                               b.cols(), out.data().data(), out.cols(),
-                               a.rows(), a.cols(), b.cols());
-  }
-  return out;
-}
-
 Vector MatVec(const Matrix& a, const Vector& x) {
   FM_CHECK(a.cols() == x.size());
   Vector out(a.rows());
-  if (kernels::BlockedEnabled()) {
-    kernels::MatVec(a.data().data(), a.cols(), a.rows(), a.cols(), x.raw(),
-                    out.raw());
-  } else {
-    kernels::RefMatVec(a.data().data(), a.cols(), a.rows(), a.cols(), x.raw(),
-                       out.raw());
-  }
+  kernels::MatVec(a.data().data(), a.cols(), a.rows(), a.cols(), x.raw(),
+                  out.raw());
   return out;
 }
 
@@ -209,13 +186,8 @@ Matrix Gram(const Matrix& a) {
   Matrix out(d, d);
   // Rank-k symmetric update over kSyrkRowPanel-row panels; only the upper
   // triangle is computed, then mirrored.
-  if (kernels::BlockedEnabled()) {
-    kernels::SyrkUpperAccumulate(a.data().data(), d, a.rows(), d,
-                                 out.data().data(), d);
-  } else {
-    kernels::RefSyrkUpperAccumulate(a.data().data(), d, a.rows(), d,
-                                    out.data().data(), d);
-  }
+  kernels::SyrkUpperAccumulate(a.data().data(), d, a.rows(), d,
+                               out.data().data(), d);
   out.SymmetrizeFromUpper();
   return out;
 }

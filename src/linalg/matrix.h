@@ -140,9 +140,6 @@ Matrix operator-(Matrix lhs, const Matrix& rhs);
 Matrix operator*(Matrix m, double scalar);
 Matrix operator*(double scalar, Matrix m);
 
-/// Matrix product; aborts when inner dimensions mismatch.
-Matrix MatMul(const Matrix& a, const Matrix& b);
-
 /// Matrix-vector product a*x.
 Vector MatVec(const Matrix& a, const Vector& x);
 

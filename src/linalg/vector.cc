@@ -120,7 +120,7 @@ Vector operator-(Vector v) {
 double Dot(const Vector& a, const Vector& b) {
   FM_CHECK(a.size() == b.size());
   // kernels::Dot is a strictly sequential reduction — same bits as the
-  // naive loop in both FM_BLOCKED_LINALG modes.
+  // naive loop.
   return kernels::Dot(a.raw(), b.raw(), a.size());
 }
 

@@ -34,19 +34,12 @@ double LogisticObjective::Value(const linalg::Vector& omega) const {
   const size_t n = x_.rows();
   const size_t d = x_.cols();
   double sum = 0.0;
-  if (linalg::kernels::BlockedEnabled()) {
-    // Margins via the batched matvec kernel (each row's reduction stays
-    // sequential — same bits as the naive loop), then one serial pass for
-    // the loss terms in row order.
-    linalg::Vector z(n);
-    linalg::kernels::MatVec(x_.data().data(), d, n, d, omega.raw(), z.raw());
-    for (size_t i = 0; i < n; ++i) sum += Log1pExp(z[i]) - y_[i] * z[i];
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      const double z = linalg::kernels::Dot(x_.Row(i), omega.raw(), d);
-      sum += Log1pExp(z) - y_[i] * z;
-    }
-  }
+  // Margins via the batched matvec kernel (each row's reduction stays
+  // sequential — the same bits as a per-row Dot), then one serial pass for
+  // the loss terms in row order.
+  linalg::Vector z(n);
+  linalg::kernels::MatVec(x_.data().data(), d, n, d, omega.raw(), z.raw());
+  for (size_t i = 0; i < n; ++i) sum += Log1pExp(z[i]) - y_[i] * z[i];
   if (ridge_ > 0.0) sum += 0.5 * ridge_ * Dot(omega, omega);
   return sum;
 }
@@ -56,24 +49,15 @@ linalg::Vector LogisticObjective::Gradient(const linalg::Vector& omega) const {
   const size_t n = x_.rows();
   const size_t d = x_.cols();
   linalg::Vector g(d);
-  if (linalg::kernels::BlockedEnabled()) {
-    // Fused matvec + weighted reduction: margins z = Xω through the batched
-    // matvec kernel, then g += (σ(z_i) − y_i)·x_i row by row through the
-    // Axpy kernel. Rows are consumed in order and each g(j) chain matches
-    // the reference loop exactly, so both modes agree bit for bit.
-    linalg::Vector z(n);
-    linalg::kernels::MatVec(x_.data().data(), d, n, d, omega.raw(), z.raw());
-    for (size_t i = 0; i < n; ++i) {
-      const double r = Sigmoid(z[i]) - y_[i];
-      linalg::kernels::Axpy(g.raw(), r, x_.Row(i), d);
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      const double* row = x_.Row(i);
-      const double z = linalg::kernels::Dot(row, omega.raw(), d);
-      const double r = Sigmoid(z) - y_[i];
-      for (size_t j = 0; j < d; ++j) g[j] += r * row[j];
-    }
+  // Fused matvec + weighted reduction: margins z = Xω through the batched
+  // matvec kernel, then g += (σ(z_i) − y_i)·x_i row by row through the
+  // Axpy kernel. Rows are consumed in order, so each g(j) chain matches the
+  // per-row Dot loop exactly.
+  linalg::Vector z(n);
+  linalg::kernels::MatVec(x_.data().data(), d, n, d, omega.raw(), z.raw());
+  for (size_t i = 0; i < n; ++i) {
+    const double r = Sigmoid(z[i]) - y_[i];
+    linalg::kernels::Axpy(g.raw(), r, x_.Row(i), d);
   }
   if (ridge_ > 0.0) g.Axpy(ridge_, omega);
   return g;

@@ -77,8 +77,8 @@ using TupleId = uint64_t;
 /// Consequences of the invariant:
 ///  - Objective() — the serial in-shard-order compensated reduction — is a
 ///    pure function of the live slot→tuple map: bit-identical for every
-///    FM_THREADS, every FM_BLOCKED_LINALG, every insert grouping, and every
-///    delete path that arrives at the same live map.
+///    FM_THREADS, every insert grouping, and every delete path that arrives
+///    at the same live map.
 ///  - An insert-then-delete round trip restores the previous state exactly
 ///    (bitwise), not just approximately.
 ///  - Against the canonical offline build on the same live tuples

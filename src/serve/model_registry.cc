@@ -85,7 +85,10 @@ Status ModelRegistry::RestoreFrom(io::ByteReader& reader, size_t dim,
     snapshot.omega = linalg::Vector(std::move(omega));
     FM_RETURN_NOT_OK(reader.ReadDouble(&snapshot.epsilon_spent));
     FM_RETURN_NOT_OK(reader.ReadU8(&is_private));
-    snapshot.is_private = is_private != 0;
+    if (is_private > 1) {
+      return Status::IoError("snapshot is_private byte is neither 0 nor 1");
+    }
+    snapshot.is_private = is_private == 1;
     FM_RETURN_NOT_OK(reader.ReadU64(&snapshot.log_position));
     FM_RETURN_NOT_OK(reader.ReadU64(&snapshot.trained_on));
     history.push_back(

@@ -10,7 +10,6 @@
 #include "common/io_util.h"
 #include "common/rng.h"
 #include "exec/thread_pool.h"
-#include "linalg/kernels.h"
 #include "serve/snapshot.h"
 #include "serve/wal.h"
 
@@ -223,10 +222,13 @@ Status DecodeServiceOptions(io::ByteReader& reader, ServiceOptions* out) {
     return Status::IoError("repro artifact holds unknown post-processing " +
                            std::to_string(post));
   }
+  if (auto_compact > 1) {
+    return Status::IoError("repro artifact auto_compact is neither 0 nor 1");
+  }
   out->dim = static_cast<size_t>(dim);
   out->task = static_cast<data::TaskKind>(task);
   out->post_processing = static_cast<core::PostProcessing>(post);
-  out->auto_compact = auto_compact != 0;
+  out->auto_compact = auto_compact == 1;
   out->compaction_min_dead = static_cast<size_t>(min_dead);
   out->pool = nullptr;
   return Status::OK();
@@ -271,7 +273,6 @@ Result<ReproArtifact> ReadReproArtifact(const std::string& path) {
   FM_RETURN_NOT_OK(DecodeServiceOptions(reader, &artifact.options));
   uint64_t count = 0;
   FM_RETURN_NOT_OK(reader.ReadU64(&count));
-  artifact.log.reserve(static_cast<size_t>(count));
   for (uint64_t i = 0; i < count; ++i) {
     WalRecord record;
     FM_RETURN_NOT_OK(Wal::DecodeRecord(reader, &record));
@@ -308,7 +309,6 @@ const char* BatchingModeToString(BatchingMode mode) {
 
 std::string ReplayKnobs::Name() const {
   std::string name = "threads=" + std::to_string(threads) +
-                     ",linalg=" + (blocked_linalg ? "blocked" : "scalar") +
                      ",batching=" + BatchingModeToString(batching);
   if (crash_points > 0) {
     name += ",crashes=" + std::to_string(crash_points);
@@ -340,21 +340,6 @@ std::string CaptureState(const Service& service) {
                         service.registry(), service.log_position(),
                         service.compaction_count());
 }
-
-// Restores the global kernel mode on scope exit (ExecuteReplay toggles it).
-class BlockedLinalgScope {
- public:
-  explicit BlockedLinalgScope(bool enabled)
-      : previous_(linalg::kernels::BlockedEnabled()) {
-    linalg::kernels::SetBlockedEnabled(enabled);
-  }
-  ~BlockedLinalgScope() { linalg::kernels::SetBlockedEnabled(previous_); }
-  BlockedLinalgScope(const BlockedLinalgScope&) = delete;
-  BlockedLinalgScope& operator=(const BlockedLinalgScope&) = delete;
-
- private:
-  bool previous_;
-};
 
 // The next chunk size for a schedule, ≥ 0 (0 models an empty batch) and
 // capped so chunk boundaries land exactly on every capture position.
@@ -390,7 +375,6 @@ Result<ReplayObservation> ExecuteReplay(const ServiceOptions& options,
         "crash injection needs a scratch_dir for WAL/snapshot files");
   }
 
-  BlockedLinalgScope kernel_mode(knobs.blocked_linalg);
   exec::ThreadPool pool(knobs.threads);
   ServiceOptions run_options = options;
   run_options.pool = &pool;
@@ -553,40 +537,33 @@ Divergence CompareObservations(const ReplayObservation& reference,
 
 std::vector<ReplayKnobs> EnumerateKnobs(const DifferentialOptions& options) {
   std::vector<ReplayKnobs> knobs;
-  std::vector<bool> kernel_modes = {true};
-  if (options.both_kernel_modes) kernel_modes.push_back(false);
   uint64_t run = 0;
   for (const size_t threads : options.thread_counts) {
-    for (const bool blocked : kernel_modes) {
-      for (const BatchingMode batching : options.batchings) {
-        ReplayKnobs k;
-        k.threads = threads;
-        k.blocked_linalg = blocked;
-        k.batching = batching;
-        k.schedule_seed = Rng::Fork(options.schedule_seed, run++);
-        knobs.push_back(k);
-      }
-      if (options.crash_points > 0) {
-        ReplayKnobs k;
-        k.threads = threads;
-        k.blocked_linalg = blocked;
-        k.batching = BatchingMode::kRandomChunks;
-        k.crash_points = options.crash_points;
-        k.schedule_seed = Rng::Fork(options.schedule_seed, run++);
-        knobs.push_back(k);
-      }
-      {
-        // The metrics axis: one metrics-off run per (threads, kernel) pair.
-        // Telemetry must be observation-only, so disabling it must still
-        // reproduce the metrics-on reference byte for byte.
-        ReplayKnobs k;
-        k.threads = threads;
-        k.blocked_linalg = blocked;
-        k.batching = BatchingMode::kRandomChunks;
-        k.metrics = false;
-        k.schedule_seed = Rng::Fork(options.schedule_seed, run++);
-        knobs.push_back(k);
-      }
+    for (const BatchingMode batching : options.batchings) {
+      ReplayKnobs k;
+      k.threads = threads;
+      k.batching = batching;
+      k.schedule_seed = Rng::Fork(options.schedule_seed, run++);
+      knobs.push_back(k);
+    }
+    if (options.crash_points > 0) {
+      ReplayKnobs k;
+      k.threads = threads;
+      k.batching = BatchingMode::kRandomChunks;
+      k.crash_points = options.crash_points;
+      k.schedule_seed = Rng::Fork(options.schedule_seed, run++);
+      knobs.push_back(k);
+    }
+    {
+      // The metrics axis: one metrics-off run per thread count. Telemetry
+      // must be observation-only, so disabling it must still reproduce the
+      // metrics-on reference byte for byte.
+      ReplayKnobs k;
+      k.threads = threads;
+      k.batching = BatchingMode::kRandomChunks;
+      k.metrics = false;
+      k.schedule_seed = Rng::Fork(options.schedule_seed, run++);
+      knobs.push_back(k);
     }
   }
   return knobs;
@@ -598,7 +575,6 @@ namespace {
 ReplayKnobs ReferenceKnobs(const DifferentialOptions& options) {
   ReplayKnobs reference;
   reference.threads = 1;
-  reference.blocked_linalg = true;
   reference.batching = BatchingMode::kCheckpointChunks;
   reference.schedule_seed = Rng::Fork(options.schedule_seed, ~uint64_t{0});
   return reference;
@@ -791,15 +767,13 @@ void AppendControl(std::string* control, char tag, const Status& status) {
 
 Result<FaultRunResult> ExecuteFaultReplay(const ServiceOptions& options,
                                           const std::vector<Request>& log,
-                                          size_t threads, bool blocked_linalg,
-                                          uint64_t fault_seed,
+                                          size_t threads, uint64_t fault_seed,
                                           const std::string& scratch_dir) {
   if (scratch_dir.empty()) {
     return Status::InvalidArgument(
         "fault injection needs a scratch_dir for WAL/snapshot files");
   }
 
-  BlockedLinalgScope kernel_mode(blocked_linalg);
   exec::ThreadPool pool(threads);
   ServiceOptions run_options = options;
   run_options.pool = &pool;
@@ -896,26 +870,11 @@ Result<FaultDivergence> RunFaultDifferential(const ServiceOptions& options,
     return Status::InvalidArgument("fault differential needs a scratch_dir");
   }
 
-  struct RunConfig {
-    size_t threads;
-    bool blocked;
-    bool metrics;
-  };
-  // The fifth run re-checks the reference configuration with telemetry off:
-  // even under injected faults (degraded-mode logging, failure counters)
-  // the metrics switch must not change a single response or state byte.
-  constexpr RunConfig kConfigs[] = {{1, true, true},
-                                    {1, false, true},
-                                    {8, true, true},
-                                    {8, false, true},
-                                    {1, true, false}};
-
   FaultDivergence divergence;
   FaultRunResult reference;
-  for (size_t i = 0; i < std::size(kConfigs); ++i) {
-    const RunConfig& config = kConfigs[i];
-    std::string name = "threads=" + std::to_string(config.threads) +
-                       ",linalg=" + (config.blocked ? "blocked" : "scalar");
+  for (size_t i = 0; i < std::size(kFaultRunConfigs); ++i) {
+    const FaultRunConfig& config = kFaultRunConfigs[i];
+    std::string name = "threads=" + std::to_string(config.threads);
     if (!config.metrics) name += ",metrics=off";
     ServiceOptions run_options = options;
     run_options.enable_metrics = config.metrics;
@@ -924,7 +883,7 @@ Result<FaultDivergence> RunFaultDifferential(const ServiceOptions& options,
     // path, so distinct per-run paths would diverge the response bytes.
     const std::string scratch = scratch_dir + "/run";
     Result<FaultRunResult> run = ExecuteFaultReplay(
-        run_options, log, config.threads, config.blocked, fault_seed, scratch);
+        run_options, log, config.threads, fault_seed, scratch);
     std::error_code ec;
     std::filesystem::remove_all(scratch, ec);
     FM_RETURN_NOT_OK(run.status());

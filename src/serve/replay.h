@@ -18,12 +18,12 @@ namespace fm::serve {
 ///
 /// The contract under test: for a fixed request log and fixed
 /// ServiceOptions, every response and the full service state are a pure
-/// function of the log — bit-identical for every FM_THREADS value, both
-/// FM_BLOCKED_LINALG modes, every batching schedule (one big ExecuteLog,
-/// per-request calls, random chunks, Enqueue/Drain), and every
-/// crash/recovery schedule (Service::Recover after the WAL is truncated at
-/// an arbitrary byte). The harness turns that sentence into a machine-
-/// checkable invariant over arbitrary workloads:
+/// function of the log — bit-identical for every FM_THREADS value, every
+/// batching schedule (one big ExecuteLog, per-request calls, random
+/// chunks, Enqueue/Drain), and every crash/recovery schedule
+/// (Service::Recover after the WAL is truncated at an arbitrary byte). The
+/// harness turns that sentence into a machine-checkable invariant over
+/// arbitrary workloads:
 ///
 ///   1. GenerateWorkload: a seeded randomized mixed request log
 ///      (insert/delete/update/predict/train/evaluate/compact, skewed id
@@ -133,7 +133,6 @@ const char* BatchingModeToString(BatchingMode mode);
 /// One execution configuration of the system under test.
 struct ReplayKnobs {
   size_t threads = 1;
-  bool blocked_linalg = true;
   BatchingMode batching = BatchingMode::kCheckpointChunks;
   /// Crash/recovery points injected into the run: the service is destroyed,
   /// the WAL truncated at a uniformly random byte (the wal_test crash
@@ -167,8 +166,7 @@ struct ReplayObservation {
 
 /// Executes `log` under `knobs` and returns the observation.
 /// `scratch_dir` is required when knobs.crash_points > 0 (WAL + snapshot
-/// files live there; the caller owns cleanup). The global blocked-linalg
-/// mode is toggled for the duration of the run and restored afterwards.
+/// files live there; the caller owns cleanup).
 Result<ReplayObservation> ExecuteReplay(const ServiceOptions& options,
                                         const std::vector<Request>& log,
                                         const ReplayKnobs& knobs,
@@ -195,16 +193,14 @@ Divergence CompareObservations(const ReplayObservation& reference,
                                const ReplayKnobs& candidate_knobs);
 
 /// The knob matrix RunDifferential executes. The reference run (threads
-/// kReferenceThreads, blocked kernels, kCheckpointChunks, no crash) is
-/// implicit and excluded.
+/// 1, kCheckpointChunks, no crash) is implicit and excluded.
 struct DifferentialOptions {
   std::vector<size_t> thread_counts = {1, 2, 8};
-  bool both_kernel_modes = true;
   std::vector<BatchingMode> batchings = {
       BatchingMode::kCheckpointChunks, BatchingMode::kSingle,
       BatchingMode::kRandomChunks, BatchingMode::kDrain};
-  /// Crash/recover points per crash run; for every (threads, kernel mode)
-  /// pair one additional kRandomChunks run executes with this many injected
+  /// Crash/recover points per crash run; for every thread count one
+  /// additional kRandomChunks run executes with this many injected
   /// crashes. 0 disables crash runs (then no scratch_dir is needed).
   size_t crash_points = 2;
   uint64_t checkpoint_every = 32;
@@ -215,8 +211,9 @@ struct DifferentialOptions {
 };
 
 /// The non-reference knob combinations `options` describes, in a fixed
-/// deterministic order (threads × kernel mode × batching, then the crash
-/// runs). Exposed so the driver can report the matrix it covered.
+/// deterministic order (per thread count: every batching, then the crash
+/// run and the metrics-off run). Exposed so the driver can report the
+/// matrix it covered.
 std::vector<ReplayKnobs> EnumerateKnobs(const DifferentialOptions& options);
 
 /// Executes the reference run plus every EnumerateKnobs combination and
@@ -260,11 +257,11 @@ Result<MinimizeResult> MinimizeDivergingLog(
 /// response — including kResourceExhausted rejections, kDegradedReadOnly
 /// rejections and poisoned-WAL kIoError rejections — plus the control
 /// outcomes (Checkpoint/TryResume results) must be a pure function of
-/// (log, fault seed), byte-identical across FM_THREADS and
-/// FM_BLOCKED_LINALG. And no acknowledged response may be lost: after the
-/// run the service is destroyed and recovered from disk, and the recovered
-/// state must be bitwise equal to the live state (a rejected batch never
-/// mutates state, so live == durable at every batch boundary).
+/// (log, fault seed), byte-identical across FM_THREADS. And no
+/// acknowledged response may be lost: after the run the service is
+/// destroyed and recovered from disk, and the recovered state must be
+/// bitwise equal to the live state (a rejected batch never mutates state,
+/// so live == durable at every batch boundary).
 
 /// Derives the per-run fault profile from a fault seed. Read faults and
 /// truncate faults stay at zero: recovery must be able to re-read the WAL,
@@ -307,8 +304,7 @@ struct FaultRunResult {
 /// RunFaultDifferential — turns a mismatch into a failure.
 Result<FaultRunResult> ExecuteFaultReplay(const ServiceOptions& options,
                                           const std::vector<Request>& log,
-                                          size_t threads, bool blocked_linalg,
-                                          uint64_t fault_seed,
+                                          size_t threads, uint64_t fault_seed,
                                           const std::string& scratch_dir);
 
 /// Outcome of RunFaultDifferential.
@@ -316,7 +312,7 @@ struct FaultDivergence {
   bool failed = false;
   /// What went wrong: "responses", "control", "recovery", ...
   std::string what;
-  /// The run configuration that failed/diverged, e.g. "threads=8,scalar".
+  /// The run configuration that failed/diverged, e.g. "threads=8".
   std::string knob_name;
   /// Coverage from the reference run.
   uint64_t injected_faults = 0;
@@ -324,10 +320,24 @@ struct FaultDivergence {
   bool poisoned = false;
 };
 
-/// Runs ExecuteFaultReplay over {threads 1, 8} x {blocked, scalar} with the
-/// same fault seed and byte-compares every run against the reference
-/// (threads=1, blocked). All four runs must agree on responses and control
-/// bytes, and each must individually satisfy recovered == live.
+/// One RunFaultDifferential configuration.
+struct FaultRunConfig {
+  size_t threads;
+  bool metrics;
+};
+
+/// The configurations RunFaultDifferential executes, reference first. The
+/// metrics-off run re-checks the reference configuration with telemetry
+/// off: even under injected faults (degraded-mode logging, failure
+/// counters) the metrics switch must not change a single response or
+/// state byte.
+inline constexpr FaultRunConfig kFaultRunConfigs[] = {
+    {1, true}, {8, true}, {1, false}};
+
+/// Runs ExecuteFaultReplay under every kFaultRunConfigs entry with the
+/// same fault seed and byte-compares each run against the first. All runs
+/// must agree on responses and control bytes, and each must individually
+/// satisfy recovered == live.
 Result<FaultDivergence> RunFaultDifferential(const ServiceOptions& options,
                                              const std::vector<Request>& log,
                                              uint64_t fault_seed,

@@ -177,8 +177,8 @@ struct ServiceOptions {
 ///
 /// Determinism contract: for a fixed request log (and fixed ServiceOptions
 /// seed), every response — including released model coefficients — is
-/// bit-identical for every FM_THREADS value and both FM_BLOCKED_LINALG
-/// modes, with or without compactions interleaved at fixed log positions.
+/// bit-identical for every FM_THREADS value, with or without compactions
+/// interleaved at fixed log positions.
 /// Training randomness comes from Rng::Fork(seed, log_position), never from
 /// execution order (tests/serve_test.cc asserts this end to end). See
 /// docs/SERVING.md.

@@ -25,7 +25,7 @@ TEST(CholeskyTest, FactorReconstructs) {
   const auto chol = Cholesky::Compute(a);
   ASSERT_TRUE(chol.ok()) << chol.status();
   const Matrix l = chol.ValueOrDie().L();
-  EXPECT_LT(MaxAbsDiff(MatMul(l, l.Transposed()), a), 1e-10);
+  EXPECT_LT(MaxAbsDiff(Gram(l.Transposed()), a), 1e-10);  // L·Lᵀ
 }
 
 TEST(CholeskyTest, SolveMatchesKnownSolution) {
@@ -89,7 +89,8 @@ TEST(EigenSymTest, RowsAreOrthonormal) {
   const auto eig = EigenSym(a);
   ASSERT_TRUE(eig.ok());
   const Matrix& q = eig.ValueOrDie().eigenvectors;
-  EXPECT_LT(MaxAbsDiff(MatMul(q, q.Transposed()), Matrix::Identity(6)), 1e-10);
+  // Gram(Qᵀ) = Q·Qᵀ.
+  EXPECT_LT(MaxAbsDiff(Gram(q.Transposed()), Matrix::Identity(6)), 1e-10);
 }
 
 TEST(EigenSymTest, KnownEigenpair) {

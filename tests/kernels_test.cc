@@ -1,15 +1,14 @@
 // Differential tests for the blocked kernel layer (src/linalg/kernels.h):
-// the blocked GEMM/SYRK/Cholesky/matvec/compensated kernels must match the
-// scalar reference (`FM_BLOCKED_LINALG=0`) bit for bit — not approximately
-// — across ragged sizes (n not a multiple of any block size, 1×1,
-// tall-skinny, d larger than a panel). That exactness is what makes the
-// knob a pure performance switch: figs 4–6 output is byte-identical in
-// both modes. Also re-checks the ObjectiveAccumulator thread-count
-// byte-identity contract with blocking on.
+// every kernel production code calls must match its scalar `Ref*` oracle
+// bit for bit — not approximately — across ragged sizes (n not a multiple
+// of any block size, 1×1, tall-skinny, d larger than a panel). Each test
+// calls the production kernel and its oracle directly on the same inputs;
+// no test touches process-global state. Also re-checks the
+// ObjectiveAccumulator thread-count byte-identity contract.
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <vector>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -27,18 +26,6 @@ namespace fm {
 namespace {
 
 namespace kernels = linalg::kernels;
-
-// Restores the FM_BLOCKED_LINALG runtime state on scope exit.
-class ScopedBlocked {
- public:
-  explicit ScopedBlocked(bool enabled) : previous_(kernels::BlockedEnabled()) {
-    kernels::SetBlockedEnabled(enabled);
-  }
-  ~ScopedBlocked() { kernels::SetBlockedEnabled(previous_); }
-
- private:
-  bool previous_;
-};
 
 linalg::Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
   Rng rng(seed);
@@ -82,51 +69,9 @@ linalg::Vector RandomVector(size_t n, uint64_t seed) {
   return ::testing::AssertionSuccess();
 }
 
-// Ragged shapes straddling every block-size constant: 1×1, tiny, just
-// under/over the register tiles (4, 8), the SYRK/Cholesky panels (64, 32),
-// and the GEMM k-panel (256); tall-skinny and short-wide.
-struct GemmShape {
-  size_t n, k, m;
-};
-
-TEST(GemmKernelTest, BlockedMatchesReferenceBitForBit) {
-  const GemmShape shapes[] = {
-      {1, 1, 1},   {2, 3, 2},     {3, 7, 5},    {4, 8, 8},
-      {5, 9, 11},  {17, 64, 33},  {64, 64, 64}, {65, 63, 66},
-      {100, 5, 3}, {3, 300, 129}, {31, 257, 9}, {130, 261, 67},
-  };
-  uint64_t seed = 1;
-  for (const auto& s : shapes) {
-    const auto a = RandomMatrix(s.n, s.k, seed++);
-    const auto b = RandomMatrix(s.k, s.m, seed++);
-    linalg::Matrix ref_out, blk_out;
-    {
-      ScopedBlocked off(false);
-      ref_out = linalg::MatMul(a, b);
-    }
-    {
-      ScopedBlocked on(true);
-      blk_out = linalg::MatMul(a, b);
-    }
-    EXPECT_TRUE(BitEqual(ref_out, blk_out))
-        << "GEMM " << s.n << "x" << s.k << "x" << s.m;
-  }
-}
-
-TEST(GemmKernelTest, MatMulStillCorrectAgainstHandResult) {
-  const linalg::Matrix a = {{1.0, 2.0}, {3.0, 4.0}};
-  const linalg::Matrix b = {{5.0, 6.0}, {7.0, 8.0}};
-  for (bool blocked : {false, true}) {
-    ScopedBlocked mode(blocked);
-    const auto c = linalg::MatMul(a, b);
-    EXPECT_DOUBLE_EQ(c(0, 0), 19.0);
-    EXPECT_DOUBLE_EQ(c(0, 1), 22.0);
-    EXPECT_DOUBLE_EQ(c(1, 0), 43.0);
-    EXPECT_DOUBLE_EQ(c(1, 1), 50.0);
-  }
-}
-
 TEST(SyrkKernelTest, GramBlockedMatchesReferenceBitForBit) {
+  // Row counts straddle the kSyrkRowPanel=64 panel; widths straddle the
+  // 4×8 register tile.
   const size_t shapes[][2] = {
       {1, 1},  {2, 3},    {7, 4},    {63, 5},   {64, 13},  {65, 13},
       {100, 1}, {129, 17}, {1000, 5}, {40, 100}, {200, 70}, {511, 33},
@@ -134,118 +79,183 @@ TEST(SyrkKernelTest, GramBlockedMatchesReferenceBitForBit) {
   uint64_t seed = 100;
   for (const auto& s : shapes) {
     const auto x = RandomMatrix(s[0], s[1], seed++);
-    linalg::Matrix ref_out, blk_out;
-    {
-      ScopedBlocked off(false);
-      ref_out = linalg::Gram(x);
-    }
-    {
-      ScopedBlocked on(true);
-      blk_out = linalg::Gram(x);
-    }
-    EXPECT_TRUE(BitEqual(ref_out, blk_out))
-        << "Gram rows=" << s[0] << " d=" << s[1];
-    EXPECT_TRUE(blk_out.IsSymmetric(0.0));
+    linalg::Matrix ref(s[1], s[1]);
+    kernels::RefSyrkUpperAccumulate(x.data().data(), s[1], s[0], s[1],
+                                    ref.data().data(), s[1]);
+    ref.SymmetrizeFromUpper();
+    const auto gram = linalg::Gram(x);
+    EXPECT_TRUE(BitEqual(gram, ref)) << "Gram rows=" << s[0] << " d=" << s[1];
+    EXPECT_TRUE(gram.IsSymmetric(0.0));
   }
 }
 
-TEST(CholeskyKernelTest, BlockedFactorMatchesReferenceBitForBit) {
+TEST(SyrkKernelTest, LowerSubtractBlockedMatchesReferenceBitForBit) {
+  // The blocked Cholesky's trailing update: trailing sizes n straddle the
+  // kCholeskyNb=32 panel and the 4×8 tile, panel widths run up to
+  // kCholeskyNb, and both operands sit in wider row-major storage (ld > n).
+  uint64_t seed = 200;
+  for (size_t n : {1u, 2u, 5u, 8u, 31u, 32u, 33u, 64u, 65u, 100u}) {
+    for (size_t width : {size_t{1}, size_t{7}, kernels::kCholeskyNb - 1,
+                         kernels::kCholeskyNb}) {
+      const size_t ld = n + width + 3;
+      const auto p = RandomMatrix(n, ld, seed++);
+      const auto c = RandomMatrix(n, ld, seed++);
+      linalg::Matrix blk = c;
+      linalg::Matrix ref = c;
+      kernels::SyrkLowerSubtract(p.data().data(), ld, n, width,
+                                 blk.data().data(), ld);
+      kernels::RefSyrkLowerSubtract(p.data().data(), ld, n, width,
+                                    ref.data().data(), ld);
+      EXPECT_TRUE(BitEqual(blk, ref)) << "n=" << n << " width=" << width;
+    }
+  }
+}
+
+TEST(CholeskyKernelTest, BlockedFactorReconstructsItsInput) {
   // Sizes straddling the kCholeskyNb=32 panel: below, at, just above, and
   // several panels plus a ragged tail.
   for (size_t n : {1u, 2u, 5u, 31u, 32u, 33u, 64u, 65u, 100u, 150u}) {
     auto spd = linalg::Gram(RandomMatrix(n + 3, n, 7000 + n));
     spd.AddToDiagonal(static_cast<double>(n));
-    linalg::Matrix ref_l, blk_l;
-    {
-      ScopedBlocked off(false);
-      auto chol = linalg::Cholesky::Compute(spd);
-      ASSERT_TRUE(chol.ok()) << "n=" << n;
-      ref_l = chol.ValueOrDie().L();
+    const auto chol = linalg::Cholesky::Compute(spd);
+    ASSERT_TRUE(chol.ok()) << "n=" << n;
+    const linalg::Matrix& l = chol.ValueOrDie().L();
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j) ASSERT_EQ(l(i, j), 0.0);
     }
-    {
-      ScopedBlocked on(true);
-      auto chol = linalg::Cholesky::Compute(spd);
-      ASSERT_TRUE(chol.ok()) << "n=" << n;
-      blk_l = chol.ValueOrDie().L();
-    }
-    EXPECT_TRUE(BitEqual(ref_l, blk_l)) << "Cholesky n=" << n;
-
-    // And the solve built on the factor agrees bitwise too.
-    const auto b = RandomVector(n, 8000 + n);
-    linalg::Vector ref_x, blk_x;
-    {
-      ScopedBlocked off(false);
-      ref_x = linalg::Cholesky::Compute(spd).ValueOrDie().Solve(b);
-    }
-    {
-      ScopedBlocked on(true);
-      blk_x = linalg::Cholesky::Compute(spd).ValueOrDie().Solve(b);
-    }
-    EXPECT_TRUE(BitEqual(ref_x, blk_x)) << "Cholesky solve n=" << n;
+    // Gram(Lᵀ) = L·Lᵀ.
+    EXPECT_LT(MaxAbsDiff(linalg::Gram(l.Transposed()), spd),
+              1e-12 * (1.0 + spd.MaxAbs()))
+        << "Cholesky n=" << n;
   }
 }
 
-TEST(CholeskyKernelTest, NonPositiveDefiniteFailsIdenticallyInBothModes) {
+TEST(CholeskyKernelTest, NonPositiveDefiniteReportsTheBadColumn) {
   // Bad pivots both inside the first kCholeskyNb=32 diagonal block (column
   // 20) and past it (column 35, reached only after a trailing update has
-  // run) must fail at the same column in both modes.
+  // run) must fail at that column.
   for (size_t bad : {20u, 35u}) {
     linalg::Matrix not_pd = linalg::Matrix::Identity(40);
     not_pd(bad, bad) = -1.0;
-    for (bool blocked : {false, true}) {
-      ScopedBlocked mode(blocked);
-      const auto result = linalg::Cholesky::Compute(not_pd);
-      ASSERT_FALSE(result.ok()) << "blocked=" << blocked << " bad=" << bad;
-      EXPECT_NE(result.status().message().find("column " + std::to_string(bad)),
-                std::string::npos)
-          << result.status().message();
-    }
+    const auto result = linalg::Cholesky::Compute(not_pd);
+    ASSERT_FALSE(result.ok()) << "bad=" << bad;
+    EXPECT_NE(result.status().message().find("column " + std::to_string(bad)),
+              std::string::npos)
+        << result.status().message();
   }
 }
 
 TEST(MatVecKernelTest, BlockedMatchesReferenceBitForBit) {
-  const size_t shapes[][2] = {{1, 1},  {3, 5},   {4, 8},    {5, 13},
-                              {63, 7}, {64, 64}, {1000, 3}, {129, 65}};
+  // Column counts on both sides of the 32-column cutoff of the 4-row
+  // scheme, row counts on both sides of kMatVecMr.
+  const size_t shapes[][2] = {{1, 1},   {3, 5},    {4, 8},   {5, 13},
+                              {63, 7},  {64, 64},  {1000, 3}, {129, 65},
+                              {7, 32},  {6, 33}};
   uint64_t seed = 300;
   for (const auto& s : shapes) {
     const auto a = RandomMatrix(s[0], s[1], seed++);
     const auto x = RandomVector(s[1], seed++);
-    linalg::Vector ref_y, blk_y;
-    {
-      ScopedBlocked off(false);
-      ref_y = linalg::MatVec(a, x);
-    }
-    {
-      ScopedBlocked on(true);
-      blk_y = linalg::MatVec(a, x);
-    }
-    EXPECT_TRUE(BitEqual(ref_y, blk_y))
+    linalg::Vector ref(s[0]);
+    kernels::RefMatVec(a.data().data(), s[1], s[0], s[1], x.raw(), ref.raw());
+    EXPECT_TRUE(BitEqual(linalg::MatVec(a, x), ref))
         << "MatVec " << s[0] << "x" << s[1];
   }
 }
 
+// (sum, comp) coefficient state for dimension d, seeded with magnitudes on
+// both sides of a tuple's contributions so the oracle's Neumaier branch
+// takes both arms.
+void RandomCompensatedState(size_t d, Rng& rng, linalg::Vector* sum,
+                            linalg::Vector* comp) {
+  const size_t ncoef = d * (d + 1) / 2 + d + 1;
+  *sum = linalg::Vector(ncoef);
+  *comp = linalg::Vector(ncoef);
+  for (size_t t = 0; t < ncoef; ++t) {
+    (*sum)[t] = rng.Uniform(-1.0, 1.0) * (rng.Bernoulli(0.5) ? 1e3 : 1e-3);
+    (*comp)[t] = rng.Uniform(-1e-12, 1e-12);
+  }
+}
+
+constexpr size_t kCompensatedDims[] = {1, 2, 7, 13, 50};
+
+TEST(CompensatedKernelTest, TupleUpdateBlockedMatchesReferenceBitForBit) {
+  for (const size_t d : kCompensatedDims) {
+    Rng rng(400 + d);
+    linalg::Vector blk_sum, blk_comp;
+    RandomCompensatedState(d, rng, &blk_sum, &blk_comp);
+    linalg::Vector ref_sum = blk_sum, ref_comp = blk_comp;
+    for (int tuple = 0; tuple < 25; ++tuple) {
+      const auto x = RandomVector(d, rng.Next());
+      const double m_scale = rng.Uniform(-2.0, 2.0);
+      const double alpha_bias = rng.Uniform(-2.0, 2.0);
+      const double beta = rng.Uniform(-2.0, 2.0);
+      kernels::CompensatedTupleUpdate(blk_sum.raw(), blk_comp.raw(),
+                                      x.raw(), d, m_scale, alpha_bias, beta);
+      kernels::RefCompensatedTupleUpdate(ref_sum.raw(), ref_comp.raw(),
+                                         x.raw(), d, m_scale, alpha_bias,
+                                         beta);
+    }
+    EXPECT_TRUE(BitEqual(blk_sum, ref_sum)) << "sum d=" << d;
+    EXPECT_TRUE(BitEqual(blk_comp, ref_comp)) << "comp d=" << d;
+  }
+}
+
+TEST(CompensatedKernelTest, BatchBlockedMatchesReferenceBitForBit) {
+  constexpr size_t kB = kernels::kCompensatedBatch;
+  for (const size_t d : kCompensatedDims) {
+    Rng rng(500 + d);
+    linalg::Vector blk_sum, blk_comp;
+    RandomCompensatedState(d, rng, &blk_sum, &blk_comp);
+    linalg::Vector ref_sum = blk_sum, ref_comp = blk_comp;
+    for (int batch = 0; batch < 10; ++batch) {
+      linalg::Vector rows[kB];
+      const double* xs[kB];
+      double alpha_bias[kB], beta[kB];
+      for (size_t r = 0; r < kB; ++r) {
+        rows[r] = RandomVector(d, rng.Next());
+        xs[r] = rows[r].raw();
+        alpha_bias[r] = rng.Uniform(-2.0, 2.0);
+        beta[r] = rng.Uniform(-2.0, 2.0);
+      }
+      const double m_scale = rng.Uniform(-2.0, 2.0);
+      kernels::CompensatedTupleUpdateBatch(blk_sum.raw(), blk_comp.raw(),
+                                           xs, d, m_scale, alpha_bias, beta);
+      kernels::RefCompensatedTupleUpdateBatch(ref_sum.raw(), ref_comp.raw(),
+                                              xs, d, m_scale, alpha_bias,
+                                              beta);
+    }
+    EXPECT_TRUE(BitEqual(blk_sum, ref_sum)) << "sum d=" << d;
+    EXPECT_TRUE(BitEqual(blk_comp, ref_comp)) << "comp d=" << d;
+  }
+}
+
 TEST(LogisticKernelTest, GradientAndValueMatchReferenceBitForBit) {
+  // The oracle is the per-row Dot loop the objective replaced with the
+  // batched MatVec + Axpy kernels: same margins, same g(j) chains.
+  const double ridge = 0.1;
   for (size_t n : {1u, 5u, 64u, 257u}) {
     const size_t d = 9;
     const auto x = RandomMatrix(n, d, 400 + n);
     auto y = RandomVector(n, 500 + n);
     for (auto& v : y) v = v > 0.0 ? 1.0 : 0.0;
     const auto omega = RandomVector(d, 600 + n);
-    const opt::LogisticObjective objective(x, y, 0.1);
-    double ref_value, blk_value;
-    linalg::Vector ref_grad, blk_grad;
-    {
-      ScopedBlocked off(false);
-      ref_value = objective.Value(omega);
-      ref_grad = objective.Gradient(omega);
+    const opt::LogisticObjective objective(x, y, ridge);
+
+    double value = 0.0;
+    linalg::Vector grad(d);
+    for (size_t i = 0; i < n; ++i) {
+      const double* row = x.Row(i);
+      const double z = kernels::Dot(row, omega.raw(), d);
+      value += opt::Log1pExp(z) - y[i] * z;
+      const double r = opt::Sigmoid(z) - y[i];
+      for (size_t j = 0; j < d; ++j) grad[j] += r * row[j];
     }
-    {
-      ScopedBlocked on(true);
-      blk_value = objective.Value(omega);
-      blk_grad = objective.Gradient(omega);
-    }
-    EXPECT_EQ(ref_value, blk_value) << "n=" << n;
-    EXPECT_TRUE(BitEqual(ref_grad, blk_grad)) << "n=" << n;
+    value += 0.5 * ridge * Dot(omega, omega);
+    grad.Axpy(ridge, omega);
+
+    const double got = objective.Value(omega);
+    EXPECT_EQ(std::memcmp(&got, &value, sizeof(double)), 0) << "n=" << n;
+    EXPECT_TRUE(BitEqual(objective.Gradient(omega), grad)) << "n=" << n;
   }
 }
 
@@ -272,42 +282,10 @@ data::RegressionDataset MakeDataset(size_t n, size_t d, uint64_t seed) {
   return ::testing::AssertionSuccess();
 }
 
-TEST(ObjectiveAccumulatorKernelTest, GlobalAndFoldBitIdenticalAcrossModes) {
-  // Sizes crossing the 1024-row shard boundary, both objective kinds.
-  for (const auto kind : {core::ObjectiveKind::kLinear,
-                          core::ObjectiveKind::kTruncatedLogistic}) {
-    for (size_t n : {1u, 100u, 1024u, 1025u, 3000u}) {
-      const auto ds = MakeDataset(n, 7, 900 + n);
-      const bool folds = n >= 5;  // KFoldSplits needs 2 ≤ k ≤ n
-      Rng fold_rng(n);
-      const auto splits = folds ? data::KFoldSplits(ds.size(), 5, fold_rng)
-                                : std::vector<data::Split>{};
-      opt::QuadraticModel ref_global, blk_global, ref_fold, blk_fold;
-      {
-        ScopedBlocked off(false);
-        const auto acc = core::ObjectiveAccumulator::Build(ds, kind);
-        ref_global = acc.Global();
-        if (folds) ref_fold = acc.TrainObjectiveForFold(splits[0].test);
-      }
-      {
-        ScopedBlocked on(true);
-        const auto acc = core::ObjectiveAccumulator::Build(ds, kind);
-        blk_global = acc.Global();
-        if (folds) blk_fold = acc.TrainObjectiveForFold(splits[0].test);
-      }
-      EXPECT_TRUE(ModelsBitEqual(ref_global, blk_global)) << "n=" << n;
-      if (folds) {
-        EXPECT_TRUE(ModelsBitEqual(ref_fold, blk_fold)) << "n=" << n;
-      }
-    }
-  }
-}
-
-TEST(ObjectiveAccumulatorKernelTest, ThreadCountByteIdentityWithBlockingOn) {
-  // PR 2's determinism contract, re-checked with the blocked kernels active:
-  // fixed 1024-row shards + serial shard-order reduction must stay
-  // bit-identical for every pool size.
-  ScopedBlocked on(true);
+TEST(ObjectiveAccumulatorKernelTest, ThreadCountByteIdentity) {
+  // The determinism contract through the blocked kernels: fixed 1024-row
+  // shards + serial shard-order reduction must stay bit-identical for every
+  // pool size.
   const auto ds = MakeDataset(4200, 6, 424242);
   exec::ThreadPool serial(1);
   const auto baseline = core::ObjectiveAccumulator::Build(
@@ -324,14 +302,6 @@ TEST(ObjectiveAccumulatorKernelTest, ThreadCountByteIdentityWithBlockingOn) {
                                baseline.TrainObjectiveForFold(splits[2].test)))
         << "threads=" << threads;
   }
-}
-
-TEST(KernelKnobTest, SetBlockedEnabledRoundTrips) {
-  const bool initial = kernels::BlockedEnabled();
-  kernels::SetBlockedEnabled(!initial);
-  EXPECT_EQ(kernels::BlockedEnabled(), !initial);
-  kernels::SetBlockedEnabled(initial);
-  EXPECT_EQ(kernels::BlockedEnabled(), initial);
 }
 
 }  // namespace

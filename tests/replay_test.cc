@@ -6,7 +6,7 @@
 //    reject corruption — an artifact is a committed test vector, not a
 //    crashed log, so a torn record fails the read.
 //  - RunDifferential over seeded workloads: every knob combination
-//    (threads × kernel mode × batching × crash/recovery points) byte-matches
+//    (threads × batching × crash/recovery points × metrics) byte-matches
 //    the reference execution — the determinism contract as a machine-checked
 //    invariant.
 //  - The planted nondeterminism (Service::SetTestOnlyNondeterminism) is
@@ -58,8 +58,8 @@ std::string TestDir(const std::string& name) {
   return dir;
 }
 
-// Smaller-than-driver matrix so tier-1 stays fast; still spans both kernel
-// modes, serial-vs-parallel pools, all batching modes, and crash runs.
+// Smaller-than-driver matrix so tier-1 stays fast; still spans
+// serial-vs-parallel pools, all batching modes, and crash runs.
 DifferentialOptions SmokeDifferential(const std::string& scratch) {
   DifferentialOptions options;
   options.thread_counts = {1, 8};
@@ -184,6 +184,21 @@ TEST(ReproArtifactIo, RejectsCorruptionStrictly) {
   wrong_magic[0] = 'X';
   ASSERT_TRUE(io::WriteFileAtomic(path, wrong_magic, false).ok());
   EXPECT_FALSE(ReadReproArtifact(path).ok());
+  // A record count far beyond the file's bytes is a typed error, not an
+  // allocation sized by the count field (magic, version and options fill
+  // the first 55 bytes).
+  std::string huge_count = bytes.ValueOrDie();
+  std::string count_field;
+  io::AppendU64(&count_field, uint64_t{1} << 40);
+  huge_count.replace(55, count_field.size(), count_field);
+  ASSERT_TRUE(io::WriteFileAtomic(path, huge_count, false).ok());
+  EXPECT_EQ(ReadReproArtifact(path).status().code(), StatusCode::kIoError);
+  // The auto_compact flag byte (after magic, version, dim, task,
+  // post-processing, ε and seed) must be 0 or 1.
+  std::string bad_flag = bytes.ValueOrDie();
+  bad_flag[38] = 2;
+  ASSERT_TRUE(io::WriteFileAtomic(path, bad_flag, false).ok());
+  EXPECT_EQ(ReadReproArtifact(path).status().code(), StatusCode::kIoError);
 }
 
 // --------------------------------------------------------------------------
@@ -192,7 +207,7 @@ TEST(ReproArtifactIo, RejectsCorruptionStrictly) {
 
 TEST(Differential, CleanWorkloadsShowZeroDivergence) {
   // Two seeds spanning both tasks and both compaction styles through the
-  // full smoke matrix (threads × kernels × batchings + crash runs). The
+  // full smoke matrix (threads × batchings + crash runs). The
   // driver's CI budget runs the same check over ≥ 50 seeds × 200 requests.
   for (const uint64_t seed : {11ull, 12ull}) {
     WorkloadOptions workload;

@@ -772,6 +772,29 @@ TEST(ModelRegistry, RestoreRejectsACountNextVersionCannotFollow) {
             StatusCode::kIoError);
 }
 
+TEST(ModelRegistry, RestoreRejectsAnIsPrivateByteOutsideZeroOne) {
+  serve::ModelRegistry registry;
+  serve::ModelSnapshot snapshot;
+  snapshot.algorithm = "FM";
+  snapshot.omega = linalg::Vector{0.5, -0.25};
+  snapshot.is_private = true;
+  registry.Publish(snapshot);
+  std::string bytes;
+  registry.SerializeTo(&bytes);
+  // next_version and the count (u64), then the model: the length-prefixed
+  // algorithm name, ω (2 doubles) and ε, then the is_private byte.
+  const size_t is_private = 16 + 8 + 2 + 2 * 8 + 8;
+  ASSERT_EQ(bytes[is_private], 1);
+  const auto restore = [](const std::string& payload) {
+    serve::ModelRegistry target;
+    io::ByteReader reader(payload);
+    return target.RestoreFrom(reader, 2, data::TaskKind::kLinear);
+  };
+  ASSERT_TRUE(restore(bytes).ok());
+  bytes[is_private] = 2;
+  EXPECT_EQ(restore(bytes).code(), StatusCode::kIoError);
+}
+
 // --------------------------------------------------------------------------
 // Service
 // --------------------------------------------------------------------------

@@ -12,9 +12,9 @@
 //    demands the recovered run be BYTE-IDENTICAL to an uninterrupted
 //    reference — every response field, the store (StoreStateBitwiseEquals),
 //    the budget ledger, and the published model coefficients — across
-//    FM_THREADS 1/8 and both FM_BLOCKED_LINALG modes. Because the serving
-//    state is a pure function of the request log, recovery = snapshot +
-//    replay is provable, not just plausible.
+//    FM_THREADS 1/8. Because the serving state is a pure function of the
+//    request log, recovery = snapshot + replay is provable, not just
+//    plausible.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -33,7 +33,6 @@
 #include "common/ulp.h"
 #include "data/dataset.h"
 #include "exec/thread_pool.h"
-#include "linalg/kernels.h"
 #include "serve/budget_accountant.h"
 #include "serve/incremental_objective.h"
 #include "serve/model_registry.h"
@@ -832,13 +831,13 @@ void RunCrashTrial(const serve::ServiceOptions& options,
   ExpectServicesBitwiseEqual(*recovered, reference);
 }
 
-TEST(CrashInjection, RecoveryIsBitwiseAcrossThreadsAndKernelModes) {
+TEST(CrashInjection, RecoveryIsBitwiseAcrossThreads) {
   auto base_options = MakeOptions(nullptr);
   const auto log = BuildMixedLog(base_options.dim, 120, 0xC0FFEE);
 
-  // One uninterrupted reference run (pool of 1, default kernel mode): the
-  // determinism contract makes it THE answer every knob combination and
-  // every crash/recovery schedule must reproduce byte for byte.
+  // One uninterrupted reference run (pool of 1): the determinism contract
+  // makes it THE answer every pool size and every crash/recovery schedule
+  // must reproduce byte for byte.
   exec::ThreadPool pool1(1);
   exec::ThreadPool pool8(8);
   auto ref_options = base_options;
@@ -848,23 +847,17 @@ TEST(CrashInjection, RecoveryIsBitwiseAcrossThreadsAndKernelModes) {
   ASSERT_GT(reference->registry().latest_version(), 0u);
   ASSERT_GT(reference->compaction_count(), 0u);
 
-  const bool blocked_before = linalg::kernels::BlockedEnabled();
   struct Combo {
     exec::ThreadPool* pool;
-    bool blocked;
     const char* name;
   };
-  const Combo combos[] = {{&pool1, true, "t1_blocked"},
-                          {&pool8, true, "t8_blocked"},
-                          {&pool1, false, "t1_scalar"},
-                          {&pool8, false, "t8_scalar"}};
+  const Combo combos[] = {{&pool1, "t1"}, {&pool8, "t8"}};
   uint64_t trial = 0;
   for (const auto& combo : combos) {
     SCOPED_TRACE(combo.name);
-    linalg::kernels::SetBlockedEnabled(combo.blocked);
     auto options = base_options;
     options.pool = combo.pool;
-    for (int t = 0; t < 3; ++t) {
+    for (int t = 0; t < 6; ++t) {
       const std::string dir = TestDir(std::string("crash_") + combo.name +
                                       "_" + std::to_string(t));
       RunCrashTrial(options, log, ref_responses, *reference, dir,
@@ -872,7 +865,6 @@ TEST(CrashInjection, RecoveryIsBitwiseAcrossThreadsAndKernelModes) {
       ++trial;
     }
   }
-  linalg::kernels::SetBlockedEnabled(blocked_before);
 }
 
 }  // namespace

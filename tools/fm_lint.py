@@ -50,6 +50,12 @@ surrounding comment):
                          reaches src/X.cc) must visit it. A file the walk
                          misses is compiled only for tests/ and is flagged
                          at line 1.
+  fm-kernel-oracle       No `kernels::Ref*` reference in src/ outside
+                         src/linalg/kernels.{h,cc}. The scalar Ref* kernels
+                         are the oracles tests/kernels_test.cc and the
+                         micro-benchmark compare the blocked kernels with;
+                         production code calls the blocked kernel only, so
+                         the scalar path cannot return as a fallback.
 """
 
 import argparse
@@ -78,6 +84,10 @@ CXX_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp", ".cxx")
 NON_TEST_ROOTS = ("bench", "examples", "fuzz", "perfbench")
 
 QUOTED_INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
+
+# The kernel layer, the only src/ files that may name a scalar Ref* oracle.
+KERNEL_FILES = ("src/linalg/kernels.h", "src/linalg/kernels.cc")
+KERNEL_ORACLE_PATTERNS = [re.compile(r"\bkernels::Ref\w*")]
 
 OBSERVATION_ONLY_FUNCTIONS = {
     "src/serve/wal.cc": ("OptionsFingerprint",),
@@ -487,6 +497,12 @@ def run_lint(root):
                 "raw standard-library lock primitive (use fm::Mutex / "
                 "fm::MutexLock / fm::CondVar from "
                 "common/thread_annotations.h)", findings)
+        if relpath not in KERNEL_FILES:
+            scan_line_patterns(
+                unit, KERNEL_ORACLE_PATTERNS, "fm-kernel-oracle",
+                "scalar Ref* oracle outside the kernel layer (production "
+                "code calls the blocked kernel; Ref* is for tests and the "
+                "micro-benchmark)", findings)
         check_locked_annotation(unit, findings)
         check_discarded_status(unit, findings)
 
@@ -559,6 +575,12 @@ SELF_CHECK_PLANTS = [
      "  return hash;\n"
      "}\n",
      "fm-observation-only", 4),
+    ("src/core/planted_kernel_oracle.cc",
+     "void Accumulate(double* sum, double* comp, const double* x) {\n"
+     "  fm::linalg::kernels::RefCompensatedTupleUpdate(sum, comp, x, 1, 1.0,\n"
+     "                                                 0.0, 0.0);\n"
+     "}\n",
+     "fm-kernel-oracle", 2),
     ("src/dp/planted_test_only.h",
      "#ifndef PLANTED_TEST_ONLY_H_\n"
      "#define PLANTED_TEST_ONLY_H_\n"

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark harness with two modes.
 
-``--mode linalg`` (the default) runs ``micro_substrates`` twice — once with
-the blocked kernel layer (``FM_BLOCKED_LINALG=1``, the default) and once
-with the scalar reference implementations (``FM_BLOCKED_LINALG=0``) — and
-writes the per-benchmark timings and speedups to ``BENCH_linalg.json``.
-Both runs execute the same binary on the same inputs and, by the kernel
-layer's bit-identity contract (src/linalg/kernels.h), produce the same
-numerical results; only the time differs. Requires Google Benchmark.
+``--mode linalg`` (the default) runs ``micro_substrates`` once and writes
+the per-benchmark timings to ``BENCH_linalg.json``. Twin benchmarks are
+registered as ``BM_X/blocked/<args>`` and ``BM_X/ref/<args>``: the first
+times a production kernel, the second its scalar ``Ref*`` oracle on the
+same inputs. By the kernel layer's bit-identity contract
+(src/linalg/kernels.h) both produce the same numbers; only the time
+differs, and the harness reports each pair's speedup. Requires Google
+Benchmark.
 
 ``--mode serve`` runs ``bench_serve`` (self-contained timer — no Google
 Benchmark needed) and re-emits its report as ``BENCH_serve.json``: service
@@ -23,17 +24,18 @@ Usage:
 ``--smoke`` shortens measurement (fewer repetitions / smaller request
 volumes) for CI; the serve dataset size stays at the gate's n = 1e5.
 ``--gate`` exits non-zero when the perf contract is violated: in linalg
-mode, blocked kernels slower than the scalar reference on any GEMM of size
->= 256; in serve mode, (1) incremental retrain slower than a full rebuild
-at n >= 1e5, or (2) the churn workload's post-compaction store not O(live)
-— resident slots must equal the live count exactly and Objective() must
-run within 1.5x of a fresh store holding the same live tuples
-(bench_serve itself exits non-zero if the compacted store is not bitwise
-equal to that fresh store, so the perf gate can never pass on a wrong
-store), or (3) the telemetry surface is broken — the report must carry a
-``metrics`` snapshot (docs/OBSERVABILITY.md) and its fault-cleanliness
-gauges (WAL transient retries / short writes / poisoning, degraded-mode
-rejections) must all read zero on the healthy benchmark volume.
+mode, a blocked kernel slower than its reference in any twin pair, or no
+twin pair in the run; in serve mode, (1) incremental retrain slower than a
+full rebuild at n >= 1e5, or (2) the churn workload's post-compaction store
+not O(live) — resident slots must equal the live count exactly and
+Objective() must run within 1.5x of a fresh store holding the same live
+tuples (bench_serve itself exits non-zero if the compacted store is not
+bitwise equal to that fresh store, so the perf gate can never pass on a
+wrong store), or (3) the telemetry surface is broken — the report must
+carry a ``metrics`` snapshot (docs/OBSERVABILITY.md) and its
+fault-cleanliness gauges (WAL transient retries / short writes /
+poisoning, degraded-mode rejections) must all read zero on the healthy
+benchmark volume.
 """
 
 import argparse
@@ -45,13 +47,13 @@ import subprocess
 import sys
 
 DEFAULT_FILTER = (
-    "BM_MatMul|BM_GramMatrix|BM_Cholesky|BM_MatVec|BM_LogisticGradient|"
-    "BM_ObjectiveAccumulatorBuild|BM_TrainObjectiveForFold|"
-    "BM_BuildLinearObjective"
+    "BM_CompensatedBatch|BM_GramMatrix|BM_Cholesky|BM_MatVec|"
+    "BM_LogisticGradient|BM_ObjectiveAccumulatorBuild|"
+    "BM_TrainObjectiveForFold|BM_BuildLinearObjective"
 )
 
-GATE_PATTERN = re.compile(r"^BM_MatMul/(\d+)$")
-GATE_MIN_SIZE = 256
+# A twin instance: benchmark name, which side of the pair, then its args.
+TWIN_PATTERN = re.compile(r"^(\w+)/(blocked|ref)(/.*)?$")
 
 # The serve gate only binds at scale: below this n a full rebuild is cheap
 # enough that scheduling noise could dominate the comparison.
@@ -83,9 +85,8 @@ def resolve_min_time_arg(binary, min_time):
         "suffixed form")
 
 
-def run_benchmarks(binary, blocked, min_time_arg, args):
+def run_benchmarks(binary, min_time_arg, args):
     env = dict(os.environ)
-    env["FM_BLOCKED_LINALG"] = "1" if blocked else "0"
     # Benchmarks measure single-kernel latency; keep the engine serial so
     # pool scheduling does not add noise.
     env.setdefault("FM_THREADS", "1")
@@ -104,7 +105,7 @@ def run_benchmarks(binary, blocked, min_time_arg, args):
     )
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr.decode())
-        raise SystemExit(f"benchmark run failed (blocked={blocked})")
+        raise SystemExit("benchmark run failed")
     return json.loads(proc.stdout.decode())
 
 
@@ -281,30 +282,38 @@ def main():
 
     min_time_arg = resolve_min_time_arg(binary, "0.05" if args.smoke
                                         else "0.3")
-    print("running blocked kernels (FM_BLOCKED_LINALG=1)...", flush=True)
-    blocked = median_times(run_benchmarks(binary, True, min_time_arg, args))
-    print("running scalar reference (FM_BLOCKED_LINALG=0)...", flush=True)
-    reference = median_times(
-        run_benchmarks(binary, False, min_time_arg, args))
+    print("running micro_substrates...", flush=True)
+    times = median_times(run_benchmarks(binary, min_time_arg, args))
 
-    results = []
-    for name in sorted(blocked):
-        if name not in reference:
+    # Pair BM_X/blocked/<args> with BM_X/ref/<args>; everything else is a
+    # plain timing.
+    sides = {}
+    benchmarks = []
+    for name in sorted(times):
+        match = TWIN_PATTERN.match(name)
+        if match:
+            key = match.group(1) + (match.group(3) or "")
+            sides.setdefault(key, {})[match.group(2)] = times[name]
+        else:
+            benchmarks.append({"name": name, "cpu_ns": times[name]})
+    twins = []
+    for key, pair in sorted(sides.items()):
+        if "blocked" not in pair or "ref" not in pair:
             continue
-        blk = blocked[name]
-        ref = reference[name]
-        results.append({
-            "name": name,
+        blk = pair["blocked"]
+        ref = pair["ref"]
+        twins.append({
+            "name": key,
             "reference_ns": ref,
             "blocked_ns": blk,
             "speedup": ref / blk if blk > 0 else None,
         })
 
     report = {
-        "description": "blocked kernel layer (FM_BLOCKED_LINALG=1) vs "
-                       "scalar reference (FM_BLOCKED_LINALG=0); cpu_time "
-                       "medians over repetitions, identical numerical "
-                       "results by the kernel bit-identity contract",
+        "description": "micro_substrates cpu_time medians over "
+                       "repetitions; each twin times a production kernel "
+                       "(blocked) and its scalar Ref* oracle (reference) on "
+                       "the same inputs, with bit-identical results",
         "host": {
             "machine": platform.machine(),
             "system": platform.system(),
@@ -312,42 +321,37 @@ def main():
         },
         "smoke": args.smoke,
         "repetitions": args.repetitions,
-        "results": results,
+        "twins": twins,
+        "benchmarks": benchmarks,
     }
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2)
         f.write("\n")
 
-    name_width = max((len(r["name"]) for r in results), default=4)
-    print(f"\n{'benchmark':<{name_width}}  {'reference':>12}  "
+    names = [r["name"] for r in twins + benchmarks]
+    name_width = max((len(n) for n in names), default=4)
+    print(f"\n{'twin':<{name_width}}  {'reference':>12}  "
           f"{'blocked':>12}  {'speedup':>8}")
-    for r in results:
+    for r in twins:
         print(f"{r['name']:<{name_width}}  {r['reference_ns']:>10.0f}ns  "
               f"{r['blocked_ns']:>10.0f}ns  {r['speedup']:>7.2f}x")
+    print(f"\n{'benchmark':<{name_width}}  {'cpu':>12}")
+    for r in benchmarks:
+        print(f"{r['name']:<{name_width}}  {r['cpu_ns']:>10.0f}ns")
     print(f"\nwrote {args.out}")
 
     if args.gate:
-        failures = []
-        gated = 0
-        for r in results:
-            match = GATE_PATTERN.match(r["name"])
-            if not match or int(match.group(1)) < GATE_MIN_SIZE:
-                continue
-            gated += 1
-            if r["speedup"] is None or r["speedup"] < 1.0:
-                failures.append(r)
-        if gated == 0:
-            raise SystemExit(
-                f"--gate found no GEMM benchmarks >= {GATE_MIN_SIZE}^2")
+        if not twins:
+            raise SystemExit("--gate found no twin benchmark pairs")
+        failures = [r for r in twins
+                    if r["speedup"] is None or r["speedup"] < 1.0]
+        for r in failures:
+            print(f"GATE FAILURE: {r['name']} blocked is slower than its "
+                  f"reference ({r['speedup']:.2f}x)", file=sys.stderr)
         if failures:
-            for r in failures:
-                print(f"GATE FAILURE: {r['name']} blocked is slower than "
-                      f"the scalar reference ({r['speedup']:.2f}x)",
-                      file=sys.stderr)
             raise SystemExit(1)
-        print(f"gate passed: blocked >= reference on {gated} GEMM "
-              f"benchmark(s) >= {GATE_MIN_SIZE}^2")
-
+        print(f"gate passed: blocked >= reference on all {len(twins)} "
+              "twin pair(s)")
 
 if __name__ == "__main__":
     main()
