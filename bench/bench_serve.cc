@@ -225,8 +225,8 @@ int main(int argc, char** argv) {
   const double mixed_rps = static_cast<double>(flags.mixed) / mixed_seconds;
 
   // --- ingest-to-fresh-model latency: incremental vs full rebuild ---------
-  // Incremental: one insert + one train through the engine — the objective
-  // delta is O(d²) and the derivation O(shards · d²).
+  // Incremental: one insert + one train through the engine — the insert is
+  // recorded in O(d), and the train applies it in O(d²) and rounds.
   std::vector<double> incremental_seconds;
   for (size_t r = 0; r < flags.repeats; ++r) {
     const size_t row = r % stream.size();
@@ -273,14 +273,11 @@ int main(int argc, char** argv) {
   // --- slot-space compaction under 10:1 insert:live churn -----------------
   // A second service with auto-compaction disabled absorbs churn_live · 10
   // inserts while seeded-random deletes hold the live set at churn_live, so
-  // the un-compacted worst case — slot space and Objective() cost growing
-  // with total insert history — is visible before one explicit Compact
-  // request collapses it back to O(live). Uniform-random victims leave the
-  // realistic mixed regime: the oldest shards decay to fully dead (the
-  // dead-shard skip already absorbs those), but most shards keep a few
-  // ghost-surviving tuples — and one survivor keeps a shard's whole O(d²)
-  // fold — so the pre-compaction number shows the degradation that only
-  // compaction, not the skip, can remove.
+  // the un-compacted worst case — slot space growing with total insert
+  // history — is visible before one explicit Compact request collapses it
+  // back to O(live). Objective() only rounds once the pending work is
+  // applied, so its cost must not depend on the holes: the pre- and
+  // post-compaction numbers time the same O(d²) rounding.
   const size_t churn_inserts = flags.churn_live * 10;
   serve::ServiceOptions churn_options = options;
   churn_options.auto_compact = false;
@@ -312,10 +309,11 @@ int main(int argc, char** argv) {
   const double churn_rps =
       static_cast<double>(churn_log.size()) / churn_seconds;
 
-  // Objective() derivation is O(shards · d²) — microseconds — so time a
-  // fixed-count loop per repeat and report the median per-call cost.
-  // Takes a copy: Objective() re-sums stale shards, so it is non-const. One
-  // untimed call re-sums them, so the loop times the fold alone.
+  // Objective() derivation is O(d²) once the pending work is applied —
+  // microseconds — so time a fixed-count loop per repeat and report the
+  // median per-call cost. Takes a copy: Objective() applies the pending
+  // work, so it is non-const. One untimed call applies it, so the loop
+  // times the rounding alone.
   const auto time_objective = [&](serve::IncrementalObjective store) {
     constexpr size_t kCalls = 512;
     (void)store.Objective();
@@ -333,7 +331,6 @@ int main(int argc, char** argv) {
   };
 
   const size_t churn_slots_before = churn_service->objective().slot_count();
-  const size_t churn_shards_before = churn_service->objective().num_shards();
   const double churn_objective_pre =
       time_objective(churn_service->objective());
 
@@ -343,7 +340,6 @@ int main(int argc, char** argv) {
   const size_t churn_reclaimed =
       static_cast<size_t>(compact_responses[0].value);
   const size_t churn_slots_after = churn_service->objective().slot_count();
-  const size_t churn_shards_after = churn_service->objective().num_shards();
   const double churn_objective_post =
       time_objective(churn_service->objective());
 
@@ -578,8 +574,6 @@ int main(int argc, char** argv) {
   std::printf("%-34s %11.0f /s\n", "churn requests", churn_rps);
   std::printf("%-34s %8zu -> %zu\n", "churn slots (compaction)",
               churn_slots_before, churn_slots_after);
-  std::printf("%-34s %8zu -> %zu\n", "churn shards (compaction)",
-              churn_shards_before, churn_shards_after);
   std::printf("%-34s %12.3f us\n", "objective, pre-compaction",
               churn_objective_pre * 1e6);
   std::printf("%-34s %12.3f us\n", "objective, post-compaction",
@@ -645,8 +639,6 @@ int main(int argc, char** argv) {
                  "  \"churn_slots_reclaimed\": %zu,\n"
                  "  \"churn_slots_before_compaction\": %zu,\n"
                  "  \"churn_slots_after_compaction\": %zu,\n"
-                 "  \"churn_shards_before_compaction\": %zu,\n"
-                 "  \"churn_shards_after_compaction\": %zu,\n"
                  "  \"churn_objective_pre_compaction_seconds\": %.9f,\n"
                  "  \"churn_objective_post_compaction_seconds\": %.9f,\n"
                  "  \"churn_objective_fresh_seconds\": %.9f,\n"
@@ -675,8 +667,7 @@ int main(int argc, char** argv) {
                  bootstrap_rows_per_sec, ingest_rps, predict_rps, mixed_rps,
                  incremental_median, rebuild_median, speedup, churn_inserts,
                  flags.churn_live, churn_rps, churn_reclaimed,
-                 churn_slots_before, churn_slots_after, churn_shards_before,
-                 churn_shards_after, churn_objective_pre,
+                 churn_slots_before, churn_slots_after, churn_objective_pre,
                  churn_objective_post, churn_objective_fresh,
                  churn_post_vs_fresh, flags.durable, kDurableChunk,
                  durable_none.rps, durable_batch.rps, durable_always.rps,

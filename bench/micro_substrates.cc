@@ -2,7 +2,7 @@
 // Gram-matrix construction, Cholesky, Jacobi eigendecomposition, Laplace
 // sampling, full FM fits and the Newton logistic solver.
 //
-// BM_CompensatedBatch is a twin: its `blocked` and `ref` instances time a
+// BM_ExactBatch is a twin: its `blocked` and `ref` instances time a
 // production kernel and its scalar Ref* oracle on the same inputs.
 // tools/run_bench.py pairs the two and writes the speedups to
 // BENCH_linalg.json.
@@ -78,15 +78,16 @@ void BM_Cholesky(benchmark::State& state) {
 }
 BENCHMARK(BM_Cholesky)->Arg(4)->Arg(13)->Arg(64)->Arg(128)->Arg(256);
 
-// The compensated per-tuple accumulation behind the store, the fold cache
-// and every insert: state.range(0) tuples of dimension state.range(1),
-// kCompensatedBatch at a time. The coefficients restart from zero every
-// iteration (a fill costing 1/n of the work), so both twins add into the
+// The exact per-tuple accumulation behind the store, the fold cache and
+// every train: state.range(0) tuples of dimension state.range(1),
+// kExactBatch at a time, into one set of chunk words per
+// kExactChunkTuples tuples (as core::ExactObjectiveSum::AddTuples does).
+// The words restart from zero every chunk, so both twins add into the
 // same starting state.
-void BM_CompensatedBatch(
+void BM_ExactBatch(
     benchmark::State& state,
-    decltype(&linalg::kernels::CompensatedTupleUpdateBatch) kernel) {
-  constexpr size_t kB = linalg::kernels::kCompensatedBatch;
+    decltype(&linalg::kernels::ExactTupleAccumulateBatch) kernel) {
+  constexpr size_t kB = linalg::kernels::kExactBatch;
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t d = static_cast<size_t>(state.range(1));
   const auto x = RandomMatrix(n, d, 27);
@@ -97,26 +98,29 @@ void BM_CompensatedBatch(
     beta[i] = rng.Uniform(0.0, 1.0);
   }
   const size_t ncoef = d * (d + 1) / 2 + d + 1;
-  std::vector<double> sum(ncoef), comp(ncoef);
+  std::vector<int64_t> hi(ncoef), lo(ncoef);
   for (auto _ : state) {
-    std::fill(sum.begin(), sum.end(), 0.0);
-    std::fill(comp.begin(), comp.end(), 0.0);
     for (size_t i = 0; i + kB <= n; i += kB) {
+      if (i % linalg::kernels::kExactChunkTuples == 0) {
+        std::fill(hi.begin(), hi.end(), 0);
+        std::fill(lo.begin(), lo.end(), 0);
+      }
       const double* xs[kB];
       for (size_t r = 0; r < kB; ++r) xs[r] = x.Row(i + r);
-      kernel(sum.data(), comp.data(), xs, d, 0.125, &alpha_bias[i], &beta[i]);
+      kernel(hi.data(), lo.data(), xs, d, 0.125, &alpha_bias[i], &beta[i]);
     }
-    benchmark::DoNotOptimize(sum.data());
-    benchmark::DoNotOptimize(comp.data());
+    benchmark::DoNotOptimize(hi.data());
+    benchmark::DoNotOptimize(lo.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK_CAPTURE(BM_CompensatedBatch, blocked,
-                  &linalg::kernels::CompensatedTupleUpdateBatch)
+BENCHMARK_CAPTURE(BM_ExactBatch, blocked,
+                  &linalg::kernels::ExactTupleAccumulateBatch)
     ->Args({10000, 14})
     ->Args({4096, 50});
-BENCHMARK_CAPTURE(BM_CompensatedBatch, ref,
-                  &linalg::kernels::RefCompensatedTupleUpdateBatch)
+BENCHMARK_CAPTURE(BM_ExactBatch, ref,
+                  &linalg::kernels::RefExactTupleAccumulateBatch)
     ->Args({10000, 14})
     ->Args({4096, 50});
 
@@ -178,7 +182,7 @@ void BM_BuildLinearObjective(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildLinearObjective)->Arg(10000)->Arg(50000);
 
-// The one-off cost of the fold cache: one compensated pass over all tuples.
+// The one-off cost of the fold cache: one exact pass over all tuples.
 // d=14 is the fig7 default dimensionality (eval::BenchConfig).
 void BM_ObjectiveAccumulatorBuild(benchmark::State& state) {
   const auto ds = RandomDataset(static_cast<size_t>(state.range(0)),

@@ -3,10 +3,10 @@
 // workload, with the three guarantees the layer makes checked on the spot:
 //
 //   1. Incremental maintenance is honest: after hundreds of inserts and a
-//      delete, the maintained objective — and the model trained from it —
-//      is within 1 ulp per coefficient of a full recompute from the raw
-//      tuples (bitwise, in fact, against the same slot layout; ≤ 1 ulp
-//      against the dense offline accumulator).
+//      delete, the maintained objective is bitwise equal to a full
+//      recompute from the raw tuples and to the dense offline accumulator
+//      (the sums are exact), and the model trained from it is within 1 ulp
+//      per coefficient of the scratch-trained one.
 //   2. The privacy ledger balances exactly: spent = Σ committed charges,
 //      total = spent + remaining, and nothing is pending when the log ends.
 //   3. Serving is deterministic: rerunning this binary reproduces every
@@ -170,8 +170,8 @@ int main() {
   const uint64_t dense_ulp = MaxUlpDistance(maintained, dense.Global());
   std::printf("    objective vs dense offline acc: %llu ulp\n",
               static_cast<unsigned long long>(dense_ulp));
-  ok &= Check(dense_ulp <= 1,
-              "maintained objective within 1 ulp of the dense offline build");
+  ok &= Check(dense_ulp == 0,
+              "maintained objective == dense offline build (bitwise)");
 
   core::FmOptions fm_options;
   fm_options.epsilon = 0.8;

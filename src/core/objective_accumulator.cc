@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/logging.h"
 #include "core/taylor.h"
@@ -34,181 +35,193 @@ void ObjectiveTupleParams(ObjectiveKind kind, double y, double* m_scale,
   }
 }
 
-void AccumulateTupleContribution(ObjectiveKind kind, const double* x,
-                                 size_t dim, double y, double* sum,
-                                 double* comp) {
-  double m_scale, alpha_bias, beta;
-  ObjectiveTupleParams(kind, y, &m_scale, &alpha_bias, &beta);
-  // The whole per-tuple contribution — the rank-1 slice of a shard's
-  // rank-k update (M's upper triangle at m_scale, then α at alpha_bias,
-  // then β) — lands through one fused kernel call. The kernel keeps the
-  // per-tuple Neumaier compensation and is bit-identical to its scalar
-  // oracle, so the ≤1-ulp fold-derivation guarantee and the thread-count
-  // determinism contract are untouched.
-  linalg::kernels::CompensatedTupleUpdate(sum, comp, x, dim, m_scale,
-                                          alpha_bias, beta);
-}
-
-void AccumulateTupleContributionBatch(ObjectiveKind kind,
-                                      const double* const* xs, size_t dim,
-                                      const double* ys, double* sum,
-                                      double* comp) {
-  constexpr size_t kB = linalg::kernels::kCompensatedBatch;
-  const double* batch_xs[kB];
-  double alpha_bias[kB], beta[kB];
-  double m_scale = 0.0;
-  for (size_t r = 0; r < kB; ++r) {
-    batch_xs[r] = xs[r];
-    ObjectiveTupleParams(kind, ys[r], &m_scale, &alpha_bias[r], &beta[r]);
+double RoundFixedPoint(Int128 units) {
+  constexpr int kFractionBits =
+      linalg::kernels::kExactHiBits + linalg::kernels::kExactLoBits;
+  const bool negative = units < 0;
+  // Magnitude as unsigned; also right for the most negative value.
+  __extension__ typedef unsigned __int128 Uint128;
+  Uint128 magnitude =
+      negative ? Uint128{0} - static_cast<Uint128>(units)
+               : static_cast<Uint128>(units);
+  // Keep the top 53 significant bits and round the rest away, to nearest
+  // with ties to even, by hand: the conversion below is then exact.
+  const uint64_t high = static_cast<uint64_t>(magnitude >> 64);
+  const uint64_t low = static_cast<uint64_t>(magnitude);
+  const int length = high != 0  ? 128 - __builtin_clzll(high)
+                     : low != 0 ? 64 - __builtin_clzll(low)
+                                : 0;
+  const int shift = std::max(0, length - 53);
+  if (shift > 0) {
+    const Uint128 dropped = magnitude & ((Uint128{1} << shift) - 1);
+    const Uint128 half = Uint128{1} << (shift - 1);
+    magnitude >>= shift;
+    if (dropped > half || (dropped == half && (magnitude & 1) != 0)) {
+      ++magnitude;  // may reach 2⁵³, which is still exact
+    }
   }
-  linalg::kernels::CompensatedTupleUpdateBatch(sum, comp, batch_xs, dim,
-                                               m_scale, alpha_bias, beta);
+  // Both the integer→double conversion (< 2⁵⁴) and the power-of-two
+  // scaling are exact: the smallest nonzero result, 2⁻⁸², is far from the
+  // subnormal range.
+  const double value = std::ldexp(static_cast<double>(
+                                      static_cast<uint64_t>(magnitude)),
+                                  shift - kFractionBits);
+  return negative ? -value : value;
 }
 
-opt::QuadraticModel RoundObjectiveCoefficients(size_t dim, const double* sum,
-                                               const double* comp) {
+ExactObjectiveSum::ExactObjectiveSum(size_t dim)
+    : dim_(dim), units_(NumObjectiveCoefficients(dim), 0) {}
+
+void ExactObjectiveSum::AddTuples(ObjectiveKind kind, const double* const* xs,
+                                  const double* ys, size_t count,
+                                  bool subtract) {
+  namespace kernels = linalg::kernels;
+  constexpr size_t kB = kernels::kExactBatch;
+  if (count == 0) return;
+  const size_t coefficients = units_.size();
+  // Chunk words: hi then lo, zeroed per chunk of at most kExactChunkTuples
+  // tuples (which cannot overflow them), then folded into the 128-bit sum.
+  std::vector<int64_t> words(2 * coefficients);
+  // A short final batch is padded with the zero tuple under zero weights:
+  // every padded term is exactly 0, so it adds nothing.
+  const std::vector<double> zero_tuple(dim_, 0.0);
+  for (size_t begin = 0; begin < count; begin += kernels::kExactChunkTuples) {
+    const size_t end = std::min(count, begin + kernels::kExactChunkTuples);
+    std::fill(words.begin(), words.end(), 0);
+    for (size_t i = begin; i < end; i += kB) {
+      const double* batch_xs[kB];
+      double alpha_bias[kB];
+      double beta[kB];
+      double m_scale = 0.0;
+      for (size_t r = 0; r < kB; ++r) {
+        if (i + r < end) {
+          batch_xs[r] = xs[i + r];
+          ObjectiveTupleParams(kind, ys[i + r], &m_scale, &alpha_bias[r],
+                               &beta[r]);
+        } else {
+          batch_xs[r] = zero_tuple.data();
+          alpha_bias[r] = 0.0;
+          beta[r] = 0.0;
+        }
+      }
+      kernels::ExactTupleAccumulateBatch(words.data(),
+                                         words.data() + coefficients,
+                                         batch_xs, dim_, m_scale, alpha_bias,
+                                         beta);
+    }
+    constexpr Int128 kHiUnit = Int128{1} << kernels::kExactLoBits;
+    for (size_t idx = 0; idx < coefficients; ++idx) {
+      const Int128 chunk = static_cast<Int128>(words[idx]) * kHiUnit +
+                           words[coefficients + idx];
+      units_[idx] = subtract ? units_[idx] - chunk : units_[idx] + chunk;
+    }
+  }
+}
+
+void ExactObjectiveSum::Add(const ExactObjectiveSum& other) {
+  FM_CHECK(other.dim_ == dim_);
+  for (size_t idx = 0; idx < units_.size(); ++idx) {
+    units_[idx] += other.units_[idx];
+  }
+}
+
+opt::QuadraticModel ExactObjectiveSum::Round() const {
   opt::QuadraticModel model;
-  model.m = linalg::Matrix(dim, dim);
-  model.alpha = linalg::Vector(dim);
+  model.m = linalg::Matrix(dim_, dim_);
+  model.alpha = linalg::Vector(dim_);
   size_t idx = 0;
-  for (size_t i = 0; i < dim; ++i) {
-    for (size_t j = i; j < dim; ++j, ++idx) {
-      const double value = sum[idx] + comp[idx];
+  for (size_t i = 0; i < dim_; ++i) {
+    for (size_t j = i; j < dim_; ++j, ++idx) {
+      const double value = RoundFixedPoint(units_[idx]);
       model.m(i, j) = value;
       model.m(j, i) = value;
     }
   }
-  for (size_t j = 0; j < dim; ++j, ++idx) {
-    model.alpha[j] = sum[idx] + comp[idx];
+  for (size_t j = 0; j < dim_; ++j, ++idx) {
+    model.alpha[j] = RoundFixedPoint(units_[idx]);
   }
-  model.beta = sum[idx] + comp[idx];
+  model.beta = RoundFixedPoint(units_[idx]);
   return model;
 }
 
-void ObjectiveAccumulator::AccumulateTuple(size_t row,
-                                           std::vector<double>& sum,
-                                           std::vector<double>& comp) const {
-  AccumulateTupleContribution(kind_, dataset_->x.Row(row), dim_,
-                              dataset_->y[row], sum.data(), comp.data());
+void SumChunks(size_t num_chunks,
+               const std::function<void(size_t, ExactObjectiveSum*)>& fill,
+               ExactObjectiveSum* sum, exec::ThreadPool* pool) {
+  if (num_chunks == 0) return;
+  if (num_chunks == 1) {
+    fill(0, sum);
+    return;
+  }
+  // One partial per task, not per chunk: task t fills chunks t, t + T, …
+  // into its own partial. Any grouping of exact sums gives the same bits.
+  exec::ThreadPool& workers =
+      pool != nullptr ? *pool : exec::ThreadPool::Global();
+  const size_t tasks = std::min(num_chunks, workers.num_threads());
+  std::vector<ExactObjectiveSum> partials(tasks,
+                                          ExactObjectiveSum(sum->dim()));
+  exec::ParallelFor(
+      tasks,
+      [&](size_t t) {
+        for (size_t c = t; c < num_chunks; c += tasks) fill(c, &partials[t]);
+      },
+      workers);
+  for (const ExactObjectiveSum& partial : partials) sum->Add(partial);
 }
 
-void ObjectiveAccumulator::AccumulateBatch(
-    const size_t rows[linalg::kernels::kCompensatedBatch],
-    std::vector<double>& sum, std::vector<double>& comp) const {
-  constexpr size_t kB = linalg::kernels::kCompensatedBatch;
-  const double* xs[kB];
-  double ys[kB];
-  for (size_t r = 0; r < kB; ++r) {
-    FM_CHECK(rows[r] < dataset_->size());
-    xs[r] = dataset_->x.Row(rows[r]);
-    ys[r] = dataset_->y[rows[r]];
+void ObjectiveAccumulator::AddRows(const std::vector<size_t>& rows,
+                                   bool subtract,
+                                   ExactObjectiveSum* sum) const {
+  std::vector<const double*> xs(rows.size());
+  std::vector<double> ys(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    FM_CHECK(rows[i] < dataset_->size());
+    xs[i] = dataset_->x.Row(rows[i]);
+    ys[i] = dataset_->y[rows[i]];
   }
-  AccumulateTupleContributionBatch(kind_, xs, dim_, ys, sum.data(),
-                                   comp.data());
-}
-
-void ObjectiveAccumulator::AccumulateRange(size_t begin, size_t end,
-                                           std::vector<double>& sum,
-                                           std::vector<double>& comp) const {
-  // Full batches go through the rank-kCompensatedBatch kernel (amortizing
-  // the coefficient-stream loads); compensation stays per tuple, so batched
-  // and row-at-a-time accumulation are bit-identical.
-  constexpr size_t kB = linalg::kernels::kCompensatedBatch;
-  size_t row = begin;
-  for (; row + kB <= end; row += kB) {
-    size_t batch[kB];
-    for (size_t r = 0; r < kB; ++r) batch[r] = row + r;
-    AccumulateBatch(batch, sum, comp);
-  }
-  for (; row < end; ++row) AccumulateTuple(row, sum, comp);
-}
-
-void ObjectiveAccumulator::AccumulateList(const std::vector<size_t>& rows,
-                                          std::vector<double>& sum,
-                                          std::vector<double>& comp) const {
-  constexpr size_t kB = linalg::kernels::kCompensatedBatch;
-  size_t i = 0;
-  for (; i + kB <= rows.size(); i += kB) {
-    AccumulateBatch(rows.data() + i, sum, comp);
-  }
-  for (; i < rows.size(); ++i) {
-    const size_t row = rows[i];
-    FM_CHECK(row < dataset_->size());
-    AccumulateTuple(row, sum, comp);
-  }
+  sum->AddTuples(kind_, xs.data(), ys.data(), rows.size(), subtract);
 }
 
 ObjectiveAccumulator ObjectiveAccumulator::Build(
     const data::RegressionDataset& dataset, ObjectiveKind kind,
     exec::ThreadPool* pool) {
+  // The contract bounds every term, which the fixed-point sum relies on.
+  FM_CHECK(dataset.SatisfiesNormalizationContract());
   ObjectiveAccumulator acc;
   acc.dataset_ = &dataset;
   acc.kind_ = kind;
-  acc.dim_ = dataset.dim();
-  const size_t coefficients = acc.num_coefficients();
-  acc.sum_.assign(coefficients, 0.0);
-  acc.comp_.assign(coefficients, 0.0);
-
+  acc.sum_ = ExactObjectiveSum(dataset.dim());
   const size_t n = dataset.size();
-  if (n == 0) return acc;
-
-  // One compensated partial sum per fixed-size shard, filled in parallel;
-  // shard boundaries depend only on n, so any thread count produces the same
-  // partials and the serial in-order reduction the same total.
-  const size_t num_shards = (n + kObjectiveShardRows - 1) / kObjectiveShardRows;
-  std::vector<std::vector<double>> shard_sums(
-      num_shards, std::vector<double>(coefficients, 0.0));
-  std::vector<std::vector<double>> shard_comps(
-      num_shards, std::vector<double>(coefficients, 0.0));
-  exec::ParallelFor(
-      num_shards,
-      [&](size_t s) {
-        const size_t begin = s * kObjectiveShardRows;
+  SumChunks(
+      (n + kObjectiveShardRows - 1) / kObjectiveShardRows,
+      [&](size_t c, ExactObjectiveSum* partial) {
+        const size_t begin = c * kObjectiveShardRows;
         const size_t end = std::min(n, begin + kObjectiveShardRows);
-        acc.AccumulateRange(begin, end, shard_sums[s], shard_comps[s]);
+        const double* xs[kObjectiveShardRows];
+        for (size_t row = begin; row < end; ++row) {
+          xs[row - begin] = dataset.x.Row(row);
+        }
+        partial->AddTuples(kind, xs, dataset.y.raw() + begin, end - begin);
       },
-      pool != nullptr ? *pool : exec::ThreadPool::Global());
-
-  for (size_t s = 0; s < num_shards; ++s) {
-    for (size_t idx = 0; idx < coefficients; ++idx) {
-      CompensatedAdd(acc.sum_[idx], acc.comp_[idx], shard_sums[s][idx]);
-      acc.comp_[idx] += shard_comps[s][idx];
-    }
-  }
+      &acc.sum_, pool);
   return acc;
 }
 
 opt::QuadraticModel ObjectiveAccumulator::Global() const {
-  return RoundObjectiveCoefficients(dim_, sum_.data(), comp_.data());
+  return sum_.Round();
 }
 
 opt::QuadraticModel ObjectiveAccumulator::SliceObjective(
     const std::vector<size_t>& rows) const {
-  const size_t coefficients = num_coefficients();
-  std::vector<double> sum(coefficients, 0.0);
-  std::vector<double> comp(coefficients, 0.0);
-  AccumulateList(rows, sum, comp);
-  return RoundObjectiveCoefficients(dim_, sum.data(), comp.data());
+  ExactObjectiveSum slice(dim());
+  AddRows(rows, /*subtract=*/false, &slice);
+  return slice.Round();
 }
 
 opt::QuadraticModel ObjectiveAccumulator::TrainObjectiveForFold(
     const std::vector<size_t>& test_rows) const {
-  const size_t coefficients = num_coefficients();
-  std::vector<double> slice_sum(coefficients, 0.0);
-  std::vector<double> slice_comp(coefficients, 0.0);
-  AccumulateList(test_rows, slice_sum, slice_comp);
-  // global − slice, with both compensations carried through: the rounded
-  // result is within 1 ulp of the exact training-tuple sum, so no
-  // catastrophic cancellation can surface (the slice is a strict subset, and
-  // what the subtraction cancels the compensation terms restore).
-  std::vector<double> sum(coefficients);
-  std::vector<double> comp(coefficients);
-  for (size_t idx = 0; idx < coefficients; ++idx) {
-    sum[idx] = sum_[idx];
-    comp[idx] = comp_[idx] - slice_comp[idx];
-    CompensatedAdd(sum[idx], comp[idx], -slice_sum[idx]);
-  }
-  return RoundObjectiveCoefficients(dim_, sum.data(), comp.data());
+  ExactObjectiveSum train = sum_;
+  AddRows(test_rows, /*subtract=*/true, &train);
+  return train.Round();
 }
 
 }  // namespace fm::core

@@ -1,8 +1,8 @@
 #ifndef FM_CORE_OBJECTIVE_ACCUMULATOR_H_
 #define FM_CORE_OBJECTIVE_ACCUMULATOR_H_
 
-#include <cmath>
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "data/dataset.h"
@@ -29,40 +29,18 @@ enum class ObjectiveKind {
 ObjectiveKind ObjectiveKindForTask(data::TaskKind task);
 
 // ---------------------------------------------------------------------------
-// Shared compensated-accumulation primitives.
-//
-// Both the offline ObjectiveAccumulator below and the online
-// serve::IncrementalObjective maintain the same state: flat arrays of
-// Neumaier-compensated (sum, comp) coefficient pairs — the M upper triangle
-// in row-major order (d(d+1)/2 entries), then α (d), then β (1) — summed
-// over per-tuple contributions in a fixed order. These free functions are
-// that one shared specification; any two accumulations of the same tuples
-// in the same order produce the same bits regardless of which layer ran
-// them (the kernel is bit-identical to its scalar oracle,
-// linalg::kernels::RefCompensatedTupleUpdate).
+// The exact objective sum shared by the offline fold cache below and the
+// online serve::IncrementalObjective.
 // ---------------------------------------------------------------------------
 
-/// Rows per parallel/incremental shard. Fixed (never derived from the thread
-/// count), so shard partial sums — and the serially-reduced totals built
-/// from them — are bit-identical for every pool size.
+/// Tuples per chunk of parallel work: both callers cut their work into
+/// chunks of at most this many tuples, which SumChunks deals to pool tasks.
 inline constexpr size_t kObjectiveShardRows = 1024;
 
-/// Number of flat compensated coefficients for dimensionality `dim`:
-/// the M upper triangle, then α, then β.
+/// Number of flat coefficients for dimensionality `dim`: the M upper
+/// triangle in row-major order, then α, then β.
 inline constexpr size_t NumObjectiveCoefficients(size_t dim) {
   return dim * (dim + 1) / 2 + dim + 1;
-}
-
-/// Neumaier's variant of Kahan summation: sum += v with the rounding error
-/// banked in comp. Unlike plain Kahan it stays exact when |v| > |sum|.
-inline void CompensatedAdd(double& sum, double& comp, double v) {
-  const double t = sum + v;
-  if (std::fabs(sum) >= std::fabs(v)) {
-    comp += (sum - t) + v;
-  } else {
-    comp += (v - t) + sum;
-  }
-  sum = t;
 }
 
 /// The per-tuple coefficient weights of `kind` for label `y`: tuple x
@@ -70,25 +48,70 @@ inline void CompensatedAdd(double& sum, double& comp, double v) {
 void ObjectiveTupleParams(ObjectiveKind kind, double y, double* m_scale,
                           double* alpha_bias, double* beta);
 
-/// Adds one tuple's contribution into the flat (sum, comp) arrays (size
-/// NumObjectiveCoefficients(dim)), compensation applied per tuple, through
-/// the blocked kernel layer.
-void AccumulateTupleContribution(ObjectiveKind kind, const double* x,
-                                 size_t dim, double y, double* sum,
-                                 double* comp);
+/// A signed 128-bit integer (a GCC/Clang extension; `__extension__` keeps
+/// -Wpedantic quiet).
+__extension__ typedef __int128 Int128;
 
-/// Adds linalg::kernels::kCompensatedBatch tuples' contributions in one
-/// fused sweep. Bit-identical to the equivalent sequence of
-/// AccumulateTupleContribution calls in the same order.
-void AccumulateTupleContributionBatch(ObjectiveKind kind,
-                                      const double* const* xs, size_t dim,
-                                      const double* ys, double* sum,
-                                      double* comp);
+/// units · 2⁻⁸², correctly rounded to the nearest double (ties to even).
+double RoundFixedPoint(Int128 units);
 
-/// Rounds flat compensated coefficients into a QuadraticModel (M mirrored
-/// from its accumulated upper triangle).
-opt::QuadraticModel RoundObjectiveCoefficients(size_t dim, const double* sum,
-                                               const double* comp);
+/// The exact sum of per-tuple objective contributions — the state both FM
+/// objectives reduce to, since each is a plain sum over tuples (§4.2, §5.3).
+///
+/// Every coefficient is one signed integer in units of 2⁻⁸². A tuple's term
+/// t enters as RN(t·2³²)·2⁵⁰ + RN((t·2³² − RN(t·2³²))·2⁵⁰), a function of t
+/// alone that is within 2⁻⁸³ of t (linalg::kernels::
+/// ExactTupleAccumulateBatch). Integer addition is exact and commutative,
+/// so the sum is a pure function of the multiset of tuples added minus the
+/// multiset subtracted: removing a tuple undoes its addition bit for bit,
+/// and no thread count, chunking or order can change a bit. Round()
+/// converts each coefficient with one correct rounding, so the result is
+/// within 1 ulp of the exact real sum whenever the accumulated splitting
+/// error (n·2⁻⁸³ for n tuples) is below half an ulp.
+///
+/// Tuples must satisfy the §3 normalization contract (finite, ‖x‖₂ ≤ 1,
+/// |y| ≤ 1), which bounds every term below 4 in magnitude. The sum then
+/// cannot overflow below 2⁴³ tuples.
+class ExactObjectiveSum {
+ public:
+  ExactObjectiveSum() = default;
+  /// The zero sum over `dim`-dimensional tuples.
+  explicit ExactObjectiveSum(size_t dim);
+
+  size_t dim() const { return dim_; }
+
+  /// Adds the contributions of the tuples (xs[i], ys[i]), i < count, or
+  /// removes them when `subtract` is set. O(count · d²), serial.
+  void AddTuples(ObjectiveKind kind, const double* const* xs,
+                 const double* ys, size_t count, bool subtract = false);
+
+  /// Adds another sum of the same dimensionality. O(d²).
+  void Add(const ExactObjectiveSum& other);
+
+  /// The correctly rounded coefficients, M mirrored from its upper
+  /// triangle. O(d²).
+  opt::QuadraticModel Round() const;
+
+  bool operator==(const ExactObjectiveSum& other) const {
+    return dim_ == other.dim_ && units_ == other.units_;
+  }
+  bool operator!=(const ExactObjectiveSum& other) const {
+    return !(*this == other);
+  }
+
+ private:
+  size_t dim_ = 0;
+  std::vector<Int128> units_;  // per flat coefficient, in units of 2⁻⁸²
+};
+
+/// Runs fill(c, partial) for each chunk c < num_chunks on `pool` (nullptr →
+/// the global FM_THREADS pool), inline into `sum` when there is only one
+/// chunk, and adds the partials into *sum. Each pool task fills one partial,
+/// starting from the zero sum, with every chunk it is dealt. The result is
+/// exact, so it does not depend on the pool.
+void SumChunks(size_t num_chunks,
+               const std::function<void(size_t, ExactObjectiveSum*)>& fill,
+               ExactObjectiveSum* sum, exec::ThreadPool* pool);
 
 /// Fold-decomposable objective cache — the algorithmic core of the k-fold
 /// speedup. Both regression objectives are plain sums of per-tuple quadratic
@@ -97,86 +120,55 @@ opt::QuadraticModel RoundObjectiveCoefficients(size_t dim, const double* sum,
 ///
 ///   f_train(ω) = f_D(ω) − f_test(ω).
 ///
-/// The accumulator computes every tuple's contribution exactly once per
-/// dataset — in parallel over fixed-size row shards via exec::ParallelFor,
-/// with the shard partials reduced serially in shard order so the result is
-/// bit-identical for every thread count — and then derives each fold's
-/// training objective in O(|test| · d²) instead of O(|train| · d²). Over a
-/// k-fold repeat that turns (k−1)·n tuple visits into n, and the global pass
-/// itself is shared by all repeats.
-///
-/// Every coefficient is kept as a Neumaier compensated (sum, error) pair,
-/// the compensation is applied per tuple, and it is carried through the
-/// subtraction, so the derived training objective is a faithful rounding of
-/// the exact tuple sum (within 1 ulp per coefficient) — the test fold is
-/// only 1/k of the data, so the subtraction loses at most a factor k/(k−1)
-/// of magnitude and the compensation absorbs what little cancellation
-/// occurs. The kernel layer accelerates the accumulation without touching
-/// these semantics: tuples stream through
-/// linalg::kernels::CompensatedTupleUpdate(Batch) in per-shard row order,
-/// bit-identical to the scalar oracles (tests/kernels_test.cc).
+/// Build sums every tuple once, in parallel chunks of kObjectiveShardRows
+/// rows, into one ExactObjectiveSum. Each fold's training objective is then
+/// derived in O(|test| · d²) instead of O(|train| · d²): over a k-fold
+/// repeat that turns (k−1)·n tuple visits into n, and the global pass is
+/// shared by all repeats. The subtraction is exact, so a derived training
+/// objective is bit-identical to a fresh build over the training tuples,
+/// for every thread count.
 ///
 /// The accumulator keeps a pointer to the dataset it was built from (to read
 /// test-slice tuples); the dataset must outlive it.
 class ObjectiveAccumulator {
  public:
   /// Sums all tuple contributions of `dataset` on `pool` (nullptr → the
-  /// global FM_THREADS pool). O(n · d²), one pass.
+  /// global FM_THREADS pool). O(n · d²), one pass. The dataset must satisfy
+  /// the §3 normalization contract (checked; aborts otherwise).
   static ObjectiveAccumulator Build(const data::RegressionDataset& dataset,
                                     ObjectiveKind kind,
                                     exec::ThreadPool* pool = nullptr);
 
   ObjectiveKind kind() const { return kind_; }
   /// Feature dimensionality d.
-  size_t dim() const { return dim_; }
+  size_t dim() const { return sum_.dim(); }
   /// Number of tuples accumulated.
   size_t size() const { return dataset_ == nullptr ? 0 : dataset_->size(); }
 
   /// The rounded dataset-global objective — equal to BuildLinearObjective /
   /// BuildTruncatedLogisticObjective on the full dataset up to summation
-  /// order (and more accurate, being compensated).
+  /// order (and more accurate, being exact before the one rounding).
   opt::QuadraticModel Global() const;
 
-  /// The objective of just the tuples at `rows`, compensated and rounded.
-  /// O(|rows| · d²).
+  /// The objective of just the tuples at `rows`. O(|rows| · d²).
   opt::QuadraticModel SliceObjective(const std::vector<size_t>& rows) const;
 
   /// The training objective of the fold whose held-out (test) tuples are
-  /// `test_rows`: the cached global sum minus the test slice's contribution,
-  /// with compensation carried through the subtraction. O(|test_rows| · d²).
+  /// `test_rows`: the cached global sum minus the test slice, exactly.
+  /// O(|test_rows| · d²).
   opt::QuadraticModel TrainObjectiveForFold(
       const std::vector<size_t>& test_rows) const;
 
  private:
   ObjectiveAccumulator() = default;
 
-  // Flat compensated coefficient layout — see the shared primitives above.
-  size_t num_coefficients() const { return NumObjectiveCoefficients(dim_); }
-
-  // Adds tuple `row`'s contribution into the (sum, comp) arrays.
-  void AccumulateTuple(size_t row, std::vector<double>& sum,
-                       std::vector<double>& comp) const;
-
-  // Adds one full batch of kCompensatedBatch tuples (the shared
-  // batch-assembly + kernel dispatch used by both accumulation orders).
-  void AccumulateBatch(const size_t* rows, std::vector<double>& sum,
-                       std::vector<double>& comp) const;
-
-  // Adds rows [begin, end) in order, batching tuples through the blocked
-  // kernel when enabled (bit-identical to row-at-a-time accumulation).
-  void AccumulateRange(size_t begin, size_t end, std::vector<double>& sum,
-                       std::vector<double>& comp) const;
-
-  // Same for an arbitrary row-index list (fold slices).
-  void AccumulateList(const std::vector<size_t>& rows,
-                      std::vector<double>& sum,
-                      std::vector<double>& comp) const;
+  // Adds (or subtracts) the tuples at `rows` into *sum.
+  void AddRows(const std::vector<size_t>& rows, bool subtract,
+               ExactObjectiveSum* sum) const;
 
   const data::RegressionDataset* dataset_ = nullptr;
   ObjectiveKind kind_ = ObjectiveKind::kLinear;
-  size_t dim_ = 0;
-  std::vector<double> sum_;   // compensated global coefficient sums
-  std::vector<double> comp_;  // their Neumaier compensation terms
+  ExactObjectiveSum sum_;  // the dataset-global sum
 };
 
 }  // namespace fm::core

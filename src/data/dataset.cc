@@ -37,8 +37,9 @@ bool RegressionDataset::SatisfiesNormalizationContract(double tol) const {
   for (size_t i = 0; i < x.rows(); ++i) {
     double ssq = 0.0;
     for (size_t j = 0; j < x.cols(); ++j) ssq += x(i, j) * x(i, j);
-    if (std::sqrt(ssq) > 1.0 + tol) return false;
-    if (y[i] < -1.0 - tol || y[i] > 1.0 + tol) return false;
+    // Negated comparisons, so a NaN feature or label fails them too.
+    if (!(std::sqrt(ssq) <= 1.0 + tol)) return false;
+    if (!(y[i] >= -1.0 - tol && y[i] <= 1.0 + tol)) return false;
   }
   return true;
 }

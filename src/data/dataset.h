@@ -35,8 +35,9 @@ struct RegressionDataset {
   /// [0, 1].
   RegressionDataset Sample(double rate, Rng& rng) const;
 
-  /// Checks the §3 invariants: every ‖x_i‖ ≤ 1 + tol and every y within
-  /// [−1−tol, 1+tol]. Used by tests and debug assertions.
+  /// Checks the §3 invariants: every value finite, every ‖x_i‖ ≤ 1 + tol
+  /// and every y within [−1−tol, 1+tol]. Guards the paths whose sums rely
+  /// on the bound (core::ObjectiveAccumulator::Build aborts without it).
   bool SatisfiesNormalizationContract(double tol = 1e-9) const;
 };
 

@@ -37,8 +37,9 @@ struct CvOptions {
   /// for the whole dataset and each fold's training objective is the global
   /// sum minus its held-out slice, instead of k re-summations per repeat.
   /// Purely an evaluation-loop optimization — the derived objectives match
-  /// direct construction to ≤1 ulp per coefficient (compensated sums), and
-  /// output remains byte-identical across thread counts either way.
+  /// direct construction to ≤1 ulp per coefficient (an exact sum, rounded
+  /// once), and output remains byte-identical across thread counts either
+  /// way.
   bool use_objective_cache = DefaultObjectiveCacheEnabled();
 };
 

@@ -1,7 +1,7 @@
 #include "linalg/kernels.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstring>
 #include <vector>
 
 // The Ref* implementations are the deterministic anchor and the perf
@@ -15,21 +15,6 @@
 #endif
 
 namespace fm::linalg::kernels {
-
-namespace {
-
-// Neumaier compensated add, branch form — shared by scalar reference paths.
-inline void CompensatedAddScalar(double& sum, double& comp, double v) {
-  const double t = sum + v;
-  if (std::fabs(sum) >= std::fabs(v)) {
-    comp += (sum - t) + v;
-  } else {
-    comp += (v - t) + sum;
-  }
-  sum = t;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // SYRK upper: C(j,l) += Σ_r X(r,j)·X(r,l), l ≥ j.
@@ -214,139 +199,148 @@ void RefMatVec(const double* a, size_t lda, size_t rows, size_t cols,
 }
 
 // ---------------------------------------------------------------------------
-// Compensated per-tuple objective contribution
+// Exact fixed-point per-tuple objective contribution
 // ---------------------------------------------------------------------------
-
-void CompensatedTupleUpdate(double* __restrict sum, double* __restrict comp,
-                            const double* __restrict x, size_t d,
-                            double m_scale, double alpha_bias, double beta) {
-  // Two long contiguous passes instead of d short triangle rows: first
-  // materialize the tuple's coefficient contributions into a flat scratch
-  // panel, then apply one branchless Neumaier sweep over the whole span.
-  // Compensated adds to distinct coefficients are independent, and both
-  // arms of the select evaluate the same expressions as the reference's
-  // if/else, so the result is bit-identical to RefCompensatedTupleUpdate —
-  // the restructuring only exists so the compiler can vectorize.
-  const size_t ncoef = d * (d + 1) / 2 + d + 1;
-  static thread_local std::vector<double> scratch;
-  if (scratch.size() < ncoef) scratch.resize(ncoef);
-  double* __restrict v = scratch.data();
-  size_t idx = 0;
-  for (size_t i = 0; i < d; ++i) {
-    const double xi = m_scale * x[i];
-    const double* __restrict xs = x + i;
-    double* __restrict out = v + idx;
-    const size_t len = d - i;
-    for (size_t j = 0; j < len; ++j) out[j] = xi * xs[j];
-    idx += len;
-  }
-  for (size_t j = 0; j < d; ++j) v[idx + j] = alpha_bias * x[j];
-  v[idx + d] = beta;
-
-  for (size_t t = 0; t < ncoef; ++t) {
-    // Knuth's branch-free TwoSum. Like the reference's Neumaier branch it
-    // produces the EXACT rounding error of st + vt (a representable
-    // double), so comp receives bit-identical increments — it just needs
-    // no magnitude comparison, which lets the loop vectorize.
-    const double vt = v[t];
-    const double st = sum[t];
-    const double total = st + vt;
-    const double z = total - st;
-    comp[t] += (st - (total - z)) + (vt - z);
-    sum[t] = total;
-  }
-}
 
 namespace {
 
-// One coefficient span: (sum, comp)[j] ⊕= w_r · x_r[j] for the kB tuples,
-// chained in tuple order. Compensation stays PER TUPLE (batching a plain
-// partial first would forfeit the fold cache's ≤1-ulp guarantee on
-// near-cancelling α coefficients) via branch-free TwoSum; the r loop has a
-// constant trip count, so it unrolls and the j loop vectorizes. Fusing the
-// product into the chain keeps everything in registers — no scratch panel.
-inline void CompensatedSpanUpdate(double* __restrict sum,
-                                  double* __restrict comp,
-                                  const double* const* __restrict xrows,
-                                  const double* __restrict w, size_t len) {
-  for (size_t j = 0; j < len; ++j) {
-    double st = sum[j];
-    double ct = comp[j];
-    for (size_t r = 0; r < kCompensatedBatch; ++r) {
-      const double vt = w[r] * xrows[r][j];
-      const double total = st + vt;
-      const double z = total - st;
-      ct += (st - (total - z)) + (vt - z);
-      st = total;
+// Rounding by magic addition: for |t| ≤ 2¹⁹, t + 1.5·2²⁰ lies in
+// [2²⁰, 2²¹], where doubles are spaced 2⁻³² apart, so the add rounds t to a
+// multiple of 2⁻³² (to nearest, ties to even) and the difference of the two
+// bit patterns is that multiple, RN(t·2³²). The remainder r = t − RN(t)
+// is exact with |r| ≤ 2⁻³³, and r + 1.5·2⁻³⁰ lies in a binade spaced 2⁻⁸²
+// apart, which gives RN(r·2⁸²) the same way. No scaling multiply is needed.
+constexpr double kHiMagic = 0x1.8p20;
+constexpr double kLoMagic = 0x1.8p-30;
+static_assert(kHiMagic == 1.5 * (uint64_t{1} << (52 - kExactHiBits)));
+static_assert(kLoMagic * (uint64_t{1} << (kExactHiBits + kExactLoBits - 52)) ==
+              1.5);
+
+inline uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// Adds the split of t to one coefficient's words. The words are
+// two's-complement integers; unsigned arithmetic makes the wraparound of
+// the intermediate bit-pattern sums well defined.
+inline void SplitAdd(double t, int64_t* hi, int64_t* lo) {
+  const double s = t + kHiMagic;
+  const double s2 = (t - (s - kHiMagic)) + kLoMagic;
+  *hi = static_cast<int64_t>(static_cast<uint64_t>(*hi) +
+                             (Bits(s) - Bits(kHiMagic)));
+  *lo = static_cast<int64_t>(static_cast<uint64_t>(*lo) +
+                             (Bits(s2) - Bits(kLoMagic)));
+}
+
+// Two lanes. GCC and Clang lower these to SSE2 on x86-64 and to plain
+// scalar code on targets without vectors.
+typedef double V2d __attribute__((vector_size(16)));
+typedef uint64_t V2u __attribute__((vector_size(16)));
+
+inline V2d LoadV2d(const double* p) {
+  V2d v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+inline V2u LoadV2u(const int64_t* p) {
+  V2u v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+inline void StoreV2u(int64_t* p, V2u v) { std::memcpy(p, &v, sizeof(v)); }
+inline V2u AsBits(V2d v) {
+  V2u bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// One coefficient span: words[j] += Σ_r split(w[r]·xrows[r][j]) for j < len.
+// Pairs of coefficients go through the vector path with the four tuples
+// chained in registers, and the magic-number bias of all four is removed
+// once per pair; an odd span ends in one scalar coefficient, which costs
+// the same as a vector step, so short triangle rows pay no tail loop.
+inline void ExactSpanAccumulate(int64_t* __restrict hi,
+                                int64_t* __restrict lo,
+                                const double* const* __restrict xrows,
+                                const double* __restrict w, size_t len) {
+  const V2d hi_magic = {kHiMagic, kHiMagic};
+  const V2d lo_magic = {kLoMagic, kLoMagic};
+  // kExactBatch copies of each bias; the products wrap, exactly.
+  const uint64_t hi_bias = kExactBatch * Bits(kHiMagic);
+  const uint64_t lo_bias = kExactBatch * Bits(kLoMagic);
+  const V2u hi_biases = {hi_bias, hi_bias};
+  const V2u lo_biases = {lo_bias, lo_bias};
+  V2d wv[kExactBatch];
+  for (size_t r = 0; r < kExactBatch; ++r) wv[r] = V2d{w[r], w[r]};
+  size_t j = 0;
+  for (; j + 2 <= len; j += 2) {
+    V2u h = LoadV2u(hi + j);
+    V2u l = LoadV2u(lo + j);
+    for (size_t r = 0; r < kExactBatch; ++r) {
+      const V2d t = wv[r] * LoadV2d(xrows[r] + j);
+      const V2d s = t + hi_magic;
+      const V2d s2 = (t - (s - hi_magic)) + lo_magic;
+      h += AsBits(s);
+      l += AsBits(s2);
     }
-    sum[j] = st;
-    comp[j] = ct;
+    StoreV2u(hi + j, h - hi_biases);
+    StoreV2u(lo + j, l - lo_biases);
+  }
+  if (j < len) {
+    for (size_t r = 0; r < kExactBatch; ++r) {
+      SplitAdd(w[r] * xrows[r][j], hi + j, lo + j);
+    }
   }
 }
 
 }  // namespace
 
-void CompensatedTupleUpdateBatch(double* __restrict sum,
-                                 double* __restrict comp,
-                                 const double* const* xs, size_t d,
-                                 double m_scale, const double* alpha_bias,
-                                 const double* beta) {
-  constexpr size_t kB = kCompensatedBatch;
+void ExactTupleAccumulateBatch(int64_t* __restrict hi_words,
+                               int64_t* __restrict lo_words,
+                               const double* const* xs, size_t d,
+                               double m_scale, const double* alpha_bias,
+                               const double* beta) {
+  constexpr size_t kB = kExactBatch;
   size_t idx = 0;
   for (size_t i = 0; i < d; ++i) {
-    double xi[kB];
+    double w[kB];
     const double* xrows[kB];
     for (size_t r = 0; r < kB; ++r) {
-      xi[r] = m_scale * xs[r][i];
+      w[r] = m_scale * xs[r][i];
       xrows[r] = xs[r] + i;
     }
-    const size_t len = d - i;
-    CompensatedSpanUpdate(sum + idx, comp + idx, xrows, xi, len);
-    idx += len;
+    ExactSpanAccumulate(hi_words + idx, lo_words + idx, xrows, w, d - i);
+    idx += d - i;
   }
-  CompensatedSpanUpdate(sum + idx, comp + idx, xs, alpha_bias, d);
+  ExactSpanAccumulate(hi_words + idx, lo_words + idx, xs, alpha_bias, d);
   idx += d;
-  double st = sum[idx];
-  double ct = comp[idx];
   for (size_t r = 0; r < kB; ++r) {
-    const double total = st + beta[r];
-    const double z = total - st;
-    ct += (st - (total - z)) + (beta[r] - z);
-    st = total;
-  }
-  sum[idx] = st;
-  comp[idx] = ct;
-}
-
-FM_SCALAR_REF
-void RefCompensatedTupleUpdateBatch(double* __restrict sum,
-                                    double* __restrict comp,
-                                    const double* const* xs, size_t d,
-                                    double m_scale, const double* alpha_bias,
-                                    const double* beta) {
-  for (size_t r = 0; r < kCompensatedBatch; ++r) {
-    RefCompensatedTupleUpdate(sum, comp, xs[r], d, m_scale, alpha_bias[r],
-                              beta[r]);
+    SplitAdd(beta[r], hi_words + idx, lo_words + idx);
   }
 }
 
 FM_SCALAR_REF
-void RefCompensatedTupleUpdate(double* __restrict sum,
-                               double* __restrict comp,
-                               const double* __restrict x, size_t d,
-                               double m_scale, double alpha_bias,
-                               double beta) {
-  size_t idx = 0;
-  for (size_t i = 0; i < d; ++i) {
-    const double xi = m_scale * x[i];
-    for (size_t j = i; j < d; ++j, ++idx) {
-      CompensatedAddScalar(sum[idx], comp[idx], xi * x[j]);
+void RefExactTupleAccumulateBatch(int64_t* __restrict hi_words,
+                                  int64_t* __restrict lo_words,
+                                  const double* const* xs, size_t d,
+                                  double m_scale, const double* alpha_bias,
+                                  const double* beta) {
+  for (size_t r = 0; r < kExactBatch; ++r) {
+    const double* x = xs[r];
+    size_t idx = 0;
+    for (size_t i = 0; i < d; ++i) {
+      const double xi = m_scale * x[i];
+      for (size_t j = i; j < d; ++j, ++idx) {
+        SplitAdd(xi * x[j], hi_words + idx, lo_words + idx);
+      }
     }
+    for (size_t j = 0; j < d; ++j, ++idx) {
+      SplitAdd(alpha_bias[r] * x[j], hi_words + idx, lo_words + idx);
+    }
+    SplitAdd(beta[r], hi_words + idx, lo_words + idx);
   }
-  for (size_t j = 0; j < d; ++j, ++idx) {
-    CompensatedAddScalar(sum[idx], comp[idx], alpha_bias * x[j]);
-  }
-  CompensatedAddScalar(sum[idx], comp[idx], beta);
 }
 
 }  // namespace fm::linalg::kernels

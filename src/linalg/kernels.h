@@ -2,11 +2,12 @@
 #define FM_LINALG_KERNELS_H_
 
 #include <cstddef>
+#include <cstdint>
 
 namespace fm::linalg::kernels {
 
 /// Cache-blocked, SIMD-friendly micro-kernels behind every linalg hot path
-/// (rank-k symmetric updates, matvec, compensated accumulation), plus a
+/// (rank-k symmetric updates, matvec, exact objective accumulation), plus a
 /// scalar reference (`Ref*`) implementation of each.
 ///
 /// ## Determinism contract (bit-identity)
@@ -28,12 +29,10 @@ namespace fm::linalg::kernels {
 ///   (never split into SIMD partial sums, which would reassociate). The
 ///   blocked kernels gain throughput from instruction-level parallelism
 ///   *across* independent rows, not from splitting any single reduction.
-/// - **Compensated accumulation** (ObjectiveAccumulator): the blocked
-///   kernel replaces Neumaier's branch with Knuth's branch-free TwoSum.
-///   Both compute the *exact* rounding error of `sum + v` (a representable
-///   double), so the increment fed to the compensation term is
-///   bit-identical — TwoSum just has no magnitude comparison, which lets
-///   the sweep vectorize.
+/// - **Exact accumulation** (core::ExactObjectiveSum): each term is split
+///   into two integers by the same scalar operations in both kernels, and
+///   integers add exactly, so the blocked kernel is free to batch tuples
+///   and vectorize across coefficients without any summation order.
 ///
 /// The build compiles with `-ffp-contract=off` (see CMakeLists.txt), so the
 /// compiler cannot fuse a multiply into an add in one kernel but not the
@@ -87,50 +86,61 @@ void RefMatVec(const double* a, size_t lda, size_t rows, size_t cols,
                const double* __restrict x, double* __restrict y);
 
 // ---------------------------------------------------------------------------
-// Compensated (Neumaier) per-tuple objective contribution — the
-// ObjectiveAccumulator hot loop. Updates the flat coefficient layout
-// [M upper triangle (d(d+1)/2), α (d), β (1)]:
+// Exact fixed-point per-tuple objective contribution — the hot loop of
+// core::ExactObjectiveSum (the fold cache and the serving store). The flat
+// coefficient layout is [M upper triangle (d(d+1)/2), α (d), β (1)], and
+// tuple r contributes the terms
 //
-//   triangle  : (sum,comp)[idx] ⊕= (m_scale·x[i])·x[j]   (j ≥ i, row-major)
-//   α         : (sum,comp)[idx] ⊕= alpha_bias·x[j]
-//   β         : (sum,comp)[idx] ⊕= beta
+//   triangle : (m_scale·x_r[i])·x_r[j]   (j ≥ i, row-major)
+//   α        : alpha_bias[r]·x_r[j]
+//   β        : beta[r]
 //
-// where ⊕= is a Neumaier compensated add. Per-tuple compensation is what
-// upholds the ≤1-ulp fold-derivation guarantee documented in
-// core/objective_accumulator.h, so the kernel keeps it; the blocked version
-// wins by evaluating the compensation branchlessly over the contiguous
-// coefficient span (SIMD-able), not by batching rows into plain sums.
+// Each term t is split, as a function of t alone, into two integers in
+// units of 2⁻³² and 2⁻⁸²:
+//
+//   hi = RN(t·2³²),   lo = RN((t − hi·2⁻³²)·2⁸²),
+//
+// so t = hi·2⁻³² + lo·2⁻⁸² with an error of at most 2⁻⁸³. Both roundings
+// are magic-number additions (t + 1.5·2²⁰, then r + 1.5·2⁻³⁰ on the exact
+// remainder r), read back from the bit patterns, so the split needs
+// round-to-nearest, no contraction (-ffp-contract=off) and |t| ≤ 2¹⁹. The
+// kernel adds hi into hi_words[idx] and lo into lo_words[idx]. Integer
+// addition is exact and commutative, so the words depend only on the
+// multiset of terms added: batching, order and vector width cannot change
+// a bit.
+//
+// Range: the caller guarantees |t| < 4, which the §3 normalization contract
+// gives (‖x‖₂ ≤ 1, |y| ≤ 1). Then |hi| ≤ 2³⁴ and |lo| ≤ 2⁴⁹, so words that
+// start at zero cannot overflow within kExactChunkTuples tuples; the caller
+// folds them into a wider sum before that.
 // ---------------------------------------------------------------------------
-void CompensatedTupleUpdate(double* __restrict sum, double* __restrict comp,
-                            const double* __restrict x, size_t d,
-                            double m_scale, double alpha_bias, double beta);
-void RefCompensatedTupleUpdate(double* __restrict sum,
-                               double* __restrict comp,
-                               const double* __restrict x, size_t d,
-                               double m_scale, double alpha_bias, double beta);
 
-/// Number of tuples the batch kernels consume per call.
-inline constexpr size_t kCompensatedBatch = 4;
+/// Number of tuples the batch kernel consumes per call.
+inline constexpr size_t kExactBatch = 4;
 
-/// Applies kCompensatedBatch consecutive tuple contributions in one sweep:
-/// per coefficient, the four compensated adds are chained in tuple order in
-/// registers, so the (sum, comp) stream is loaded and stored once instead
-/// of four times. Compensation stays PER TUPLE — batching plain partials
-/// first would forfeit the fold cache's ≤1-ulp guarantee on
-/// near-cancelling α coefficients — so the per-coefficient operation
-/// sequence is exactly four single-tuple updates, bit-identical to four
-/// CompensatedTupleUpdate calls in the same order (the reference batch is
-/// literally that loop).
-void CompensatedTupleUpdateBatch(double* __restrict sum,
-                                 double* __restrict comp,
-                                 const double* const* xs, size_t d,
-                                 double m_scale, const double* alpha_bias,
-                                 const double* beta);
-void RefCompensatedTupleUpdateBatch(double* __restrict sum,
-                                    double* __restrict comp,
-                                    const double* const* xs, size_t d,
-                                    double m_scale, const double* alpha_bias,
-                                    const double* beta);
+/// Tuples a set of zeroed chunk words can absorb without overflow.
+inline constexpr size_t kExactChunkTuples = 1024;
+
+/// Units of the two chunk words, as binary exponents: a coefficient's value
+/// is hi·2^-kExactHiBits + lo·2^-(kExactHiBits + kExactLoBits), so one hi
+/// unit is 2^kExactLoBits lo units.
+inline constexpr int kExactHiBits = 32;
+inline constexpr int kExactLoBits = 50;
+
+/// Adds the split terms of kExactBatch tuples to the chunk words. The
+/// blocked kernel sweeps each coefficient span two lanes at a time, with
+/// the four tuples chained in registers, so the words are loaded and stored
+/// once per batch.
+void ExactTupleAccumulateBatch(int64_t* __restrict hi_words,
+                               int64_t* __restrict lo_words,
+                               const double* const* xs, size_t d,
+                               double m_scale, const double* alpha_bias,
+                               const double* beta);
+void RefExactTupleAccumulateBatch(int64_t* __restrict hi_words,
+                                  int64_t* __restrict lo_words,
+                                  const double* const* xs, size_t d,
+                                  double m_scale, const double* alpha_bias,
+                                  const double* beta);
 
 }  // namespace fm::linalg::kernels
 

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "exec/parallel.h"
-#include "linalg/kernels.h"
 
 namespace fm::serve {
 
@@ -13,6 +11,12 @@ namespace {
 
 // Matches data::RegressionDataset::SatisfiesNormalizationContract.
 constexpr double kContractTolerance = 1e-9;
+
+// Number of chunks of at most kObjectiveShardRows entries that n entries
+// fill.
+size_t ChunkCount(size_t n) {
+  return (n + core::kObjectiveShardRows - 1) / core::kObjectiveShardRows;
+}
 
 // Releases a vector's excess capacity after it has been trimmed: the
 // shrink-to-fit swap idiom, spelled out so compaction provably returns
@@ -27,7 +31,7 @@ void ReleaseExcessCapacity(std::vector<T>& v) {
 
 IncrementalObjective::IncrementalObjective(size_t dim,
                                            core::ObjectiveKind kind)
-    : dim_(dim), kind_(kind) {}
+    : dim_(dim), kind_(kind), sum_(dim) {}
 
 Status IncrementalObjective::ValidateTuple(const double* x, size_t dim,
                                            double y) const {
@@ -69,13 +73,30 @@ Status IncrementalObjective::ValidateTuple(const double* x, size_t dim,
 }
 
 Result<size_t> IncrementalObjective::FindLiveSlot(TupleId id) const {
-  const auto it =
-      std::lower_bound(slot_to_id_.begin(), slot_to_id_.end(), id);
-  if (it == slot_to_id_.end() || *it != id) {
+  if (slot_to_id_.empty() || id < slot_to_id_.front() ||
+      id > slot_to_id_.back()) {
+    return Status::NotFound("no live tuple with id " + std::to_string(id));
+  }
+  // Ids are strictly increasing integers, so the slot holding `id` is at
+  // most id − front slots after the first and at most back − id slots
+  // before the last. Until a compaction drops ids, the table has no gaps
+  // and this window is the one slot; afterwards it is at most as wide as
+  // the number of ids compacted away. The window's last id is ≥ id, so the
+  // search never returns its end.
+  const size_t last_slot = slot_to_id_.size() - 1;
+  const size_t begin =
+      last_slot -
+      static_cast<size_t>(std::min<uint64_t>(last_slot,
+                                             slot_to_id_.back() - id));
+  const size_t end = 1 + static_cast<size_t>(std::min<uint64_t>(
+                             last_slot, id - slot_to_id_.front()));
+  const auto it = std::lower_bound(slot_to_id_.begin() + begin,
+                                   slot_to_id_.begin() + end, id);
+  if (*it != id) {
     return Status::NotFound("no live tuple with id " + std::to_string(id));
   }
   const size_t slot = static_cast<size_t>(it - slot_to_id_.begin());
-  if (!live_[slot]) {
+  if (state_[slot] == kDead) {
     return Status::NotFound("no live tuple with id " + std::to_string(id));
   }
   return slot;
@@ -85,46 +106,34 @@ bool IncrementalObjective::Contains(TupleId id) const {
   return FindLiveSlot(id).ok();
 }
 
-size_t IncrementalObjective::live_shards() const {
-  size_t count = 0;
-  for (const uint32_t live : shard_live_) count += live > 0 ? 1 : 0;
-  return count;
-}
-
 size_t IncrementalObjective::AppendTuple(const double* x, double y) {
   const size_t slot = ys_.size();
   xs_.insert(xs_.end(), x, x + dim_);
   ys_.push_back(y);
-  live_.push_back(1);
+  state_.push_back(kDead);
   slot_to_id_.push_back(next_id_++);
   ++live_count_;
-  const size_t shard = slot / core::kObjectiveShardRows;
-  if (shard >= shard_sums_.size()) {
-    shard_sums_.emplace_back(num_coefficients(), 0.0);
-    shard_comps_.emplace_back(num_coefficients(), 0.0);
-    shard_live_.push_back(0);
-    shard_stale_.push_back(0);
-  }
-  ++shard_live_[shard];
+  MarkPendingAdd(slot);
   return slot;
+}
+
+void IncrementalObjective::MarkPendingAdd(size_t slot) {
+  if (state_[slot] == kPendingAdd) return;
+  state_[slot] = kPendingAdd;
+  ++pending_add_count_;
+  if (slot < pending_from_) updated_slots_.push_back(slot);
+}
+
+void IncrementalObjective::RetireSummedValues(size_t slot) {
+  const double* x = xs_.data() + slot * dim_;
+  pending_sub_xs_.insert(pending_sub_xs_.end(), x, x + dim_);
+  pending_sub_ys_.push_back(ys_[slot]);
 }
 
 Result<TupleId> IncrementalObjective::Insert(const double* x, size_t dim,
                                              double y) {
   FM_RETURN_NOT_OK(ValidateTuple(x, dim, y));
-  const size_t slot = AppendTuple(x, y);
-  const size_t shard = slot / core::kObjectiveShardRows;
-  // Appending this tuple's compensated contribution is exactly the next
-  // step of a from-scratch in-order accumulation of the shard's live slots
-  // (the batch kernels are bit-identical to single-tuple calls in the same
-  // order), so the class invariant is preserved bitwise. A stale shard is
-  // left alone: its re-sum covers the new slot.
-  if (!shard_stale_[shard]) {
-    core::AccumulateTupleContribution(kind_, xs_.data() + slot * dim_, dim_,
-                                      ys_[slot], shard_sums_[shard].data(),
-                                      shard_comps_[shard].data());
-  }
-  return slot_to_id_[slot];
+  return slot_to_id_[AppendTuple(x, y)];
 }
 
 Result<TupleId> IncrementalObjective::Insert(const linalg::Vector& x,
@@ -134,9 +143,6 @@ Result<TupleId> IncrementalObjective::Insert(const linalg::Vector& x,
 
 Result<TupleId> IncrementalObjective::InsertBatch(
     const data::RegressionDataset& tuples, exec::ThreadPool* pool) {
-  // Rejecting the empty batch first keeps the error path obvious and
-  // guarantees the ys_.size() - 1 shard arithmetic below always runs on a
-  // non-empty store.
   if (tuples.size() == 0) {
     return Status::InvalidArgument("empty insert batch");
   }
@@ -149,120 +155,37 @@ Result<TupleId> IncrementalObjective::InsertBatch(
                                        status.message());
     }
   }
-
   const size_t first = ys_.size();
   for (size_t i = 0; i < tuples.size(); ++i) {
     AppendTuple(tuples.x.Row(i), tuples.y[i]);
   }
-  // The new slots span a contiguous shard range; each affected shard's
-  // partials gain its new slots' contributions in slot order, which is the
-  // same per-shard operation sequence the serial Insert loop performs —
-  // shards are independent, so running them concurrently cannot change a
-  // bit, for any pool size. Stale shards are skipped, as in Insert.
-  const size_t first_shard = first / core::kObjectiveShardRows;
-  const size_t last_shard = (ys_.size() - 1) / core::kObjectiveShardRows;
-  exec::ParallelFor(
-      last_shard - first_shard + 1,
-      [&](size_t i) {
-        const size_t shard = first_shard + i;
-        if (shard_stale_[shard]) return;
-        const size_t shard_begin = shard * core::kObjectiveShardRows;
-        const size_t begin = std::max<size_t>(first, shard_begin);
-        const size_t end = std::min<size_t>(
-            ys_.size(), shard_begin + core::kObjectiveShardRows);
-        AccumulateSlotRange(begin, end, shard_sums_[shard].data(),
-                            shard_comps_[shard].data());
-      },
-      pool != nullptr ? *pool : exec::ThreadPool::Global());
+  // A bulk load (a bootstrap, say) sums its rows now, on its own pool; a
+  // short run leaves them to the next Objective().
+  if (tuples.size() >= core::kObjectiveShardRows) ApplyPending(pool);
   return slot_to_id_[first];
-}
-
-void IncrementalObjective::AccumulateSlotRange(size_t begin, size_t end,
-                                               double* sum,
-                                               double* comp) const {
-  constexpr size_t kB = linalg::kernels::kCompensatedBatch;
-  const double* batch_xs[kB];
-  double batch_ys[kB];
-  size_t filled = 0;
-  for (size_t slot = begin; slot < end; ++slot) {
-    if (!live_[slot]) continue;
-    batch_xs[filled] = xs_.data() + slot * dim_;
-    batch_ys[filled] = ys_[slot];
-    if (++filled == kB) {
-      core::AccumulateTupleContributionBatch(kind_, batch_xs, dim_, batch_ys,
-                                             sum, comp);
-      filled = 0;
-    }
-  }
-  for (size_t r = 0; r < filled; ++r) {
-    core::AccumulateTupleContribution(kind_, batch_xs[r], dim_, batch_ys[r],
-                                      sum, comp);
-  }
-}
-
-void IncrementalObjective::AccumulateShardSlots(size_t shard, double* sum,
-                                                double* comp) const {
-  const size_t begin = shard * core::kObjectiveShardRows;
-  const size_t end =
-      std::min<size_t>(ys_.size(), begin + core::kObjectiveShardRows);
-  AccumulateSlotRange(begin, end, sum, comp);
-}
-
-void IncrementalObjective::MarkStale(size_t shard) {
-  if (shard_stale_[shard]) return;  // partials already zeroed
-  // Per-shard recompute (not compensated subtraction), deferred: zeroing
-  // drops every old contribution at once, and the next Objective() re-sums
-  // the shard from its live tuples, restoring the invariant bitwise — see
-  // the class comment and docs/DETERMINISM.md.
-  std::fill(shard_sums_[shard].begin(), shard_sums_[shard].end(), 0.0);
-  std::fill(shard_comps_[shard].begin(), shard_comps_[shard].end(), 0.0);
-  shard_stale_[shard] = 1;
-}
-
-void IncrementalObjective::RefreshStaleShards(exec::ThreadPool* pool) {
-  std::vector<size_t> stale;
-  for (size_t s = 0; s < shard_stale_.size(); ++s) {
-    if (shard_stale_[s]) stale.push_back(s);
-  }
-  // A stale shard's partials are all +0.0, so accumulating its live slots
-  // is the from-scratch in-order build the invariant names — the same
-  // per-shard operation sequence RebuildFromScratch runs. Shards are
-  // independent, so no pool size can change a bit.
-  exec::ParallelFor(
-      stale.size(),
-      [&](size_t i) {
-        const size_t s = stale[i];
-        AccumulateShardSlots(s, shard_sums_[s].data(), shard_comps_[s].data());
-      },
-      pool != nullptr ? *pool : exec::ThreadPool::Global());
-  std::fill(shard_stale_.begin(), shard_stale_.end(), 0);
-}
-
-std::pair<const double*, const double*>
-IncrementalObjective::CanonicalPartials(size_t shard,
-                                        std::vector<double>* scratch) const {
-  if (!shard_stale_[shard]) {
-    return {shard_sums_[shard].data(), shard_comps_[shard].data()};
-  }
-  const size_t coefficients = num_coefficients();
-  scratch->assign(2 * coefficients, 0.0);
-  AccumulateShardSlots(shard, scratch->data(), scratch->data() + coefficients);
-  return {scratch->data(), scratch->data() + coefficients};
 }
 
 Status IncrementalObjective::Delete(TupleId id) {
   FM_ASSIGN_OR_RETURN(const size_t slot, FindLiveSlot(id));
-  live_[slot] = 0;
+  if (state_[slot] == kPendingAdd) {
+    // Never summed: dropping the pending add is the whole retirement;
+    // applying skips the dead slot.
+    --pending_add_count_;
+  } else {
+    RetireSummedValues(slot);
+  }
+  state_[slot] = kDead;
   --live_count_;
-  const size_t shard = slot / core::kObjectiveShardRows;
-  --shard_live_[shard];
   // Scrub the dead tuple's raw values — a deleted private record must not
-  // stay resident. The slot itself is retained (ids stay stable) until the
-  // next compaction physically frees it.
+  // stay resident beyond the pending subtraction that still needs it. The
+  // slot itself is retained (ids stay stable) until the next compaction
+  // physically frees it.
   std::fill(xs_.begin() + static_cast<ptrdiff_t>(slot * dim_),
             xs_.begin() + static_cast<ptrdiff_t>((slot + 1) * dim_), 0.0);
   ys_[slot] = 0.0;
-  MarkStale(shard);
+  if (pending_sub_ys_.size() >= core::kObjectiveShardRows) {
+    ApplyPendingSubtractions();
+  }
   return Status::OK();
 }
 
@@ -270,27 +193,137 @@ Status IncrementalObjective::Update(TupleId id, const double* x, size_t dim,
                                     double y) {
   FM_ASSIGN_OR_RETURN(const size_t slot, FindLiveSlot(id));
   FM_RETURN_NOT_OK(ValidateTuple(x, dim, y));
+  if (state_[slot] == kSummed) RetireSummedValues(slot);
   std::memcpy(xs_.data() + slot * dim_, x, dim_ * sizeof(double));
   ys_[slot] = y;
-  MarkStale(slot / core::kObjectiveShardRows);
+  MarkPendingAdd(slot);
+  if (pending_sub_ys_.size() >= core::kObjectiveShardRows) {
+    ApplyPendingSubtractions();
+  }
   return Status::OK();
 }
 
-size_t IncrementalObjective::Compact(exec::ThreadPool* pool) {
-  const size_t old_slots = ys_.size();
-  if (old_slots == live_count_) {
-    // Dense already. A never-holed (or freshly compacted) store is by
-    // construction in the fresh-store layout; re-summing the shards updates
-    // left stale is all that remains, and it changes no bit an observer
-    // sees — Compact() stays idempotent.
-    RefreshStaleShards(pool);
-    return 0;
+std::vector<uint8_t> IncrementalObjective::Liveness() const {
+  std::vector<uint8_t> liveness(state_.size());
+  for (size_t slot = 0; slot < state_.size(); ++slot) {
+    liveness[slot] = state_[slot] != kDead;
   }
+  return liveness;
+}
+
+size_t IncrementalObjective::PendingAddChunks() const {
+  return ChunkCount(ys_.size() - pending_from_) +
+         ChunkCount(updated_slots_.size());
+}
+
+size_t IncrementalObjective::PendingSubChunks() const {
+  return ChunkCount(pending_sub_ys_.size());
+}
+
+void IncrementalObjective::AddPendingAddChunk(
+    size_t chunk, core::ExactObjectiveSum* sum) const {
+  constexpr size_t kChunk = core::kObjectiveShardRows;
+  const double* xs[kChunk];
+  double ys[kChunk];
+  size_t count = 0;
+  const auto take = [&](size_t slot) {
+    if (state_[slot] != kPendingAdd) return;  // deleted while pending
+    xs[count] = xs_.data() + slot * dim_;
+    ys[count] = ys_[slot];
+    ++count;
+  };
+  const size_t tail_chunks = ChunkCount(ys_.size() - pending_from_);
+  if (chunk < tail_chunks) {
+    const size_t begin = pending_from_ + chunk * kChunk;
+    const size_t end = std::min(ys_.size(), begin + kChunk);
+    for (size_t slot = begin; slot < end; ++slot) take(slot);
+  } else {
+    const size_t begin = (chunk - tail_chunks) * kChunk;
+    const size_t end = std::min(updated_slots_.size(), begin + kChunk);
+    for (size_t i = begin; i < end; ++i) take(updated_slots_[i]);
+  }
+  sum->AddTuples(kind_, xs, ys, count);
+}
+
+void IncrementalObjective::SubtractPendingChunk(
+    size_t chunk, core::ExactObjectiveSum* sum) const {
+  constexpr size_t kChunk = core::kObjectiveShardRows;
+  const size_t begin = chunk * kChunk;
+  const size_t end = std::min(pending_sub_ys_.size(), begin + kChunk);
+  const double* xs[kChunk];
+  for (size_t i = begin; i < end; ++i) {
+    xs[i - begin] = pending_sub_xs_.data() + i * dim_;
+  }
+  sum->AddTuples(kind_, xs, pending_sub_ys_.data() + begin, end - begin,
+                 /*subtract=*/true);
+}
+
+void IncrementalObjective::ApplyPending(exec::ThreadPool* pool) {
+  // Not pending_tuples(): the appended tail and the update list may hold
+  // only deleted slots, and both must be reset before Compact() renumbers
+  // the slots.
+  if (pending_from_ == ys_.size() && updated_slots_.empty() &&
+      pending_sub_ys_.empty()) {
+    return;
+  }
+  // The integer sum does not care which chunk or task a tuple lands in.
+  const size_t add_chunks = PendingAddChunks();
+  core::SumChunks(
+      add_chunks + PendingSubChunks(),
+      [&](size_t c, core::ExactObjectiveSum* partial) {
+        if (c < add_chunks) {
+          AddPendingAddChunk(c, partial);
+        } else {
+          SubtractPendingChunk(c - add_chunks, partial);
+        }
+      },
+      &sum_, pool);
+  for (size_t slot = pending_from_; slot < ys_.size(); ++slot) {
+    if (state_[slot] == kPendingAdd) state_[slot] = kSummed;
+  }
+  for (const size_t slot : updated_slots_) {
+    if (state_[slot] == kPendingAdd) state_[slot] = kSummed;
+  }
+  pending_from_ = ys_.size();
+  updated_slots_.clear();
+  pending_add_count_ = 0;
+  ClearPendingSubtractions();
+}
+
+void IncrementalObjective::ClearPendingSubtractions() {
+  // Zero, not just clear: the retired values must not linger in memory.
+  std::fill(pending_sub_xs_.begin(), pending_sub_xs_.end(), 0.0);
+  std::fill(pending_sub_ys_.begin(), pending_sub_ys_.end(), 0.0);
+  pending_sub_xs_.clear();
+  pending_sub_ys_.clear();
+}
+
+void IncrementalObjective::ApplyPendingSubtractions() {
+  for (size_t c = 0; c < PendingSubChunks(); ++c) {
+    SubtractPendingChunk(c, &sum_);
+  }
+  ClearPendingSubtractions();
+}
+
+core::ExactObjectiveSum IncrementalObjective::CanonicalSum() const {
+  core::ExactObjectiveSum sum = sum_;
+  for (size_t c = 0; c < PendingAddChunks(); ++c) AddPendingAddChunk(c, &sum);
+  for (size_t c = 0; c < PendingSubChunks(); ++c) {
+    SubtractPendingChunk(c, &sum);
+  }
+  return sum;
+}
+
+size_t IncrementalObjective::Compact(exec::ThreadPool* pool) {
+  ApplyPending(pool);
+  const size_t old_slots = ys_.size();
+  if (old_slots == live_count_) return 0;
   // Slide the survivors down in slot order. Relative order is preserved, so
   // slot_to_id_ stays strictly increasing and every surviving id resolves.
+  // The sum is untouched: it depends on the live tuples, not their slots.
   size_t write = 0;
   for (size_t slot = 0; slot < old_slots; ++slot) {
-    if (!live_[slot]) continue;
+    if (state_[slot] == kDead) continue;
     if (write != slot) {
       std::memmove(xs_.data() + write * dim_, xs_.data() + slot * dim_,
                    dim_ * sizeof(double));
@@ -302,59 +335,18 @@ size_t IncrementalObjective::Compact(exec::ThreadPool* pool) {
   xs_.resize(write * dim_);
   ys_.resize(write);
   slot_to_id_.resize(write);
-  live_.assign(write, 1);
+  state_.assign(write, kSummed);
+  pending_from_ = write;
   ReleaseExcessCapacity(xs_);
   ReleaseExcessCapacity(ys_);
   ReleaseExcessCapacity(slot_to_id_);
-  ReleaseExcessCapacity(live_);
-
-  // Rebuild every shard partial from scratch over the dense layout — the
-  // same per-shard serial accumulation a fresh store fed these tuples in
-  // order would have performed (shard boundaries depend only on the slot
-  // index, and the batch kernels are bit-identical to single-tuple calls in
-  // the same order), so the post-compaction state is bit-identical to that
-  // fresh store for every pool size. Every shard starts zeroed and stale,
-  // and the stale-shard re-sum rebuilds them all.
-  const size_t shards =
-      (write + core::kObjectiveShardRows - 1) / core::kObjectiveShardRows;
-  shard_sums_.assign(shards, std::vector<double>(num_coefficients(), 0.0));
-  shard_comps_.assign(shards, std::vector<double>(num_coefficients(), 0.0));
-  shard_live_.assign(shards, 0);
-  shard_stale_.assign(shards, 1);
-  ReleaseExcessCapacity(shard_sums_);
-  ReleaseExcessCapacity(shard_comps_);
-  ReleaseExcessCapacity(shard_live_);
-  ReleaseExcessCapacity(shard_stale_);
-  for (size_t s = 0; s < shards; ++s) {
-    shard_live_[s] = static_cast<uint32_t>(
-        std::min<size_t>(write - s * core::kObjectiveShardRows,
-                         core::kObjectiveShardRows));
-  }
-  RefreshStaleShards(pool);
+  ReleaseExcessCapacity(state_);
   return old_slots - write;
 }
 
 opt::QuadraticModel IncrementalObjective::Objective(exec::ThreadPool* pool) {
-  RefreshStaleShards(pool);
-  const size_t coefficients = num_coefficients();
-  std::vector<double> sum(coefficients, 0.0);
-  std::vector<double> comp(coefficients, 0.0);
-  // Same reduction shape as ObjectiveAccumulator::Build: shard partials
-  // folded serially in shard order, compensations carried. Fully-dead
-  // shards are skipped: their partials are exact (+0.0, +0.0) pairs, and
-  // folding +0.0 through CompensatedAdd is the identity on every (sum,
-  // comp) this reduction can reach — a running sum or compensation can
-  // only be ±nonzero or +0.0 (x + y == −0.0 in round-to-nearest requires
-  // both operands −0.0, and every term starts from +0.0), and
-  // +0.0 + +0.0 == +0.0 — so the skip cannot change a bit.
-  for (size_t s = 0; s < shard_sums_.size(); ++s) {
-    if (shard_live_[s] == 0) continue;
-    for (size_t idx = 0; idx < coefficients; ++idx) {
-      core::CompensatedAdd(sum[idx], comp[idx], shard_sums_[s][idx]);
-      comp[idx] += shard_comps_[s][idx];
-    }
-  }
-  return core::RoundObjectiveCoefficients(dim_, sum.data(), comp.data());
+  ApplyPending(pool);
+  return sum_.Round();
 }
 
 data::RegressionDataset IncrementalObjective::Materialize() const {
@@ -364,7 +356,7 @@ data::RegressionDataset IncrementalObjective::Materialize() const {
   out.y = linalg::Vector(live_count_);
   size_t row = 0;
   for (size_t slot = 0; slot < ys_.size(); ++slot) {
-    if (!live_[slot]) continue;
+    if (state_[slot] == kDead) continue;
     std::memcpy(out.x.Row(row), xs_.data() + slot * dim_,
                 dim_ * sizeof(double));
     out.y[row] = ys_[slot];
@@ -378,23 +370,16 @@ IncrementalObjective IncrementalObjective::RebuildFromScratch(
   IncrementalObjective fresh(dim_, kind_);
   fresh.xs_ = xs_;
   fresh.ys_ = ys_;
-  fresh.live_ = live_;
+  fresh.state_.assign(state_.size(), kDead);
   fresh.live_count_ = live_count_;
   fresh.slot_to_id_ = slot_to_id_;
   fresh.next_id_ = next_id_;
-  fresh.shard_live_ = shard_live_;
-  fresh.shard_stale_.assign(shard_sums_.size(), 0);
-  fresh.shard_sums_.assign(shard_sums_.size(),
-                           std::vector<double>(num_coefficients(), 0.0));
-  fresh.shard_comps_.assign(shard_comps_.size(),
-                            std::vector<double>(num_coefficients(), 0.0));
-  exec::ParallelFor(
-      fresh.shard_sums_.size(),
-      [&](size_t s) {
-        fresh.AccumulateShardSlots(s, fresh.shard_sums_[s].data(),
-                                   fresh.shard_comps_[s].data());
-      },
-      pool != nullptr ? *pool : exec::ThreadPool::Global());
+  // fresh.pending_from_ is 0, so every live slot is a pending add in the
+  // appended tail.
+  for (size_t slot = 0; slot < state_.size(); ++slot) {
+    if (state_[slot] != kDead) fresh.MarkPendingAdd(slot);
+  }
+  fresh.ApplyPending(pool);
   return fresh;
 }
 
@@ -407,29 +392,16 @@ bool IncrementalObjective::StoreStateBitwiseEquals(
             std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
   };
   if (dim_ != other.dim_ || kind_ != other.kind_ ||
-      live_count_ != other.live_count_ || live_ != other.live_ ||
-      shard_live_ != other.shard_live_ ||
-      shard_sums_.size() != other.shard_sums_.size()) {
+      live_count_ != other.live_count_ || Liveness() != other.Liveness()) {
     return false;
   }
   if (!doubles_equal(xs_, other.xs_) || !doubles_equal(ys_, other.ys_)) {
     return false;
   }
-  // Canonical partials on both sides, so staleness — which decides only
-  // when a shard is re-summed — never makes equal states compare unequal.
-  const size_t bytes = num_coefficients() * sizeof(double);
-  std::vector<double> scratch;
-  std::vector<double> other_scratch;
-  for (size_t s = 0; s < shard_sums_.size(); ++s) {
-    const auto [sum, comp] = CanonicalPartials(s, &scratch);
-    const auto [other_sum, other_comp] =
-        other.CanonicalPartials(s, &other_scratch);
-    if (std::memcmp(sum, other_sum, bytes) != 0 ||
-        std::memcmp(comp, other_comp, bytes) != 0) {
-      return false;
-    }
-  }
-  return true;
+  // Canonical sums on both sides, so pending work — which decides only
+  // when a contribution is summed — never makes equal states compare
+  // unequal.
+  return CanonicalSum() == other.CanonicalSum();
 }
 
 void IncrementalObjective::SerializeTo(std::string* out) const {
@@ -437,14 +409,9 @@ void IncrementalObjective::SerializeTo(std::string* out) const {
   io::AppendU64(out, ys_.size());
   io::AppendDoubleArray(out, xs_.data(), xs_.size());
   io::AppendDoubleArray(out, ys_.data(), ys_.size());
-  io::AppendBytes(out, live_.data(), live_.size());
+  const std::vector<uint8_t> liveness = Liveness();
+  io::AppendBytes(out, liveness.data(), liveness.size());
   for (const TupleId id : slot_to_id_) io::AppendU64(out, id);
-  std::vector<double> scratch;
-  for (size_t s = 0; s < shard_sums_.size(); ++s) {
-    const auto [sum, comp] = CanonicalPartials(s, &scratch);
-    io::AppendDoubleArray(out, sum, num_coefficients());
-    io::AppendDoubleArray(out, comp, num_coefficients());
-  }
 }
 
 Status IncrementalObjective::RestoreFrom(io::ByteReader& reader) {
@@ -455,20 +422,38 @@ Status IncrementalObjective::RestoreFrom(io::ByteReader& reader) {
   const size_t slot_count = static_cast<size_t>(slots);
   FM_RETURN_NOT_OK(reader.ReadDoubleArray(&xs_, slot_count * dim_));
   FM_RETURN_NOT_OK(reader.ReadDoubleArray(&ys_, slot_count));
-  live_.resize(slot_count);
-  FM_RETURN_NOT_OK(reader.ReadBytes(live_.data(), slot_count));
-  // The live count and the per-shard live counts are derived from the
-  // liveness bytes, the shard count from the slot count.
-  const size_t shards =
-      (slot_count + core::kObjectiveShardRows - 1) / core::kObjectiveShardRows;
-  shard_live_.assign(shards, 0);
+  state_.resize(slot_count);
+  FM_RETURN_NOT_OK(reader.ReadBytes(state_.data(), slot_count));
+  // The sum is derived from these tuples, so they must mean what the store
+  // would have accepted: a live tuple satisfies the §3 contract, and a dead
+  // slot was scrubbed to +0.0 bytes.
   live_count_ = 0;
+  pending_from_ = 0;  // every live slot is a pending add in the tail
+  updated_slots_.clear();
+  pending_add_count_ = 0;
   for (size_t slot = 0; slot < slot_count; ++slot) {
-    if (live_[slot] > 1) {
+    const double* x = xs_.data() + slot * dim_;
+    if (state_[slot] > 1) {
       return Status::IoError("snapshot liveness byte is neither 0 nor 1");
     }
-    shard_live_[slot / core::kObjectiveShardRows] += live_[slot];
-    live_count_ += live_[slot];
+    if (state_[slot] != kDead) {
+      if (!ValidateTuple(x, dim_, ys_[slot]).ok()) {
+        return Status::IoError(
+            "snapshot live tuple violates the §3 normalization contract");
+      }
+      ++live_count_;
+      state_[slot] = kDead;  // MarkPendingAdd sets the state
+      MarkPendingAdd(slot);
+      continue;
+    }
+    const auto scrubbed = [](double v) {
+      uint64_t bits;
+      std::memcpy(&bits, &v, sizeof(bits));
+      return bits == 0;
+    };
+    if (!std::all_of(x, x + dim_, scrubbed) || !scrubbed(ys_[slot])) {
+      return Status::IoError("snapshot dead slot holds nonzero bytes");
+    }
   }
   slot_to_id_.resize(slot_count);
   for (size_t i = 0; i < slot_count; ++i) {
@@ -482,15 +467,8 @@ Status IncrementalObjective::RestoreFrom(io::ByteReader& reader) {
         "snapshot next id does not exceed every id in its table");
   }
   next_id_ = next_id;
-  shard_sums_.resize(shards);
-  shard_comps_.resize(shards);
-  shard_stale_.assign(shards, 0);
-  for (size_t s = 0; s < shards; ++s) {
-    FM_RETURN_NOT_OK(
-        reader.ReadDoubleArray(&shard_sums_[s], num_coefficients()));
-    FM_RETURN_NOT_OK(
-        reader.ReadDoubleArray(&shard_comps_[s], num_coefficients()));
-  }
+  sum_ = core::ExactObjectiveSum(dim_);
+  ClearPendingSubtractions();
   return Status::OK();
 }
 

@@ -2,7 +2,7 @@
 #define FM_SERVE_INCREMENTAL_OBJECTIVE_H_
 
 #include <cstdint>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "common/io_util.h"
@@ -29,13 +29,7 @@ using TupleId = uint64_t;
 /// store whose §4.2 / §5.3 quadratic objective is maintained incrementally
 /// under INSERT / DELETE / UPDATE — the serving layer's answer to the
 /// paper's central structural fact that both FM objectives are plain sums of
-/// per-tuple contributions. An insert is an O(d²) compensated delta; a
-/// delete or update is O(log n + d²) and marks its 1024-row shard stale;
-/// deriving the current objective re-sums each stale shard once, in
-/// parallel, then folds in O(live shards · d²) — so a continuously-updated
-/// private model never pays the O(n · d²) full re-summation that an offline
-/// rebuild would, and the deletes between two trains cost one re-sum per
-/// touched shard, not one per delete.
+/// per-tuple contributions.
 ///
 /// State model. Every inserted tuple occupies a physical slot; deletion
 /// marks the slot dead and leaves a hole until the next compaction. Clients
@@ -43,59 +37,53 @@ using TupleId = uint64_t;
 /// sorted id table (`slot_to_id_`): ids are assigned in insert order and
 /// compaction preserves the relative order of survivors, so the table stays
 /// strictly increasing and the id→slot lookup is a binary search — O(log n),
-/// O(live) memory, no hashing. Slots are grouped into fixed
-/// core::kObjectiveShardRows-sized shards, each holding a
-/// Neumaier-compensated partial coefficient sum over its live tuples,
-/// accumulated in slot order through the same
-/// core::AccumulateTupleContribution(Batch) primitives the offline
-/// accumulator uses. The class invariant — what makes incremental
-/// maintenance trustworthy — is:
+/// O(live) memory, no hashing.
 ///
-///   every non-stale shard's (sum, comp) state is bit-identical to a
-///   from-scratch compensated accumulation of its live tuples in slot
-///   order; a stale shard's state is all +0.0.
+/// The objective is one core::ExactObjectiveSum: an integer per coefficient,
+/// so adding a tuple and later subtracting it cancels exactly, and the sum
+/// of a tuple multiset does not depend on the order or grouping of its
+/// adds. Mutations do not touch it; they record pending work instead:
 ///
-/// Inserts preserve it because appending a tuple's compensated contribution
-/// IS the next step of that from-scratch accumulation; an insert into a
-/// stale shard leaves the partials alone, since the shard's re-sum covers
-/// the new slot. Deletes and updates preserve it by zeroing the shard's
-/// partials — so no deleted contribution stays resident — and marking the
-/// shard stale; the next Objective() re-sums every stale shard from its live
-/// tuples (≤ 1024 of them — bounded, and exact in the sense above).
-/// Compensated *subtraction* of the deleted contribution was considered and
-/// rejected: it leaves the shard state dependent on the full insert/delete
-/// history, so errors could accumulate over an unbounded request log and the
-/// ≤1-ulp-of-fresh-build guarantee would degrade to ≤k-ulp after k deletes
-/// (see docs/DETERMINISM.md, "The serving layer").
+///  - *pending adds*: slots whose current values are not in the sum (every
+///    insert, and the new values of every update);
+///  - *pending subtractions*: copies of (x, y) values whose contribution is
+///    in the sum but whose tuple was since deleted or overwritten.
 ///
-/// Every observer sees canonical partials. Objective() re-sums the stale
-/// shards before folding, which is why it is not const; the const readers
-/// SerializeTo and StoreStateBitwiseEquals compute a stale shard's partials
-/// into scratch. Staleness decides only *when* a shard is re-summed, never a
-/// bit an observer sees.
+/// Insert, Delete and Update therefore cost O(log n + d), and Objective()
+/// applies the pending work — in chunks of at most core::kObjectiveShardRows
+/// tuples, in parallel — then rounds in O(d²). The work waits for the train
+/// so that no request pays a tuple's O(d²) contribution on its own path.
+/// The class invariant is
+///
+///   sum + Σ pending adds − Σ pending subtractions
+///       = the exact sum over the live tuples (the *canonical sum*),
+///
+/// and every observer sees only the canonical sum: Objective() applies the
+/// pending work first, SerializeTo writes no sum at all, and
+/// StoreStateBitwiseEquals computes the canonical sum into scratch. Pending
+/// work decides only *when* a contribution is summed, never a bit an
+/// observer sees.
 ///
 /// Consequences of the invariant:
-///  - Objective() — the serial in-shard-order compensated reduction — is a
-///    pure function of the live slot→tuple map: bit-identical for every
-///    FM_THREADS, every insert grouping, and every delete path that arrives
-///    at the same live map.
-///  - An insert-then-delete round trip restores the previous state exactly
-///    (bitwise), not just approximately.
-///  - Against the canonical offline build on the same live tuples
-///    (ObjectiveAccumulator::Build over Materialize()), holes shift the
-///    shard packing, so bits may differ — but both are compensated faithful
-///    summations of the identical tuple multiset, so every coefficient
-///    agrees within 1 ulp (asserted in tests/serve_test.cc).
+///  - Objective() is a pure function of the live tuple multiset: bitwise
+///    equal for every FM_THREADS, every insert grouping, every delete path,
+///    with or without compactions, to a fresh store fed the same tuples in
+///    any order, and to core::ObjectiveAccumulator::Build over
+///    Materialize().
+///  - An insert-then-delete round trip restores the previous state exactly.
 ///
-/// Compaction. Under insert+delete churn the slot space — and the dead
-/// shard skeletons Objective() must walk — would otherwise grow with total
-/// insert history. Compact() densely rewrites the store in live-slot order,
-/// rebuilds every shard partial from scratch (per-shard parallel, each
-/// shard serial in slot order), and releases the freed capacity, restoring
-/// O(live) memory and O(live shards · d²) objective derivation. The
-/// compaction contract is bitwise: the post-compaction store state —
-/// tuples, liveness, and every shard's (sum, comp) pair — is bit-identical
-/// to a fresh store fed the surviving tuples in order, for every pool size
+/// Pending subtractions hold copies of deleted values. They are bounded: a
+/// Delete or Update that fills the buffer to core::kObjectiveShardRows
+/// tuples applies the subtractions at once, and Objective(), Compact() and
+/// a bulk InsertBatch apply all pending work. Applying zeroes the buffer.
+/// SerializeTo never writes it.
+///
+/// Compaction. Under insert+delete churn the slot space would otherwise grow
+/// with total insert history. Compact() applies the pending work, densely
+/// rewrites the store in live-slot order and releases the freed capacity,
+/// restoring O(live) memory. It re-sums nothing — the sum does not depend
+/// on slot positions — so the post-compaction state is bit-identical to a
+/// fresh store fed the surviving tuples in order, for every pool size
 /// (docs/DETERMINISM.md, "Compaction"). TupleIds are untouched: survivors
 /// keep their ids, dead ids stay dead (kNotFound) forever.
 ///
@@ -116,57 +104,55 @@ class IncrementalObjective {
   size_t slot_count() const { return ys_.size(); }
   /// Dead slots awaiting compaction.
   size_t dead_count() const { return ys_.size() - live_count_; }
-  size_t num_shards() const { return shard_sums_.size(); }
-  /// Shards holding at least one live tuple — what Objective() pays for.
-  size_t live_shards() const;
+  /// Tuple contributions the next Objective() will apply: pending adds
+  /// plus pending subtractions.
+  size_t pending_tuples() const {
+    return pending_add_count_ + pending_sub_ys_.size();
+  }
 
   /// Validates the §3 normalization contract for `kind` (finite values,
   /// ‖x‖₂ ≤ 1; y ∈ [−1, 1] for kLinear, y ∈ {0, 1} for kTruncatedLogistic)
-  /// and appends the tuple. O(d²). Returns the assigned TupleId.
+  /// and appends the tuple as a pending add. O(d) amortized. Returns the
+  /// assigned TupleId.
   Result<TupleId> Insert(const double* x, size_t dim, double y);
   Result<TupleId> Insert(const linalg::Vector& x, double y);
 
   /// Bulk insert of every tuple of `tuples` (validated up front; rejected
   /// atomically — either all rows pass and are inserted or none are).
   /// Returns the first assigned id; the batch occupies consecutive ids.
-  /// Accumulates affected shards concurrently on `pool` (nullptr → the
-  /// global FM_THREADS pool); bit-identical to the equivalent sequence of
-  /// single Inserts for every pool size.
+  /// A batch of at least core::kObjectiveShardRows rows applies all pending
+  /// work on `pool` (nullptr → the global FM_THREADS pool) before it
+  /// returns; a shorter one only records its rows as pending adds.
   Result<TupleId> InsertBatch(const data::RegressionDataset& tuples,
                               exec::ThreadPool* pool = nullptr);
 
   /// True when `id` refers to a live tuple.
   bool Contains(TupleId id) const;
 
-  /// Marks `id`'s tuple dead, scrubs its raw values, zeroes its shard's
-  /// partials and marks the shard stale; the next Objective() re-sums it.
-  /// O(log n + d²). Fails with kNotFound when the id was never assigned or
-  /// its tuple is already dead.
+  /// Marks `id`'s tuple dead and scrubs its raw values from the slot. If
+  /// its contribution is already in the sum, a copy of the values becomes a
+  /// pending subtraction first. O(log n + d). Fails with kNotFound when the
+  /// id was never assigned or its tuple is already dead.
   Status Delete(TupleId id);
 
-  /// Replaces `id`'s tuple in place (validating the new tuple) and marks
-  /// its shard stale, as Delete does. Equivalent to Delete + re-Insert,
-  /// except the id — and the slot layout — are preserved. O(log n + d²).
+  /// Replaces `id`'s tuple in place (validating the new tuple): the old
+  /// values become a pending subtraction, as in Delete, and the slot a
+  /// pending add. Equivalent to Delete + re-Insert, except the id — and the
+  /// slot layout — are preserved. O(log n + d).
   Status Update(TupleId id, const double* x, size_t dim, double y);
 
-  /// Densely rewrites the store in live-slot order, rebuilds every shard
-  /// partial from scratch on `pool` (per-shard parallel; nullptr → the
-  /// global FM_THREADS pool), drops the dead tail, and releases freed
-  /// capacity. Returns the number of slots reclaimed (0 for an
-  /// already-dense store, of which only the stale shards are re-summed).
-  /// Afterwards no shard is stale, the store state is bit-identical to a
-  /// fresh store fed Materialize()'s tuples in order, and every surviving
-  /// TupleId still resolves.
+  /// Applies the pending work on `pool` (nullptr → the global FM_THREADS
+  /// pool), then densely rewrites the store in live-slot order, drops the
+  /// dead tail and releases freed capacity. Returns the number of slots
+  /// reclaimed (0 for an already-dense store). Afterwards the store state is
+  /// bit-identical to a fresh store fed Materialize()'s tuples in order, and
+  /// every surviving TupleId still resolves.
   size_t Compact(exec::ThreadPool* pool = nullptr);
 
-  /// The current objective over all live tuples. First re-sums every stale
-  /// shard from its live tuples, one task per shard on `pool` (nullptr →
-  /// the global FM_THREADS pool); then reduces the live shards' partials
-  /// serially in shard order, compensation carried, and rounds.
-  /// Fully-dead shards are skipped — their partials are exact (+0, +0)
-  /// pairs whose folding cannot change a bit (see the .cc note), so a
-  /// half-churned store pays O(live shards · d²), not O(all shards · d²).
-  /// Deterministic per the class invariant, for every pool size.
+  /// The current objective over all live tuples: applies the pending work,
+  /// one task per chunk of at most core::kObjectiveShardRows tuples on
+  /// `pool` (nullptr → the global FM_THREADS pool; inline for one chunk),
+  /// then rounds the exact sum. Deterministic per the class invariant.
   opt::QuadraticModel Objective(exec::ThreadPool* pool = nullptr);
 
   /// The live tuples, densely packed in slot (= id) order. O(n · d).
@@ -179,7 +165,7 @@ class IncrementalObjective {
   template <typename Fn>
   void ForEachLive(Fn&& fn) const {
     for (size_t slot = 0; slot < ys_.size(); ++slot) {
-      if (!live_[slot]) continue;
+      if (state_[slot] == kDead) continue;
       fn(xs_.data() + slot * dim_, ys_[slot]);
     }
   }
@@ -189,99 +175,118 @@ class IncrementalObjective {
   uint64_t materialize_count() const { return materialize_count_; }
 
   /// Appends the store state that cannot be derived — next id, tuples,
-  /// liveness, id table, shard partials, raw double bytes — to `out`
-  /// (snapshot payload). The partials are the canonical ones (a stale
-  /// shard's computed into scratch), so the bytes do not depend on which
-  /// shards are stale. RestoreFrom reproduces the state bit-for-bit, with no
-  /// shard stale: the restored store StoreStateBitwiseEquals the original
-  /// and assigns the same future ids.
+  /// liveness and id table, doubles as raw bytes — to `out` (snapshot
+  /// payload). The sum is derived, so it is not written; neither is the
+  /// pending work, whose effect the sum derivation reproduces.
   void SerializeTo(std::string* out) const;
 
   /// Replaces this store's state with a SerializeTo payload read from
-  /// `reader`. The payload carries no dim or kind (the snapshot's options
-  /// fingerprint pins both to this store's) and no count the liveness bytes
-  /// determine: the live count, shard count and per-shard live counts are
-  /// recomputed. Fails with kIoError when the payload is truncated, a
-  /// liveness byte is outside {0, 1}, or the id table is not strictly
-  /// increasing with the next id above it. On failure the store is left in
-  /// an unspecified state — the caller (snapshot recovery) discards it.
+  /// `reader`, with every live slot a pending add: the sum is derived by the
+  /// next Objective(). The payload carries no dim or kind (the snapshot's
+  /// options fingerprint pins both to this store's) and no count the
+  /// liveness bytes determine. Fails with kIoError when the payload is
+  /// truncated, a liveness byte is outside {0, 1}, a live tuple violates
+  /// the §3 contract, a dead slot holds a nonzero byte, or the id table is
+  /// not strictly increasing with the next id above it. On failure the
+  /// store is left in an unspecified state — the caller (snapshot recovery)
+  /// discards it.
   Status RestoreFrom(io::ByteReader& reader);
 
   /// From-scratch reference rebuild: a fresh IncrementalObjective holding
-  /// the same slots (including holes) and ids re-accumulated from the raw
-  /// tuples on `pool`, with no shard stale. By the class invariant its
-  /// state — and therefore Objective() — is bit-identical to this one;
-  /// tests and examples use it to verify incremental maintenance against a
-  /// full recompute.
+  /// the same slots (including holes) and ids, its sum accumulated from the
+  /// raw live tuples on `pool`, with no pending work. By the class
+  /// invariant its state — and therefore Objective() — is bit-identical to
+  /// this one; tests and examples use it to verify incremental maintenance
+  /// against a full recompute.
   IncrementalObjective RebuildFromScratch(exec::ThreadPool* pool = nullptr)
       const;
 
   /// Bitwise comparison of the tuple store and accumulator state: raw
-  /// tuples, liveness, and every shard's canonical (sum, comp) doubles (a
-  /// stale shard's computed into scratch) compared by their bytes (so
-  /// −0.0 ≠ +0.0 and NaNs compare by payload). TupleId assignment is
-  /// deliberately excluded — ids encode insert history, which a fresh store
-  /// fed the same tuples does not share. This is the observable form of the
-  /// compaction contract: after Compact(), StoreStateBitwiseEquals(fresh
-  /// store fed Materialize()) holds.
+  /// tuples and liveness compared by their bytes (so −0.0 ≠ +0.0 and NaNs
+  /// compare by payload), and the canonical sums (each computed into
+  /// scratch when work is pending). TupleId assignment is deliberately
+  /// excluded — ids encode insert history, which a fresh store fed the same
+  /// tuples does not share. This is the observable form of the compaction
+  /// contract: after Compact(), StoreStateBitwiseEquals(fresh store fed
+  /// Materialize()) holds.
   bool StoreStateBitwiseEquals(const IncrementalObjective& other) const;
 
  private:
   // Validates one tuple against the §3 contract for kind_.
   Status ValidateTuple(const double* x, size_t dim, double y) const;
 
-  // Binary-searches slot_to_id_ (strictly increasing) for `id`; fails with
-  // kNotFound when the id was never assigned, was compacted away, or its
-  // slot is dead.
+  // Binary-searches slot_to_id_ (strictly increasing) for `id`, within the
+  // window the id's distance from the first and last ids bounds; fails
+  // with kNotFound when the id was never assigned, was compacted away, or
+  // its slot is dead.
   Result<size_t> FindLiveSlot(TupleId id) const;
 
-  // Accumulates the live slots in [begin, end) in slot order into
-  // (sum, comp), batching through the shared core primitives (bit-identical
-  // to single-tuple accumulation in the same order).
-  void AccumulateSlotRange(size_t begin, size_t end, double* sum,
-                           double* comp) const;
-
-  // Same over all of shard `shard`'s slots.
-  void AccumulateShardSlots(size_t shard, double* sum, double* comp) const;
-
-  // Zeroes shard `shard`'s partials and marks it stale.
-  void MarkStale(size_t shard);
-
-  // Re-sums every stale shard from its live tuples, one task per shard on
-  // `pool` (nullptr → the global pool), and clears the stale bits.
-  void RefreshStaleShards(exec::ThreadPool* pool);
-
-  // Shard `shard`'s canonical (sum, comp) partials: the stored ones, or for
-  // a stale shard a from-scratch accumulation into `scratch`.
-  std::pair<const double*, const double*> CanonicalPartials(
-      size_t shard, std::vector<double>* scratch) const;
-
-  // Appends storage for one tuple (no accumulation), growing shards and
-  // assigning the next TupleId. Returns the new physical slot.
+  // Appends storage for one tuple as a pending add and assigns the next
+  // TupleId. Returns the new physical slot.
   size_t AppendTuple(const double* x, double y);
 
-  size_t num_coefficients() const {
-    return core::NumObjectiveCoefficients(dim_);
-  }
+  // Marks live slot `slot` a pending add, unless it already is one.
+  void MarkPendingAdd(size_t slot);
+
+  // The liveness bytes (1 live, 0 dead) of the slots, as snapshots hold
+  // them.
+  std::vector<uint8_t> Liveness() const;
+
+  // Copies live slot `slot`'s values, which are in the sum, into the
+  // pending subtractions, before they are scrubbed or overwritten.
+  void RetireSummedValues(size_t slot);
+
+  // The pending work, cut into chunks of at most kObjectiveShardRows
+  // entries: chunks of the appended tail, then of updated_slots_ (slots
+  // deleted while pending are skipped in both), then chunks of the
+  // subtraction buffer.
+  size_t PendingAddChunks() const;
+  size_t PendingSubChunks() const;
+  // Adds pending-add chunk `chunk` to *sum, or subtracts pending-
+  // subtraction chunk `chunk` from it. Neither changes the store.
+  void AddPendingAddChunk(size_t chunk, core::ExactObjectiveSum* sum) const;
+  void SubtractPendingChunk(size_t chunk, core::ExactObjectiveSum* sum) const;
+
+  // Applies all pending work to sum_ and clears it, zeroing the
+  // subtraction buffer.
+  void ApplyPending(exec::ThreadPool* pool);
+
+  // Applies only the pending subtractions, serially, and zeroes them.
+  void ApplyPendingSubtractions();
+
+  // Zeroes and empties the subtraction buffer (keeping its capacity).
+  void ClearPendingSubtractions();
+
+  // sum_ plus the pending work, computed serially into a copy.
+  core::ExactObjectiveSum CanonicalSum() const;
 
   size_t dim_;
   core::ObjectiveKind kind_;
   std::vector<double> xs_;     // slot-major features, dim_ per slot
   std::vector<double> ys_;     // slot labels
-  std::vector<uint8_t> live_;  // slot liveness
+  // Per-slot state: dead, or live with its values either in sum_ or a
+  // pending add. The pending flag shares the liveness byte, so a delete
+  // reads one byte for both.
+  enum SlotState : uint8_t { kDead = 0, kSummed = 1, kPendingAdd = 2 };
+  std::vector<uint8_t> state_;
   size_t live_count_ = 0;
   // slot → TupleId. Strictly increasing (ids are assigned monotonically and
   // compaction preserves survivor order), so id → slot is a binary search.
   std::vector<TupleId> slot_to_id_;
   TupleId next_id_ = 0;  // never decremented — ids outlive compactions
-  // Per-shard compensated partial coefficient sums over live tuples, plus
-  // per-shard live counts (to skip fully-dead shards in Objective()) and
-  // stale bits (partials zeroed by a delete or update, awaiting the next
-  // Objective()'s re-sum).
-  std::vector<std::vector<double>> shard_sums_;
-  std::vector<std::vector<double>> shard_comps_;
-  std::vector<uint32_t> shard_live_;
-  std::vector<uint8_t> shard_stale_;
+  // The exact sum of every contribution applied so far (see the class
+  // invariant).
+  core::ExactObjectiveSum sum_;
+  // Pending adds. Every slot at or after pending_from_ was appended since
+  // the last apply, so it is a pending add or dead; an earlier slot an
+  // update made a pending add is listed in updated_slots_ (and skipped if
+  // later deleted). pending_add_count_ counts the kPendingAdd slots.
+  size_t pending_from_ = 0;
+  std::vector<size_t> updated_slots_;
+  size_t pending_add_count_ = 0;
+  // Pending subtractions: retired values, dim_ features and one label each.
+  std::vector<double> pending_sub_xs_;
+  std::vector<double> pending_sub_ys_;
   // Materialize() call counter (diagnostic; see materialize_count()).
   // `mutable` because Materialize is const; reads/writes are serialized by
   // the same external synchronization the mutation API requires.

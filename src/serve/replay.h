@@ -39,11 +39,12 @@ namespace fm::serve {
 ///      still-diverging repro.
 ///
 /// Compaction timing is deliberately NOT an execution knob: when a
-/// compaction runs is semantically observable (it repacks shards, so
-/// Objective() — and every model trained afterwards — changes bits within
-/// the 1-ulp envelope). Both compaction styles are therefore workload
-/// axes: "policy" logs rely on the auto-compaction trigger (a pure function
-/// of the log prefix), "forced" logs disable it and carry explicit
+/// compaction runs is observable in the state snapshots (it changes the
+/// slot layout and the compaction counter), though in no response — the
+/// store's exact sum does not depend on slot positions. Both compaction
+/// styles are therefore workload axes: "policy" logs rely on the
+/// auto-compaction trigger (a pure function of the log prefix), "forced"
+/// logs disable it and carry explicit
 /// kCompact requests. Either way the schedule is part of (log, options)
 /// and every execution knob must reproduce it byte for byte.
 

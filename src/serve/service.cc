@@ -539,8 +539,8 @@ void Service::RunInsertBatchLocked(const std::vector<Request>& log, size_t begin
     out[begin] = DoInsertLocked(log[begin]);
     return;
   }
-  // Hot path: assemble the run into one dataset and bulk-accumulate its
-  // shards concurrently. InsertBatch validates up front and is atomic, so
+  // Hot path: assemble the run into one dataset and insert it in one call.
+  // InsertBatch validates up front and is atomic, so
   // if any row is invalid fall back to per-request inserts — each request
   // then reports its own status, exactly as serial execution would.
   bool uniform = true;
@@ -1000,8 +1000,8 @@ void Service::PollGaugesLocked() {
   set("fm_store_live_tuples", static_cast<double>(objective_.live_size()));
   set("fm_store_slot_count", static_cast<double>(objective_.slot_count()));
   set("fm_store_dead_slots", static_cast<double>(objective_.dead_count()));
-  set("fm_store_shards", static_cast<double>(objective_.num_shards()));
-  set("fm_store_live_shards", static_cast<double>(objective_.live_shards()));
+  set("fm_store_pending_tuples",
+      static_cast<double>(objective_.pending_tuples()));
   set("fm_store_materializations",
       static_cast<double>(objective_.materialize_count()));
   set("fm_serve_log_position", static_cast<double>(log_position()));

@@ -34,7 +34,8 @@ struct DurabilityOptions;  // serve/wal.h
 /// Which trainer a kTrain request runs. All three consume the live tuples
 /// only through the maintained quadratic objective (the
 /// RegressionAlgorithm::TrainFromObjective hook), which is what makes
-/// on-demand retraining O(d³ + shards·d²) instead of O(n·d²).
+/// on-demand retraining O(d³ + k·d²) for the k tuples changed since the
+/// last train, instead of O(n·d²).
 enum class TrainerKind {
   /// The paper's ε-DP Functional Mechanism; charges the budget ledger.
   kFunctionalMechanism,
@@ -135,7 +136,7 @@ struct ServiceOptions {
   /// state (itself a pure function of the log prefix), so it fires at the
   /// same log positions for every FM_THREADS and the determinism contract
   /// is unaffected. The min-dead floor keeps small stores — where holes are
-  /// cheap — from churning through O(live·d²) rebuilds.
+  /// cheap — from churning through O(live·d) rewrites.
   bool auto_compact = true;
   double compaction_dead_ratio = 1.0;
   size_t compaction_min_dead = core::kObjectiveShardRows;
@@ -165,10 +166,10 @@ struct ServiceOptions {
 /// from maximal same-kind runs — consecutive kPredict requests evaluate
 /// concurrently against one registry snapshot (they are read-only and all
 /// see the same version, exactly as serial execution would), and consecutive
-/// kInsert requests bulk-accumulate their disjoint shards concurrently
-/// (bit-identical to serial inserts by the IncrementalObjective invariant).
-/// kTrain / kDelete / kUpdate / kEvaluate / kCompact execute serially at
-/// their log position (compaction itself rebuilds shards in parallel, but
+/// kInsert requests go to the store as one batch (bit-identical to serial
+/// inserts, since the store's sum is exact). kTrain / kDelete / kUpdate /
+/// kEvaluate / kCompact execute serially at their log position (a train or
+/// compaction applies the store's pending work in parallel, but
 /// bit-identically for every pool size).
 ///
 /// Clients address tuples by the stable TupleId a kInsert response carries;

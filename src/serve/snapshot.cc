@@ -14,7 +14,7 @@ namespace fm::serve {
 namespace {
 
 constexpr char kMagic[8] = {'F', 'M', 'S', 'N', 'A', 'P', '0', '1'};
-constexpr uint32_t kFormatVersion = 2;
+constexpr uint32_t kFormatVersion = 3;
 constexpr char kSuffix[] = ".fmsnap";
 constexpr char kPrefix[] = "snapshot-";
 constexpr char kTmpSuffix[] = ".fmsnap.tmp";

@@ -21,19 +21,20 @@ namespace fm::serve {
 /// service is bitwise-equal to the one that checkpointed, which is what
 /// makes recovery provable with StoreStateBitwiseEquals.
 ///
-/// File layout: 8-byte magic "FMSNAP01", u32 format version (2), u32
+/// File layout: 8-byte magic "FMSNAP01", u32 format version (3), u32
 /// payload CRC-32, u64 options fingerprint, u64 log position, u64 payload
 /// length, then the payload. The payload holds only state that cannot be
 /// derived: the log position and compaction counter; the store's next id,
-/// slot count, tuples, liveness bytes, id table and shard partials; the
-/// ledger's spent ε, reservation counter and charges; the registry's next
-/// version and, per retained model, its algorithm, ω, ε, privacy flag, log
-/// position and training size. The options fingerprint is checked before
-/// any component is decoded, and it pins the store's dim and kind, the
-/// ledger's total and every model's task and ω length. The live counts and
-/// shard count follow from the liveness bytes and slot count, and model
-/// versions from the next version. A file of any other format version is
-/// skipped like any other invalid one.
+/// slot count, tuples, liveness bytes and id table; the ledger's spent ε,
+/// reservation counter and charges; the registry's next version and, per
+/// retained model, its algorithm, ω, ε, privacy flag, log position and
+/// training size. The options fingerprint is checked before any component
+/// is decoded, and it pins the store's dim and kind, the ledger's total and
+/// every model's task and ω length. The live count follows from the
+/// liveness bytes, the store's exact objective sum from its live tuples
+/// (derived at the first train after recovery), and model versions from the
+/// next version. A file of any other format version is skipped like any
+/// other invalid one.
 ///
 /// Files are written atomically (tmp + rename) and named
 /// `snapshot-<020d position>.fmsnap`, so the lexicographically-largest valid

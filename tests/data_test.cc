@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -135,6 +136,21 @@ TEST(DatasetTest, NormalizationContract) {
   ds.y[0] = 0.0;
   ds.x(0, 0) = 5.0;
   EXPECT_FALSE(ds.SatisfiesNormalizationContract());
+}
+
+TEST(DatasetTest, NormalizationContractRejectsNonFiniteValues) {
+  // Every comparison with NaN is false, so a check written as "reject when
+  // above the bound" would let a NaN through.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    RegressionDataset feature = MakeDataset(20, 4, 4);
+    feature.x(3, 1) = bad;
+    EXPECT_FALSE(feature.SatisfiesNormalizationContract()) << bad;
+    RegressionDataset label = MakeDataset(20, 4, 4);
+    label.y[5] = bad;
+    EXPECT_FALSE(label.SatisfiesNormalizationContract()) << bad;
+  }
 }
 
 TEST(KFoldTest, PartitionsEveryRowExactlyOnce) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -162,71 +163,105 @@ TEST(MatVecKernelTest, BlockedMatchesReferenceBitForBit) {
   }
 }
 
-// (sum, comp) coefficient state for dimension d, seeded with magnitudes on
-// both sides of a tuple's contributions so the oracle's Neumaier branch
-// takes both arms.
-void RandomCompensatedState(size_t d, Rng& rng, linalg::Vector* sum,
-                            linalg::Vector* comp) {
-  const size_t ncoef = d * (d + 1) / 2 + d + 1;
-  *sum = linalg::Vector(ncoef);
-  *comp = linalg::Vector(ncoef);
-  for (size_t t = 0; t < ncoef; ++t) {
-    (*sum)[t] = rng.Uniform(-1.0, 1.0) * (rng.Bernoulli(0.5) ? 1e3 : 1e-3);
-    (*comp)[t] = rng.Uniform(-1e-12, 1e-12);
+constexpr size_t kExactDims[] = {1, 2, 7, 13, 50};
+
+// A tuple whose entries sit near ±1 or are tiny, so that with weights near
+// ±4 the terms span the split's whole range, up to |t| near 4.
+linalg::Vector ExtremeTuple(size_t d, Rng& rng) {
+  linalg::Vector x(d);
+  for (auto& v : x) {
+    const double magnitude = rng.Bernoulli(0.2) ? rng.Uniform(0.0, 1e-12)
+                                                : rng.Uniform(0.999, 1.0);
+    v = rng.Bernoulli(0.5) ? magnitude : -magnitude;
   }
+  return x;
 }
 
-constexpr size_t kCompensatedDims[] = {1, 2, 7, 13, 50};
-
-TEST(CompensatedKernelTest, TupleUpdateBlockedMatchesReferenceBitForBit) {
-  for (const size_t d : kCompensatedDims) {
-    Rng rng(400 + d);
-    linalg::Vector blk_sum, blk_comp;
-    RandomCompensatedState(d, rng, &blk_sum, &blk_comp);
-    linalg::Vector ref_sum = blk_sum, ref_comp = blk_comp;
-    for (int tuple = 0; tuple < 25; ++tuple) {
-      const auto x = RandomVector(d, rng.Next());
-      const double m_scale = rng.Uniform(-2.0, 2.0);
-      const double alpha_bias = rng.Uniform(-2.0, 2.0);
-      const double beta = rng.Uniform(-2.0, 2.0);
-      kernels::CompensatedTupleUpdate(blk_sum.raw(), blk_comp.raw(),
-                                      x.raw(), d, m_scale, alpha_bias, beta);
-      kernels::RefCompensatedTupleUpdate(ref_sum.raw(), ref_comp.raw(),
-                                         x.raw(), d, m_scale, alpha_bias,
-                                         beta);
-    }
-    EXPECT_TRUE(BitEqual(blk_sum, ref_sum)) << "sum d=" << d;
-    EXPECT_TRUE(BitEqual(blk_comp, ref_comp)) << "comp d=" << d;
-  }
+double NearFour(Rng& rng) {
+  return (rng.Bernoulli(0.5) ? 1.0 : -1.0) * rng.Uniform(3.99, 3.999);
 }
 
-TEST(CompensatedKernelTest, BatchBlockedMatchesReferenceBitForBit) {
-  constexpr size_t kB = kernels::kCompensatedBatch;
-  for (const size_t d : kCompensatedDims) {
+TEST(ExactKernelTest, BatchBlockedMatchesReferenceBitForBit) {
+  constexpr size_t kB = kernels::kExactBatch;
+  for (const size_t d : kExactDims) {
     Rng rng(500 + d);
-    linalg::Vector blk_sum, blk_comp;
-    RandomCompensatedState(d, rng, &blk_sum, &blk_comp);
-    linalg::Vector ref_sum = blk_sum, ref_comp = blk_comp;
+    const size_t ncoef = d * (d + 1) / 2 + d + 1;
+    // Nonzero starting words of both signs.
+    std::vector<int64_t> blk_hi(ncoef), blk_lo(ncoef);
+    for (size_t t = 0; t < ncoef; ++t) {
+      blk_hi[t] = static_cast<int64_t>(rng.UniformInt(uint64_t{1} << 41)) -
+                  (int64_t{1} << 40);
+      blk_lo[t] = static_cast<int64_t>(rng.UniformInt(uint64_t{1} << 50)) -
+                  (int64_t{1} << 49);
+    }
+    std::vector<int64_t> ref_hi = blk_hi, ref_lo = blk_lo;
     for (int batch = 0; batch < 10; ++batch) {
       linalg::Vector rows[kB];
       const double* xs[kB];
       double alpha_bias[kB], beta[kB];
       for (size_t r = 0; r < kB; ++r) {
-        rows[r] = RandomVector(d, rng.Next());
+        rows[r] = ExtremeTuple(d, rng);
         xs[r] = rows[r].raw();
-        alpha_bias[r] = rng.Uniform(-2.0, 2.0);
-        beta[r] = rng.Uniform(-2.0, 2.0);
+        alpha_bias[r] = NearFour(rng);
+        beta[r] = NearFour(rng);
       }
-      const double m_scale = rng.Uniform(-2.0, 2.0);
-      kernels::CompensatedTupleUpdateBatch(blk_sum.raw(), blk_comp.raw(),
-                                           xs, d, m_scale, alpha_bias, beta);
-      kernels::RefCompensatedTupleUpdateBatch(ref_sum.raw(), ref_comp.raw(),
-                                              xs, d, m_scale, alpha_bias,
-                                              beta);
+      const double m_scale = NearFour(rng);
+      kernels::ExactTupleAccumulateBatch(blk_hi.data(), blk_lo.data(), xs, d,
+                                         m_scale, alpha_bias, beta);
+      kernels::RefExactTupleAccumulateBatch(ref_hi.data(), ref_lo.data(), xs,
+                                            d, m_scale, alpha_bias, beta);
     }
-    EXPECT_TRUE(BitEqual(blk_sum, ref_sum)) << "sum d=" << d;
-    EXPECT_TRUE(BitEqual(blk_comp, ref_comp)) << "comp d=" << d;
+    EXPECT_EQ(blk_hi, ref_hi) << "hi words, d=" << d;
+    EXPECT_EQ(blk_lo, ref_lo) << "lo words, d=" << d;
   }
+}
+
+// The words one term t leaves in zeroed chunk words, as one fixed-point
+// integer in units of 2⁻⁸²: t enters as the triangle term (m_scale·1)·1 of
+// a one-dimensional tuple, and every other term of the batch is zero.
+core::Int128 SplitUnits(double t) {
+  constexpr size_t kB = kernels::kExactBatch;
+  const double one = 1.0;
+  const double zero = 0.0;
+  const double* xs[kB] = {&one, &zero, &zero, &zero};
+  const double alpha_bias[kB] = {};
+  const double beta[kB] = {};
+  int64_t hi[3] = {};
+  int64_t lo[3] = {};
+  kernels::ExactTupleAccumulateBatch(hi, lo, xs, 1, t, alpha_bias, beta);
+  return static_cast<core::Int128>(hi[0]) *
+             (core::Int128{1} << kernels::kExactLoBits) +
+         lo[0];
+}
+
+TEST(ExactKernelTest, SplitIsExactOnTheGridAndRoundsBelowIt) {
+  // Every double with |t| ≥ 2⁻²⁹ is a multiple of 2⁻⁸², so its split must
+  // reconstruct it exactly — including hi's own ties (t an odd multiple of
+  // 2⁻³³), which lo absorbs — and at the top of the range.
+  Rng rng(77);
+  std::vector<double> terms = {3.999999999999999, -3.999999999999999,
+                               1.0,  0x1.8p-32, -0x1.8p-32, 0x1p-33,
+                               0x1.0000000000001p-29};
+  for (int k = 0; k < 200; ++k) {
+    const int exponent = 2 - static_cast<int>(rng.UniformInt(30));
+    const double t = std::ldexp(rng.Uniform(0.5, 1.0), exponent);
+    terms.push_back(rng.Bernoulli(0.5) ? t : -t);
+  }
+  for (const double t : terms) {
+    ASSERT_LT(std::fabs(t), 4.0);
+    const double scaled = std::ldexp(t, 82);  // exact
+    EXPECT_TRUE(SplitUnits(t) == static_cast<core::Int128>(scaled))
+        << "t=" << t;
+  }
+  // Below the grid the low word rounds to nearest, ties to even, in units
+  // of 2⁻⁸².
+  EXPECT_TRUE(SplitUnits(0x1.8p-84) == 0);   // 0.375
+  EXPECT_TRUE(SplitUnits(0x1.8p-83) == 1);   // 0.75
+  EXPECT_TRUE(SplitUnits(0x1p-83) == 0);     // 0.5, a tie: to even
+  EXPECT_TRUE(SplitUnits(0x1.8p-82) == 2);   // 1.5, a tie: to even
+  EXPECT_TRUE(SplitUnits(-0x1.8p-82) == -2);
+  EXPECT_TRUE(SplitUnits(0x1.4p-82) == 1);   // 1.25
+  EXPECT_TRUE(SplitUnits(-0.0) == 0);
 }
 
 TEST(LogisticKernelTest, GradientAndValueMatchReferenceBitForBit) {
@@ -283,9 +318,8 @@ data::RegressionDataset MakeDataset(size_t n, size_t d, uint64_t seed) {
 }
 
 TEST(ObjectiveAccumulatorKernelTest, ThreadCountByteIdentity) {
-  // The determinism contract through the blocked kernels: fixed 1024-row
-  // shards + serial shard-order reduction must stay bit-identical for every
-  // pool size.
+  // The determinism contract through the blocked kernels: the exact sum of
+  // the pool's chunk partials must be bit-identical for every pool size.
   const auto ds = MakeDataset(4200, 6, 424242);
   exec::ThreadPool serial(1);
   const auto baseline = core::ObjectiveAccumulator::Build(

@@ -1,9 +1,10 @@
-// Equivalence tests for the fold-objective cache: training objectives
-// derived from an ObjectiveAccumulator's global sum (global minus test
-// slice) must match direct Build*Objective construction on the materialized
-// training split — exactly or within 1 ulp per coefficient against the
-// compensated sum — and CrossValidate must produce the same statistics and
-// stay byte-identical across thread counts with the cache enabled.
+// Equivalence tests for the exact objective sum and the fold-objective
+// cache: core::RoundFixedPoint rounds correctly (ties to even); a training
+// objective derived from an ObjectiveAccumulator's global sum (global minus
+// test slice) is bitwise equal to a fresh build over the materialized
+// training split and within 1 ulp per coefficient of a Neumaier-compensated
+// reference; and CrossValidate produces the same statistics and stays
+// byte-identical across thread counts with the cache enabled.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include "core/taylor.h"
 #include "eval/cross_validation.h"
 #include "exec/thread_pool.h"
+#include "neumaier_reference.h"
 #include "opt/logistic_loss.h"
 
 namespace fm {
@@ -119,11 +121,11 @@ TEST(ObjectiveAccumulatorTest, GlobalMatchesDirectBuild) {
   }
 }
 
-TEST(ObjectiveAccumulatorTest, TrainObjectiveForFoldWithin1UlpOfCompensated) {
+TEST(ObjectiveAccumulatorTest, TrainObjectiveForFoldMatchesFreshBuildBitwise) {
   // For random datasets and random fold partitions, global-minus-test-slice
-  // must land within 1 ulp per coefficient of a compensated direct sum over
-  // the materialized training split — the cache carries its compensation
-  // terms through the subtraction precisely so this holds.
+  // is exact, so it must equal a fresh build over the materialized training
+  // split bit for bit, and land within 1 ulp per coefficient of the
+  // Neumaier-compensated reference sum.
   for (const auto kind : {core::ObjectiveKind::kLinear,
                           core::ObjectiveKind::kTruncatedLogistic}) {
     const bool binary = kind == core::ObjectiveKind::kTruncatedLogistic;
@@ -135,9 +137,11 @@ TEST(ObjectiveAccumulatorTest, TrainObjectiveForFoldWithin1UlpOfCompensated) {
       for (const auto& split : splits) {
         const auto cached = acc.TrainObjectiveForFold(split.test);
         const auto train = ds.Select(split.train);
-        const auto compensated =
-            core::ObjectiveAccumulator::Build(train, kind).Global();
-        EXPECT_LE(MaxUlpDistance(cached, compensated), 1u);
+        EXPECT_EQ(MaxUlpDistance(
+                      cached, core::ObjectiveAccumulator::Build(train, kind)
+                                  .Global()),
+                  0u);
+        EXPECT_LE(MaxUlpDistance(cached, NeumaierObjective(train, kind)), 1u);
 
         // And against the plain uncompensated Build* on the split, within
         // ordinary summation-error tolerance.
@@ -151,7 +155,7 @@ TEST(ObjectiveAccumulatorTest, TrainObjectiveForFoldWithin1UlpOfCompensated) {
 }
 
 TEST(ObjectiveAccumulatorTest, SliceOfEverythingEqualsGlobal) {
-  const auto ds = MakeDataset(900, 4, false, 55);  // single shard: exact
+  const auto ds = MakeDataset(2900, 4, false, 55);
   const auto acc =
       core::ObjectiveAccumulator::Build(ds, core::ObjectiveKind::kLinear);
   std::vector<size_t> all(ds.size());
@@ -183,6 +187,65 @@ TEST(ObjectiveAccumulatorTest, BuildIsBitIdenticalAcrossThreadCounts) {
               0u)
         << "threads=" << threads;
   }
+}
+
+// units = (2⁵³ + odd) · 2^shift ± small: the correctly rounded double of
+// units · 2⁻⁸², computed independently of RoundFixedPoint.
+TEST(ExactObjectiveSumTest, RoundFixedPointRoundsToNearestTiesToEven) {
+  using core::Int128;
+  const auto round = [](Int128 units) { return core::RoundFixedPoint(units); };
+  const Int128 p53 = Int128{1} << 53;
+  // Exact below 2⁵³ units, including zero (as +0.0).
+  EXPECT_EQ(round(0), 0.0);
+  EXPECT_FALSE(std::signbit(round(0)));
+  EXPECT_EQ(round(1), std::ldexp(1.0, -82));
+  EXPECT_EQ(round(p53 - 1), std::ldexp(9007199254740991.0, -82));
+  // Ties between two doubles go to the even significand.
+  EXPECT_EQ(round(p53 + 1), std::ldexp(1.0, 53 - 82));
+  EXPECT_EQ(round(p53 + 3), std::ldexp(9007199254740996.0, -82));
+  EXPECT_EQ(round(-(p53 + 1)), -std::ldexp(1.0, 53 - 82));
+  EXPECT_EQ(round(-(p53 + 3)), -std::ldexp(9007199254740996.0, -82));
+  // One unit off a tie decides it, however far below the significand.
+  const Int128 tie = (p53 + 1) << 20;
+  EXPECT_EQ(round(tie - 1), std::ldexp(1.0, 73 - 82));
+  EXPECT_EQ(round(tie + 1), std::ldexp(9007199254740994.0, 20 - 82));
+  // Rounding up can carry into the next binade.
+  EXPECT_EQ(round((p53 << 1) - 1), std::ldexp(1.0, 54 - 82));
+  // The top of the range, and its most negative value.
+  const Int128 p126 = Int128{1} << 126;
+  EXPECT_EQ(round(p126 + (Int128{1} << 73)), std::ldexp(1.0, 126 - 82));
+  EXPECT_EQ(round(p126 + (Int128{3} << 73)),
+            std::ldexp(4503599627370498.0, 74 - 82));
+  const Int128 most_negative = -(p126 - 1) - p126 - 1;
+  EXPECT_EQ(round(most_negative), -std::ldexp(1.0, 127 - 82));
+}
+
+TEST(ExactObjectiveSumTest, SubtractingTuplesUndoesAddingThemBitwise) {
+  // Add 2,048 random d=50 tuples, subtract the odd ones: the sum must equal
+  // the even tuples' sum bit for bit, and round within 1 ulp of the
+  // Neumaier reference on the even tuples.
+  const auto ds = MakeDataset(2048, 50, false, 61);
+  std::vector<const double*> xs(ds.size());
+  for (size_t i = 0; i < ds.size(); ++i) xs[i] = ds.x.Row(i);
+  std::vector<const double*> odd_xs, even_xs;
+  std::vector<double> odd_ys, even_ys;
+  std::vector<size_t> even_rows;
+  for (size_t i = 0; i < ds.size(); ++i) {
+    (i % 2 ? odd_xs : even_xs).push_back(xs[i]);
+    (i % 2 ? odd_ys : even_ys).push_back(ds.y[i]);
+    if (i % 2 == 0) even_rows.push_back(i);
+  }
+  const auto kind = core::ObjectiveKind::kLinear;
+  core::ExactObjectiveSum all(50);
+  all.AddTuples(kind, xs.data(), ds.y.raw(), ds.size());
+  all.AddTuples(kind, odd_xs.data(), odd_ys.data(), odd_xs.size(),
+                /*subtract=*/true);
+  core::ExactObjectiveSum even(50);
+  even.AddTuples(kind, even_xs.data(), even_ys.data(), even_xs.size());
+  EXPECT_TRUE(all == even);
+  EXPECT_LE(MaxUlpDistance(all.Round(),
+                           NeumaierObjective(ds.Select(even_rows), kind)),
+            1u);
 }
 
 TEST(ObjectiveKindTest, TaskMapping) {

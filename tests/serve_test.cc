@@ -1,22 +1,22 @@
 // The serving layer's contracts, end to end:
 //  - serve::IncrementalObjective maintains, under INSERT/DELETE/UPDATE, the
-//    exact compensated shard state a from-scratch build would produce —
-//    bitwise against a dense core::ObjectiveAccumulator::Build when the
-//    store has no holes, bitwise against RebuildFromScratch always, and
-//    within 1 ulp per coefficient of the dense offline build after deletes
-//    punch holes in the shard packing.
+//    exact objective sum of its live tuples — bitwise equal to a dense
+//    core::ObjectiveAccumulator::Build over them and to RebuildFromScratch,
+//    holes or not.
 //  - An insert-then-delete round trip restores the previous accumulator
-//    state exactly (bitwise), not just approximately, and the shards a
-//    delete or update leaves stale are invisible to every observer.
+//    state exactly (bitwise), not just approximately, the pending work a
+//    mutation records is invisible to every observer, and the subtraction
+//    buffer stays bounded without trains.
 //  - The store and ledger snapshot decoders refuse payloads whose derived
-//    counts disagree with their tuples or whose ledger could overspend.
+//    counts disagree with their tuples, whose tuples the store would not
+//    have held, or whose ledger could overspend.
 //  - serve::BudgetAccountant's reserve/commit/abort ledger balances exactly
 //    under concurrent hammering, and a rejected or aborted request consumes
 //    no budget.
 //  - TupleIds are stable: they survive deletes and compactions, are never
-//    reused, and Compact() — which rewrites the slot space densely and
-//    rebuilds every shard partial — leaves the store bit-identical to a
-//    fresh store fed the surviving tuples in order, for every pool size.
+//    reused, and Compact() — which rewrites the slot space densely —
+//    leaves the store bit-identical to a fresh store fed the surviving
+//    tuples in order, for every pool size.
 //  - serve::Service responses — including released model coefficients — are
 //    bit-identical across thread counts for a fixed request log, with
 //    auto-compactions interleaved, and the auto-compaction policy keeps the
@@ -46,6 +46,7 @@
 #include "core/objective_accumulator.h"
 #include "eval/metrics.h"
 #include "exec/thread_pool.h"
+#include "neumaier_reference.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -112,13 +113,13 @@ serve::IncrementalObjective StoreFromDataset(
 // --------------------------------------------------------------------------
 
 TEST(IncrementalObjective, DenseStoreMatchesOfflineBuildBitwise) {
-  // 2500 rows span three 1024-row shards, including a ragged tail.
+  // 2500 rows span three 1024-row chunks, including a ragged tail.
   const auto ds = MakeDataset(2500, 6, false, 7);
   auto store = StoreFromDataset(ds, core::ObjectiveKind::kLinear);
   const auto offline =
       core::ObjectiveAccumulator::Build(ds, core::ObjectiveKind::kLinear);
-  // No holes → identical shard packing → identical bits, even though the
-  // store accumulated tuple-at-a-time and Build in batches of 4.
+  // The sums are exact, so the bits agree even though the store summed its
+  // pending inserts in one chunk list and Build in per-row-range chunks.
   ExpectBitwiseEqual(store.Objective(), offline.Global());
 }
 
@@ -159,33 +160,33 @@ TEST(IncrementalObjective, InsertThenDeleteRoundTripRestoresBitsExactly) {
   ASSERT_TRUE(slot.ok());
   // The insert must actually change the objective...
   EXPECT_NE(MaxUlpDistance(before, store.Objective()), 0u);
-  // ...and deleting it must restore the exact previous bits: the per-shard
-  // recompute policy rebuilds the shard to the compensated in-order sum of
-  // its live tuples, which is precisely the pre-insert state.
+  // ...and deleting it must restore the exact previous bits: the delete
+  // subtracts exactly what the insert added.
   ASSERT_TRUE(store.Delete(slot.ValueOrDie()).ok());
   ExpectBitwiseEqual(before, store.Objective());
   EXPECT_EQ(store.live_size(), ds.size());
 }
 
-TEST(IncrementalObjective, DeletedStoreWithinOneUlpOfDenseRebuild) {
+TEST(IncrementalObjective, DeletedStoreMatchesDenseRebuildBitwise) {
   const auto ds = MakeDataset(2600, 6, false, 19);
   auto store = StoreFromDataset(ds, core::ObjectiveKind::kLinear);
-  // Punch holes across different shards, including shard 0.
+  // Punch holes across the slot space, including the first 1024 slots.
   for (const uint64_t slot : {3u, 1500u, 1023u, 2047u, 2599u}) {
     ASSERT_TRUE(store.Delete(slot).ok());
   }
   ASSERT_EQ(store.live_size(), ds.size() - 5);
 
-  // Bitwise: a full recompute from raw tuples with the same slot layout.
+  // A full recompute from raw tuples with the same slot layout, and the
+  // dense offline build over the survivors: the holes change neither.
   ExpectBitwiseEqual(store.Objective(),
                      store.RebuildFromScratch().Objective());
-
-  // ≤ 1 ulp: the canonical dense offline build repacks the survivors into
-  // different shards, so bits may differ, but both are compensated faithful
-  // summations of the same tuple multiset.
   const auto dense = core::ObjectiveAccumulator::Build(
       store.Materialize(), core::ObjectiveKind::kLinear);
-  EXPECT_LE(MaxUlpDistance(store.Objective(), dense.Global()), 1u);
+  ExpectBitwiseEqual(store.Objective(), dense.Global());
+  EXPECT_LE(MaxUlpDistance(store.Objective(),
+                           NeumaierObjective(store.Materialize(),
+                                             core::ObjectiveKind::kLinear)),
+            1u);
 }
 
 TEST(IncrementalObjective, UpdateRewritesTupleInPlace) {
@@ -249,7 +250,7 @@ TEST(IncrementalObjective, EmptyInsertBatchIsRejectedUpFront) {
   EXPECT_EQ(store.InsertBatch(empty).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(store.slot_count(), 0u);
-  EXPECT_EQ(store.num_shards(), 0u);
+  EXPECT_EQ(store.pending_tuples(), 0u);
 }
 
 // --------------------------------------------------------------------------
@@ -260,9 +261,7 @@ TEST(IncrementalObjective, CompactMatchesFreshStoreBitwise) {
   const auto ds = MakeDataset(3000, 6, false, 101);
   auto store = StoreFromDataset(ds, core::ObjectiveKind::kLinear);
 
-  // Scatter seeded-random deletes so every shard keeps ghosts (no shard
-  // goes fully dead — the compaction, not the dead-shard skip, must pay
-  // off).
+  // Scatter seeded-random deletes across the whole slot space.
   Rng rng(103);
   std::vector<uint64_t> live(ds.size());
   for (size_t i = 0; i < live.size(); ++i) live[i] = i;
@@ -278,14 +277,11 @@ TEST(IncrementalObjective, CompactMatchesFreshStoreBitwise) {
   EXPECT_EQ(store.Compact(), 1100u);
   EXPECT_EQ(store.slot_count(), store.live_size());
   EXPECT_EQ(store.dead_count(), 0u);
-  EXPECT_EQ(store.num_shards(),
-            (store.live_size() + core::kObjectiveShardRows - 1) /
-                core::kObjectiveShardRows);
-  EXPECT_EQ(store.live_shards(), store.num_shards());
+  EXPECT_EQ(store.pending_tuples(), 0u);
 
-  // The tentpole contract: the compacted store is bit-identical — tuple
-  // storage AND every shard's compensated partials — to a fresh store fed
-  // the surviving tuples in order.
+  // The compaction contract: the compacted store is bit-identical — tuple
+  // storage AND the exact sum — to a fresh store fed the surviving tuples
+  // in order.
   auto fresh =
       StoreFromDataset(store.Materialize(), core::ObjectiveKind::kLinear);
   EXPECT_TRUE(store.StoreStateBitwiseEquals(fresh));
@@ -364,7 +360,6 @@ TEST(IncrementalObjective, CompactOnDenseOrEmptiedStoreIsSafe) {
   }
   EXPECT_EQ(store.Compact(), ds.size());
   EXPECT_EQ(store.slot_count(), 0u);
-  EXPECT_EQ(store.num_shards(), 0u);
   serve::IncrementalObjective empty(4, core::ObjectiveKind::kLinear);
   EXPECT_TRUE(store.StoreStateBitwiseEquals(empty));
   ExpectBitwiseEqual(store.Objective(), empty.Objective());
@@ -375,69 +370,48 @@ TEST(IncrementalObjective, CompactOnDenseOrEmptiedStoreIsSafe) {
   EXPECT_EQ(store.live_size(), 1u);
 }
 
-TEST(IncrementalObjective, FullyDeadShardContributesNothingBitwise) {
-  // 1025 tuples: shard 1 holds exactly one, so deleting it leaves a
-  // fully-dead shard that Objective() must skip without changing a bit.
-  const auto ds = MakeDataset(1025, 5, false, 107);
-  auto store = StoreFromDataset(ds, core::ObjectiveKind::kLinear);
-  const auto full = store.Objective();
-
-  std::vector<size_t> head(core::kObjectiveShardRows);
-  for (size_t i = 0; i < head.size(); ++i) head[i] = i;
-  auto store0 =
-      StoreFromDataset(ds.Select(head), core::ObjectiveKind::kLinear);
-
-  ASSERT_TRUE(store.Delete(1024).ok());
-  EXPECT_EQ(store.num_shards(), 2u);
-  EXPECT_EQ(store.live_shards(), 1u);
-  // The skip path folds exactly what a store that never saw shard 1 folds.
-  ExpectBitwiseEqual(store.Objective(), store0.Objective());
-
-  // Reviving the shard (slot 1025 lands in shard 1) restores the original
-  // bits: the recomputed shard is again a single-tuple in-order sum.
-  ASSERT_TRUE(store.Insert(ds.x.Row(1024), 5, ds.y[1024]).ok());
-  EXPECT_EQ(store.live_shards(), 2u);
-  ExpectBitwiseEqual(store.Objective(), full);
-}
-
-TEST(IncrementalObjective, StaleShardsAreInvisibleToEveryObserver) {
-  // Deletes and updates in all four shards, then an insert into a stale
-  // shard, leave every shard stale. The const readers must already see the
-  // canonical partials of a from-scratch rebuild, and the deferred re-sum
-  // Objective() runs on the pool must give the rebuild's bits for every
-  // pool size.
+TEST(IncrementalObjective, PendingWorkIsInvisibleToEveryObserver) {
+  // Deletes and updates across the slot space, then an insert, leave
+  // pending adds and pending subtractions. The const readers must already
+  // see the canonical state of a from-scratch rebuild, and Objective() on
+  // the pool must give the rebuild's bits for every pool size.
   const auto ds = MakeDataset(3500, 6, false, 127);
   auto store = StoreFromDataset(ds, core::ObjectiveKind::kLinear);
+  store.Objective();  // sum everything, so the deletes below subtract
   for (const uint64_t id : {5u, 1030u, 2100u, 3499u}) {
     ASSERT_TRUE(store.Delete(id).ok());
   }
   ASSERT_TRUE(store.Update(2500, ds.x.Row(7), 6, ds.y[7]).ok());
   ASSERT_TRUE(store.Insert(ds.x.Row(8), 6, ds.y[8]).ok());
+  ASSERT_EQ(store.pending_tuples(), 4u + 2u + 1u);
 
   auto rebuilt = store.RebuildFromScratch();
+  EXPECT_EQ(rebuilt.pending_tuples(), 0u);
   EXPECT_TRUE(store.StoreStateBitwiseEquals(rebuilt));
-  std::string stale_bytes;
+  std::string pending_bytes;
   std::string rebuilt_bytes;
-  store.SerializeTo(&stale_bytes);
+  store.SerializeTo(&pending_bytes);
   rebuilt.SerializeTo(&rebuilt_bytes);
-  EXPECT_EQ(stale_bytes, rebuilt_bytes);
+  EXPECT_EQ(pending_bytes, rebuilt_bytes);
 
   const opt::QuadraticModel expected = rebuilt.Objective();
   for (const size_t threads : {1u, 2u, 8u}) {
     exec::ThreadPool pool(threads);
-    auto flushed = store;
-    ExpectBitwiseEqual(flushed.Objective(&pool), expected);
-    EXPECT_TRUE(flushed.StoreStateBitwiseEquals(rebuilt))
+    auto applied = store;
+    ExpectBitwiseEqual(applied.Objective(&pool), expected);
+    EXPECT_EQ(applied.pending_tuples(), 0u);
+    EXPECT_TRUE(applied.StoreStateBitwiseEquals(rebuilt))
         << threads << " threads";
   }
 }
 
-TEST(IncrementalObjective, StaleStoresDifferingInOneTupleCompareUnequal) {
+TEST(IncrementalObjective, PendingStoresDifferingInOneTupleCompareUnequal) {
   // The canonicalising compare must not hide a real difference: two stores
-  // whose stale shards differ in one live tuple compare unequal, whether
-  // neither, one or both have been re-summed.
+  // whose pending work differs in one live tuple compare unequal, whether
+  // neither, one or both have applied it.
   const auto ds = MakeDataset(2100, 5, false, 131);
   auto a = StoreFromDataset(ds, core::ObjectiveKind::kLinear);
+  a.Objective();
   auto b = a;
   ASSERT_TRUE(a.Delete(40).ok());
   ASSERT_TRUE(b.Delete(40).ok());
@@ -449,6 +423,82 @@ TEST(IncrementalObjective, StaleStoresDifferingInOneTupleCompareUnequal) {
   EXPECT_FALSE(b.StoreStateBitwiseEquals(a));
   b.Objective();
   EXPECT_FALSE(a.StoreStateBitwiseEquals(b));
+}
+
+TEST(IncrementalObjective, SumIsAPureFunctionOfTheLiveTuples) {
+  // Random insert/delete/update/compact sequences, with Objective() at
+  // random points, on pools of 1 and 8 threads: the result must equal a
+  // fresh store fed the live tuples in shuffled order and the dense
+  // offline build, bit for bit, and a Neumaier reference within 1 ulp.
+  for (const size_t threads : {1u, 8u}) {
+    exec::ThreadPool pool(threads);
+    const auto ds = MakeDataset(3000, 7, false, 151);
+    serve::IncrementalObjective store(7, core::ObjectiveKind::kLinear);
+    std::vector<serve::TupleId> live;
+    Rng rng(153);
+    size_t next_row = 0;
+    for (size_t op = 0; op < 6000; ++op) {
+      const double p = rng.Uniform();
+      if (live.empty() || p < 0.45) {
+        const size_t row = next_row++ % ds.size();
+        live.push_back(
+            store.Insert(ds.x.Row(row), 7, ds.y[row]).ValueOrDie());
+      } else if (p < 0.80) {
+        const size_t v = rng.UniformInt(live.size());
+        ASSERT_TRUE(store.Delete(live[v]).ok());
+        live[v] = live.back();
+        live.pop_back();
+      } else if (p < 0.98) {
+        const size_t row = rng.UniformInt(ds.size());
+        ASSERT_TRUE(store
+                        .Update(live[rng.UniformInt(live.size())],
+                                ds.x.Row(row), 7, ds.y[row])
+                        .ok());
+      } else if (p < 0.99) {
+        store.Compact(&pool);
+      } else {
+        store.Objective(&pool);
+      }
+    }
+    const data::RegressionDataset tuples = store.Materialize();
+    std::vector<size_t> order(tuples.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    rng.Shuffle(order);
+    auto shuffled =
+        StoreFromDataset(tuples.Select(order), core::ObjectiveKind::kLinear);
+
+    auto copy = store;
+    const opt::QuadraticModel objective = copy.Objective(&pool);
+    ExpectBitwiseEqual(objective, shuffled.Objective(&pool));
+    ExpectBitwiseEqual(objective,
+                       core::ObjectiveAccumulator::Build(
+                           tuples, core::ObjectiveKind::kLinear, &pool)
+                           .Global());
+    EXPECT_LE(MaxUlpDistance(objective,
+                             NeumaierObjective(tuples,
+                                               core::ObjectiveKind::kLinear)),
+              1u);
+  }
+}
+
+TEST(IncrementalObjective, SubtractionBufferStaysBoundedWithoutTrains) {
+  // A log that never trains must not retain deleted values without bound:
+  // the delete that fills the buffer to one chunk applies it, and a bulk
+  // insert applies everything. Neither changes the objective's bits.
+  const auto ds = MakeDataset(3000, 4, false, 157);
+  serve::IncrementalObjective store(4, core::ObjectiveKind::kLinear);
+  ASSERT_TRUE(store.InsertBatch(ds).ok());
+  EXPECT_EQ(store.pending_tuples(), 0u);  // a bulk insert applies its rows
+  for (uint64_t id = 0; id < 2500; ++id) {
+    ASSERT_TRUE(store.Delete(id).ok());
+    ASSERT_LT(store.pending_tuples(), core::kObjectiveShardRows);
+  }
+  EXPECT_EQ(store.pending_tuples(), 2500u % core::kObjectiveShardRows);
+  EXPECT_TRUE(store.StoreStateBitwiseEquals(store.RebuildFromScratch()));
+  auto reference = StoreFromDataset(store.Materialize(),
+                                    core::ObjectiveKind::kLinear);
+  ExpectBitwiseEqual(store.Objective(), reference.Objective());
+  EXPECT_EQ(store.pending_tuples(), 0u);
 }
 
 // Overwrites `field.size()` bytes of `bytes` at `offset`.
@@ -469,6 +519,8 @@ struct StorePayload {
   serve::IncrementalObjective store{3, core::ObjectiveKind::kLinear};
   std::string bytes;
   size_t next_id = 0;  // the first field
+  size_t xs = 0;       // slot 0's first feature
+  size_t ys = 0;       // slot 0's label
   size_t live = 0;     // first liveness byte
 };
 
@@ -482,7 +534,9 @@ StorePayload EncodeStoreWithHoles() {
   }
   p.store.SerializeTo(&p.bytes);
   // next_id and the slot count, then the slot-major features and labels.
-  p.live = 16 + p.store.slot_count() * (kDim + 1) * sizeof(double);
+  p.xs = 16;
+  p.ys = p.xs + p.store.slot_count() * kDim * sizeof(double);
+  p.live = p.ys + p.store.slot_count() * sizeof(double);
   return p;
 }
 
@@ -499,9 +553,8 @@ TEST(IncrementalObjective, RestoreDerivesLiveCountsFromLivenessBytes) {
   ASSERT_TRUE(restored.RestoreFrom(reader).ok());
   EXPECT_EQ(restored.live_size(), 1097u);
   EXPECT_EQ(restored.dead_count(), 3u);
-  EXPECT_EQ(restored.num_shards(), 2u);
-  EXPECT_EQ(restored.live_shards(), 2u);
-  // Bitwise equality covers the per-shard live counts Objective() folds by.
+  // The sum is derived: every live tuple waits for the first Objective().
+  EXPECT_EQ(restored.pending_tuples(), 1097u);
   EXPECT_TRUE(restored.StoreStateBitwiseEquals(p.store));
   serve::IncrementalObjective original = p.store;
   ExpectBitwiseEqual(restored.Objective(), original.Objective());
@@ -519,6 +572,46 @@ TEST(IncrementalObjective, RestoreRejectsANextIdNotAboveEveryAssignedId) {
   ASSERT_TRUE(
       RestoreStore(Patched(p.bytes, p.next_id, U64Field(1100))).ok());
   EXPECT_EQ(RestoreStore(Patched(p.bytes, p.next_id, U64Field(1099))).code(),
+            StatusCode::kIoError);
+}
+
+std::string DoubleField(double value) {
+  std::string field;
+  io::AppendDoubleArray(&field, &value, 1);
+  return field;
+}
+
+TEST(IncrementalObjective, RestoreRejectsALiveTupleOutsideTheContract) {
+  // The restored sum is derived from the live tuples, so one the store
+  // would never have accepted must not be adopted.
+  const StorePayload p = EncodeStoreWithHoles();
+  const size_t slot0_x0 = p.xs;
+  const size_t slot0_y = p.ys;
+  ASSERT_TRUE(RestoreStore(Patched(p.bytes, slot0_x0, DoubleField(0.5))).ok());
+  for (const double bad : {1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(RestoreStore(Patched(p.bytes, slot0_x0, DoubleField(bad)))
+                  .code(),
+              StatusCode::kIoError)
+        << "feature " << bad;
+    EXPECT_EQ(
+        RestoreStore(Patched(p.bytes, slot0_y, DoubleField(bad))).code(),
+        StatusCode::kIoError)
+        << "label " << bad;
+  }
+}
+
+TEST(IncrementalObjective, RestoreRejectsADeadSlotWithNonzeroBytes) {
+  // A delete scrubs the slot to +0.0; anything else in a dead slot means
+  // the payload is not one the store wrote.
+  const StorePayload p = EncodeStoreWithHoles();
+  const size_t dead_x = p.xs + 4 * 3 * sizeof(double);  // id 4, feature 0
+  const size_t dead_y = p.ys + 4 * sizeof(double);
+  ASSERT_TRUE(RestoreStore(Patched(p.bytes, dead_x, DoubleField(0.0))).ok());
+  EXPECT_EQ(RestoreStore(Patched(p.bytes, dead_x, DoubleField(0.25))).code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(RestoreStore(Patched(p.bytes, dead_x, DoubleField(-0.0))).code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(RestoreStore(Patched(p.bytes, dead_y, DoubleField(0.5))).code(),
             StatusCode::kIoError);
 }
 
@@ -1067,10 +1160,122 @@ TEST(Service, UpdateAndCompactRequests) {
   EXPECT_TRUE(objective.StoreStateBitwiseEquals(fresh));
 }
 
+TEST(Service, CompactionsNeverChangeAResponse) {
+  // The store's sum does not depend on slot positions, so a log run with
+  // Compact requests must answer every other request — trains and the
+  // models they release included — exactly as the same log without them.
+  // The compactions replace no-op deletes of an id never assigned, so
+  // every other request keeps its log position and its noise stream. A
+  // third run replaces the explicit compactions with an aggressive
+  // auto-compaction policy.
+  constexpr size_t kDim = 5;
+  const auto initial = MakeDataset(1500, kDim, false, 401);
+  Rng rng(403);
+  const auto random_x = [&] {
+    linalg::Vector x(kDim);
+    for (auto& v : x) v = rng.Uniform(-0.4, 0.4);
+    return x;
+  };
+  const serve::TupleId kNeverAssigned = serve::TupleId{1} << 40;
+  std::vector<serve::TupleId> live(initial.size());
+  for (size_t i = 0; i < live.size(); ++i) live[i] = i;
+  serve::TupleId next_id = initial.size();
+  std::vector<serve::Request> with_compacts;
+  std::vector<serve::Request> without;
+  std::vector<bool> placeholder;
+  for (size_t op = 0; op < 2000; ++op) {
+    const double p = rng.Uniform();
+    serve::Request request;
+    if (p < 0.35) {
+      request = serve::Request::Insert(random_x(), rng.Uniform(-1.0, 1.0));
+      live.push_back(next_id++);
+    } else if (p < 0.65) {
+      const size_t v = rng.UniformInt(live.size());
+      request = serve::Request::Delete(live[v]);
+      live[v] = live.back();
+      live.pop_back();
+    } else if (p < 0.80) {
+      request = serve::Request::Update(live[rng.UniformInt(live.size())],
+                                       random_x(), rng.Uniform(-1.0, 1.0));
+    } else if (p < 0.88) {
+      request = serve::Request::Predict(random_x());
+    } else if (p < 0.91) {
+      request = serve::Request::Evaluate();
+    } else if (p < 0.97) {
+      request = serve::Request::Train(
+          rng.Bernoulli(0.5) ? serve::TrainerKind::kFunctionalMechanism
+                             : serve::TrainerKind::kNoPrivacy,
+          0.5);
+    } else {
+      with_compacts.push_back(serve::Request::Compact());
+      without.push_back(serve::Request::Delete(kNeverAssigned));
+      placeholder.push_back(true);
+      continue;
+    }
+    with_compacts.push_back(request);
+    without.push_back(request);
+    placeholder.push_back(false);
+  }
+
+  struct Run {
+    std::vector<serve::Response> responses;
+    std::unique_ptr<serve::Service> service;
+  };
+  const auto run = [&](const std::vector<serve::Request>& log,
+                       bool auto_compact) {
+    serve::ServiceOptions options;
+    options.dim = kDim;
+    options.total_epsilon = 1000.0;
+    options.auto_compact = auto_compact;
+    options.compaction_min_dead = 16;
+    options.compaction_dead_ratio = 0.02;
+    Run out;
+    out.service = serve::Service::Create(options).ValueOrDie();
+    EXPECT_TRUE(out.service->Bootstrap(initial).ok());
+    out.responses = out.service->ExecuteLog(log);
+    return out;
+  };
+  const Run plain = run(without, false);
+  const Run compacted = run(with_compacts, false);
+  const Run auto_compacted = run(without, true);
+  ASSERT_GT(compacted.service->compaction_count(), 10u);
+  ASSERT_GT(auto_compacted.service->compaction_count(), 10u);
+  EXPECT_EQ(plain.service->compaction_count(), 0u);
+
+  for (const Run* other : {&compacted, &auto_compacted}) {
+    size_t trains = 0;
+    for (size_t i = 0; i < without.size(); ++i) {
+      if (placeholder[i]) continue;
+      const serve::Response& a = plain.responses[i];
+      const serve::Response& b = other->responses[i];
+      EXPECT_EQ(a.status, b.status) << "request " << i;
+      EXPECT_EQ(a.id, b.id) << "request " << i;
+      EXPECT_EQ(UlpDistance(a.value, b.value), 0u) << "request " << i;
+      EXPECT_EQ(a.model_version, b.model_version) << "request " << i;
+      EXPECT_EQ(UlpDistance(a.epsilon_spent, b.epsilon_spent), 0u);
+      trains += without[i].kind == serve::RequestKind::kTrain;
+    }
+    EXPECT_GT(trains, 50u);
+    const auto& registry = plain.service->registry();
+    const auto& other_registry = other->service->registry();
+    ASSERT_EQ(registry.latest_version(), other_registry.latest_version());
+    for (uint64_t version = registry.latest_version() - registry.size() + 1;
+         version <= registry.latest_version(); ++version) {
+      const auto a = registry.Get(version).ValueOrDie();
+      const auto b = other_registry.Get(version).ValueOrDie();
+      ASSERT_EQ(a->omega.size(), b->omega.size());
+      for (size_t j = 0; j < a->omega.size(); ++j) {
+        EXPECT_EQ(UlpDistance(a->omega[j], b->omega[j]), 0u)
+            << "model " << version;
+      }
+    }
+  }
+}
+
 TEST(Service, ChurnSoakStaysBoundedAndThreadCountInvariant) {
   // The ISSUE-5 soak: a seeded random insert/delete/update churn with
   // trains, predicts, and an aggressive auto-compaction policy, asserting
-  //  (a) the slot space and shard count stay O(live) throughout,
+  //  (a) the slot space stays O(live) throughout,
   //  (b) the post-compaction store is bitwise a fresh store of the live
   //      tuples,
   //  (c) every TupleId stays valid across however many compactions remap
@@ -1196,13 +1401,11 @@ TEST(Service, ChurnSoakStaysBoundedAndThreadCountInvariant) {
   }
 
   // (a): the log ends with an explicit Compact, so the store is dense and
-  // its shard count is exactly ceil(live / shard rows).
+  // has applied all its pending work.
   const auto& objective = service1->objective();
   EXPECT_EQ(objective.live_size(), live.size());
   EXPECT_EQ(objective.slot_count(), objective.live_size());
-  EXPECT_EQ(objective.num_shards(),
-            (objective.live_size() + core::kObjectiveShardRows - 1) /
-                core::kObjectiveShardRows);
+  EXPECT_EQ(objective.pending_tuples(), 0u);
 
   // Evaluate never materializes the store: the soak's evaluates all went
   // through the live-slot streaming view (the test's own Materialize call

@@ -541,18 +541,23 @@ TEST(Snapshot, LoadSkipsCorruptNewestAndPrunes) {
   EXPECT_EQ(contents.next_position, 10u);
   EXPECT_EQ(contents.components, newer);
 
-  // A newest file whose header claims format version 1 (which wrote fields
-  // version 2 derives) is skipped like any other invalid snapshot, even
-  // though its CRC holds.
-  const std::string v1 = dir + "/" + serve::SnapshotFileName(15);
-  ASSERT_TRUE(
-      serve::WriteSnapshotFile(dir, 15, fp, payload_for(15, newer), false)
-          .ok());
-  std::string v1_bytes = io::ReadFileToString(v1).ValueOrDie();
-  std::string version_field;
-  io::AppendU32(&version_field, 1);
-  v1_bytes.replace(8, version_field.size(), version_field);  // after magic
-  ASSERT_TRUE(io::WriteFileAtomic(v1, v1_bytes, false).ok());
+  // Newest files whose header claims format version 1 or 2 (which wrote
+  // fields version 3 derives: version 2 still carried the store's shard
+  // partials) are skipped like any other invalid snapshot, even though
+  // their CRCs hold.
+  for (const uint32_t old_version : {1u, 2u}) {
+    const uint64_t position = 14 + old_version;
+    const std::string old_file =
+        dir + "/" + serve::SnapshotFileName(position);
+    ASSERT_TRUE(serve::WriteSnapshotFile(dir, position, fp,
+                                         payload_for(position, newer), false)
+                    .ok());
+    std::string old_bytes = io::ReadFileToString(old_file).ValueOrDie();
+    std::string version_field;
+    io::AppendU32(&version_field, old_version);
+    old_bytes.replace(8, version_field.size(), version_field);  // after magic
+    ASSERT_TRUE(io::WriteFileAtomic(old_file, old_bytes, false).ok());
+  }
   contents = serve::LoadLatestSnapshot(dir, fp).ValueOrDie();
   EXPECT_EQ(contents.next_position, 10u);
   EXPECT_EQ(contents.components, newer);

@@ -576,9 +576,9 @@ SELF_CHECK_PLANTS = [
      "}\n",
      "fm-observation-only", 4),
     ("src/core/planted_kernel_oracle.cc",
-     "void Accumulate(double* sum, double* comp, const double* x) {\n"
-     "  fm::linalg::kernels::RefCompensatedTupleUpdate(sum, comp, x, 1, 1.0,\n"
-     "                                                 0.0, 0.0);\n"
+     "void Accumulate(long* hi, long* lo, const double* const* xs) {\n"
+     "  fm::linalg::kernels::RefExactTupleAccumulateBatch(hi, lo, xs, 1, 1.0,\n"
+     "                                                    nullptr, nullptr);\n"
      "}\n",
      "fm-kernel-oracle", 2),
     ("src/dp/planted_test_only.h",

@@ -47,7 +47,7 @@ import subprocess
 import sys
 
 DEFAULT_FILTER = (
-    "BM_CompensatedBatch|BM_GramMatrix|BM_Cholesky|BM_MatVec|"
+    "BM_ExactBatch|BM_GramMatrix|BM_Cholesky|BM_MatVec|"
     "BM_LogisticGradient|BM_ObjectiveAccumulatorBuild|"
     "BM_TrainObjectiveForFold|BM_BuildLinearObjective"
 )
