@@ -40,7 +40,7 @@
 #include <vector>
 
 #include "baselines/fm_algorithm.h"
-#include "common/io_util.h"
+#include "common/io_env.h"
 #include "common/rng.h"
 #include "common/ulp.h"
 #include "core/objective_accumulator.h"
@@ -337,8 +337,10 @@ int main() {
   // Crash: drop the in-memory service, tear the final WAL record.
   durable.reset();
   const uint64_t wal_bytes =
-      io::FileSize(durability.wal.path).ValueOrDie();
-  if (!io::TruncateFile(durability.wal.path, wal_bytes - 3).ok()) return 1;
+      io::Env::Default().FileSize(durability.wal.path).ValueOrDie();
+  if (!io::Env::Default().TruncateFile(durability.wal.path, wal_bytes - 3).ok()) {
+    return 1;
+  }
 
   auto recovered =
       serve::Service::Recover(options, durability).ValueOrDie();

@@ -98,8 +98,9 @@ inline bool IsTransient(const Status& status) {
   return status.code() == StatusCode::kUnavailable;
 }
 
-/// Counters for the transient-fault retry loops; surfaced by Wal and
-/// bench_serve so fault handling on the happy path is visibly zero.
+/// Counters for the transient-fault retry loops; surfaced by Wal and the
+/// service's fm_wal_* gauges so fault handling on the happy path is
+/// visibly zero.
 struct RetryStats {
   uint64_t transient_retries = 0;  ///< EINTR-class retries that made no progress.
   uint64_t short_writes = 0;       ///< writes/reads that transferred short.
@@ -120,8 +121,7 @@ Status FullWrite(File& file, const void* data, size_t size,
 Status FullRead(File& file, std::string* out, RetryStats* stats = nullptr);
 
 /// Env-routed whole-file read: kNotFound when missing, typed errors
-/// otherwise. The legacy io_util.h ReadFileToString forwards here with
-/// Env::Default().
+/// otherwise.
 Result<std::string> ReadFileToString(Env& env, const std::string& path);
 
 /// Env-routed atomic file write: write `<path>.tmp`, optionally fsync

@@ -1,11 +1,6 @@
 #include "common/io_util.h"
 
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstring>
-
-#include "common/io_env.h"
 
 namespace fm::io {
 
@@ -148,48 +143,6 @@ Status ByteReader::ReadDoubleArray(std::vector<double>* out, size_t count) {
     FM_RETURN_NOT_OK(ReadDouble(&(*out)[i]));
   }
   return Status::OK();
-}
-
-// The file-level helpers below are the legacy entry points; they forward to
-// the Env seam (common/io_env.h) against the process-wide POSIX environment.
-// Code that needs fault injection takes an Env (or passes one through
-// WalOptions / the snapshot helpers) instead of calling these.
-
-Result<std::string> ReadFileToString(const std::string& path) {
-  return ReadFileToString(Env::Default(), path);
-}
-
-Status SyncFd(int fd) {
-  if (::fsync(fd) != 0) {
-    return Status::IoError(std::string("fsync failed: ") +
-                           std::strerror(errno));
-  }
-  return Status::OK();
-}
-
-Status WriteFileAtomic(const std::string& path, const std::string& contents,
-                       bool sync) {
-  return WriteFileAtomic(Env::Default(), path, contents, sync);
-}
-
-Status CreateDirectories(const std::string& path) {
-  return Env::Default().CreateDirectories(path);
-}
-
-Result<std::vector<std::string>> ListDirectory(const std::string& path) {
-  return Env::Default().ListDirectory(path);
-}
-
-Status RemoveFileIfExists(const std::string& path) {
-  return Env::Default().RemoveFileIfExists(path);
-}
-
-Status TruncateFile(const std::string& path, uint64_t size) {
-  return Env::Default().TruncateFile(path, size);
-}
-
-Result<uint64_t> FileSize(const std::string& path) {
-  return Env::Default().FileSize(path);
 }
 
 }  // namespace fm::io

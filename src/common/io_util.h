@@ -6,14 +6,14 @@
 #include <string>
 #include <vector>
 
-#include "common/result.h"
 #include "common/status.h"
 
 namespace fm::io {
 
-/// Byte-level encode/decode and durable-file helpers shared by the serving
-/// layer's write-ahead log and snapshot files (src/serve/wal.*,
-/// src/serve/snapshot.*).
+/// Byte-level encode/decode helpers shared by the serving layer's
+/// write-ahead log and snapshot files (src/serve/wal.*,
+/// src/serve/snapshot.*). Whole-file reads, atomic writes and directory
+/// operations go through the io::Env seam (common/io_env.h).
 ///
 /// All multi-byte integers are little-endian on disk regardless of host
 /// order, and doubles are stored as the little-endian bytes of their IEEE-754
@@ -72,42 +72,6 @@ class ByteReader {
   size_t size_;
   size_t offset_ = 0;
 };
-
-/// Reads a whole file into `out`. kNotFound when the file does not exist,
-/// typed errors otherwise. EINTR-safe (bounded retry, common/io_env.h);
-/// forwards to the Env seam against the default POSIX environment — code
-/// that needs fault injection takes an io::Env explicitly.
-Result<std::string> ReadFileToString(const std::string& path);
-
-/// Writes `contents` to `path` atomically: write to `<path>.tmp`, optionally
-/// fsync, then rename over the target (and fsync the directory so the rename
-/// itself is durable). A crash mid-write leaves either the old file or the
-/// new one, never a torn mixture — the snapshot files' durability story.
-/// With `sync` false the fsyncs are skipped (fast mode for tests/CI; the
-/// rename is still atomic against process crashes, just not power loss).
-/// On ANY failure (open/write/fsync/close/rename) the tmp file is unlinked
-/// before returning; the fsync result is checked before the rename.
-Status WriteFileAtomic(const std::string& path, const std::string& contents,
-                       bool sync);
-
-/// Creates `path` (and parents) as a directory; OK if it already exists.
-Status CreateDirectories(const std::string& path);
-
-/// The plain-file entries of `path` (names, not full paths), sorted.
-Result<std::vector<std::string>> ListDirectory(const std::string& path);
-
-/// Removes a file; OK if it does not exist.
-Status RemoveFileIfExists(const std::string& path);
-
-/// Truncates the file at `path` to `size` bytes (test/crash-injection
-/// helper; also used by WAL recovery to drop a torn tail).
-Status TruncateFile(const std::string& path, uint64_t size);
-
-/// Size of the file at `path` in bytes.
-Result<uint64_t> FileSize(const std::string& path);
-
-/// fsync(2) on an open descriptor, as a Status.
-Status SyncFd(int fd);
 
 }  // namespace fm::io
 

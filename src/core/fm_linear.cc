@@ -9,7 +9,7 @@ Result<FmFitReport> FmLinearRegression::Fit(
   if (train.size() == 0) {
     return Status::FailedPrecondition("cannot fit on an empty dataset");
   }
-  if (!train.SatisfiesNormalizationContract()) {
+  if (!train.SatisfiesNormalizationContract(data::TaskKind::kLinear)) {
     return Status::InvalidArgument(
         "dataset violates the §3 contract (‖x‖ ≤ 1, y ∈ [−1,1]); run it "
         "through data::Normalizer first");

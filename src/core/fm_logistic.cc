@@ -10,16 +10,10 @@ Result<FmFitReport> FmLogisticRegression::Fit(
   if (train.size() == 0) {
     return Status::FailedPrecondition("cannot fit on an empty dataset");
   }
-  if (!train.SatisfiesNormalizationContract()) {
+  if (!train.SatisfiesNormalizationContract(data::TaskKind::kLogistic)) {
     return Status::InvalidArgument(
-        "dataset violates the §3 contract (‖x‖ ≤ 1); run it through "
-        "data::Normalizer first");
-  }
-  for (size_t i = 0; i < train.size(); ++i) {
-    if (train.y[i] != 0.0 && train.y[i] != 1.0) {
-      return Status::InvalidArgument(
-          "logistic regression requires labels in {0, 1} (Definition 2)");
-    }
+        "dataset violates the §3 contract (‖x‖ ≤ 1, y ∈ {0, 1} per "
+        "Definition 2); run it through data::Normalizer first");
   }
   return FitObjective(BuildTruncatedLogisticObjective(train.x, train.y), rng);
 }

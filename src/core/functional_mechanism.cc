@@ -55,19 +55,20 @@ Result<PolynomialObjective> FunctionalMechanism::PerturbPolynomial(
 }
 
 Result<linalg::Vector> FunctionalMechanism::SpectralTrimMinimize(
-    const opt::QuadraticModel& objective, size_t* trimmed_count) {
+    const opt::QuadraticModel& objective, size_t* trimmed_count,
+    double floor) {
   FM_ASSIGN_OR_RETURN(linalg::SymmetricEigen eig,
                       linalg::EigenSym(objective.m));
   const size_t d = objective.dim();
 
   // Minimize g(V) = Σ_k λ_k V_k² + Σ_k (q_kᵀα) V_k over the retained
-  // (positive-eigenvalue) components: V_k = −(q_kᵀα) / (2 λ_k); the
-  // minimum-norm pre-image of Q′ω = V is ω = Q′ᵀ V (rows of Q orthonormal).
+  // (above-floor) components: V_k = −(q_kᵀα) / (2 λ_k); the minimum-norm
+  // pre-image of Q′ω = V is ω = Q′ᵀ V (rows of Q orthonormal).
   linalg::Vector omega(d);
   size_t trimmed = 0;
   for (size_t k = 0; k < d; ++k) {
     const double lambda = eig.eigenvalues[k];
-    if (!(lambda > 0.0)) {
+    if (!(lambda > floor)) {
       ++trimmed;
       continue;
     }
@@ -118,27 +119,14 @@ Result<FmFitReport> FunctionalMechanism::FitQuadratic(
     FM_ASSIGN_OR_RETURN(
         opt::QuadraticModel noisy,
         PerturbQuadratic(objective, delta, options.epsilon, rng));
-    FM_ASSIGN_OR_RETURN(linalg::SymmetricEigen eig,
-                        linalg::EigenSym(noisy.m));
     // Eigenvalues at or below the per-coefficient noise stddev carry no
     // usable curvature signal; trimming them is post-processing of the
     // already-private (M*, α*, β*), so privacy is unaffected.
-    const double floor = noise_stddev;
-    const size_t d = objective.dim();
-    linalg::Vector omega(d);
-    size_t trimmed = 0;
-    for (size_t k = 0; k < d; ++k) {
-      const double lambda_k = eig.eigenvalues[k];
-      if (lambda_k <= floor) {
-        ++trimmed;
-        continue;
-      }
-      const linalg::Vector qk = eig.eigenvectors.RowVector(k);
-      omega.Axpy(-Dot(qk, noisy.alpha) / (2.0 * lambda_k), qk);
-    }
-    report.omega = std::move(omega);
-    report.trimmed_eigenvalues = trimmed;
-    report.used_spectral_trimming = trimmed > 0;
+    FM_ASSIGN_OR_RETURN(
+        report.omega,
+        SpectralTrimMinimize(noisy, &report.trimmed_eigenvalues,
+                             noise_stddev));
+    report.used_spectral_trimming = report.trimmed_eigenvalues > 0;
     return report;
   }
 

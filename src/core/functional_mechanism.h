@@ -146,13 +146,15 @@ class FunctionalMechanism {
       const PolynomialObjective& objective, double delta,
       const PolynomialFitOptions& options, Rng& rng);
 
-  /// §6.2 spectral trimming: eigendecomposes M, drops non-positive
-  /// eigenvalues, minimizes g(V) = VᵀΛ′V + (Q′α)ᵀV + β over V = Q′ω, and
-  /// returns the minimum-norm ω with Q′ω = V. `trimmed_count` receives the
-  /// number of deleted eigenvalues. When every eigenvalue is non-positive
+  /// §6.2 spectral trimming: eigendecomposes M, drops the eigenvalues at
+  /// or below `floor` (the non-positive ones by default; kAdaptive passes
+  /// the noise stddev), minimizes g(V) = VᵀΛ′V + (Q′α)ᵀV + β over V = Q′ω,
+  /// and returns the minimum-norm ω with Q′ω = V. `trimmed_count` receives
+  /// the number of deleted eigenvalues. When every eigenvalue is dropped
   /// the zero vector is returned (the entire quadratic signal was noise).
   static Result<linalg::Vector> SpectralTrimMinimize(
-      const opt::QuadraticModel& objective, size_t* trimmed_count);
+      const opt::QuadraticModel& objective, size_t* trimmed_count,
+      double floor = 0.0);
 
  private:
   FunctionalMechanism() = default;

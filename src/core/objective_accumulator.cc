@@ -185,7 +185,8 @@ ObjectiveAccumulator ObjectiveAccumulator::Build(
     const data::RegressionDataset& dataset, ObjectiveKind kind,
     exec::ThreadPool* pool) {
   // The contract bounds every term, which the fixed-point sum relies on.
-  FM_CHECK(dataset.SatisfiesNormalizationContract());
+  FM_CHECK(
+      dataset.SatisfiesNormalizationContract(TaskForObjectiveKind(kind)));
   ObjectiveAccumulator acc;
   acc.dataset_ = &dataset;
   acc.kind_ = kind;

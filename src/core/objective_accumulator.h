@@ -28,6 +28,13 @@ enum class ObjectiveKind {
 /// The objective kind that the §7 evaluation uses for `task`.
 ObjectiveKind ObjectiveKindForTask(data::TaskKind task);
 
+/// The task whose §3 contract `kind`'s tuples obey: the inverse of
+/// ObjectiveKindForTask.
+inline data::TaskKind TaskForObjectiveKind(ObjectiveKind kind) {
+  return kind == ObjectiveKind::kLinear ? data::TaskKind::kLinear
+                                        : data::TaskKind::kLogistic;
+}
+
 // ---------------------------------------------------------------------------
 // The exact objective sum shared by the offline fold cache below and the
 // online serve::IncrementalObjective.

@@ -8,6 +8,51 @@
 
 namespace fm::data {
 
+namespace {
+
+// Slack on the §3 bounds for the round-off of normalization itself.
+constexpr double kContractTolerance = 1e-9;
+
+// The §3 rule: nullptr when the tuple satisfies the contract, otherwise the
+// message naming the first clause it violates. Returning a literal keeps
+// Status construction out of SatisfiesNormalizationContract's per-row loop.
+inline const char* ContractViolation(const double* x, size_t dim, double y,
+                                     TaskKind task) {
+  double norm_sq = 0.0;
+  for (size_t j = 0; j < dim; ++j) norm_sq += x[j] * x[j];
+  // A non-finite feature makes norm_sq ∞ or NaN, which fails the negated
+  // comparison, so the sum needs no per-feature test; this one only picks
+  // the message.
+  if (!(norm_sq <= (1.0 + kContractTolerance) * (1.0 + kContractTolerance))) {
+    for (size_t j = 0; j < dim; ++j) {
+      if (!std::isfinite(x[j])) return "feature values must be finite";
+    }
+    return "‖x‖₂ > 1 violates the §3 normalization contract; run tuples "
+           "through data::Normalizer first";
+  }
+  if (!std::isfinite(y)) return "label must be finite";
+  switch (task) {
+    case TaskKind::kLinear:
+      if (y < -1.0 - kContractTolerance || y > 1.0 + kContractTolerance) {
+        return "linear-task label outside [−1, 1] violates the §3 contract";
+      }
+      break;
+    case TaskKind::kLogistic:
+      if (y != 0.0 && y != 1.0) return "logistic-task label must be 0 or 1";
+      break;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+Status CheckNormalizationContract(const double* x, size_t dim, double y,
+                                  TaskKind task) {
+  const char* violation = ContractViolation(x, dim, y, task);
+  return violation == nullptr ? Status::OK()
+                              : Status::InvalidArgument(violation);
+}
+
 RegressionDataset RegressionDataset::Select(
     const std::vector<size_t>& rows) const {
   RegressionDataset out;
@@ -32,14 +77,12 @@ RegressionDataset RegressionDataset::Sample(double rate, Rng& rng) const {
   return Select(order);
 }
 
-bool RegressionDataset::SatisfiesNormalizationContract(double tol) const {
+bool RegressionDataset::SatisfiesNormalizationContract(TaskKind task) const {
   if (y.size() != x.rows()) return false;
   for (size_t i = 0; i < x.rows(); ++i) {
-    double ssq = 0.0;
-    for (size_t j = 0; j < x.cols(); ++j) ssq += x(i, j) * x(i, j);
-    // Negated comparisons, so a NaN feature or label fails them too.
-    if (!(std::sqrt(ssq) <= 1.0 + tol)) return false;
-    if (!(y[i] >= -1.0 - tol && y[i] <= 1.0 + tol)) return false;
+    if (ContractViolation(x.Row(i), x.cols(), y[i], task) != nullptr) {
+      return false;
+    }
   }
   return true;
 }

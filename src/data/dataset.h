@@ -5,10 +5,25 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 
 namespace fm::data {
+
+/// Which regression task a dataset is being prepared for. Linear keeps the
+/// label continuous in [−1, 1]; logistic thresholds it to {0, 1}.
+enum class TaskKind { kLinear, kLogistic };
+
+/// The §3 normalization contract for one tuple of a `task` dataset: every
+/// value finite, ‖x‖₂² ≤ (1 + 10⁻⁹)², and y ∈ [−1 − 10⁻⁹, 1 + 10⁻⁹]
+/// (kLinear) or y ∈ {0, 1} (kLogistic). Returns InvalidArgument naming the
+/// first clause the tuple violates. This is the library's one contract
+/// check — the serving store, RegressionDataset's check, the FM
+/// front-ends' Fit and the fold-objective cache all call it — so a tuple
+/// gets the same verdict on every path.
+Status CheckNormalizationContract(const double* x, size_t dim, double y,
+                                  TaskKind task);
 
 /// The regression task's whole-dataset view after §3 preprocessing:
 /// feature rows x_i with ‖x_i‖₂ ≤ 1, labels y_i in [−1, 1] (linear task) or
@@ -35,10 +50,11 @@ struct RegressionDataset {
   /// [0, 1].
   RegressionDataset Sample(double rate, Rng& rng) const;
 
-  /// Checks the §3 invariants: every value finite, every ‖x_i‖ ≤ 1 + tol
-  /// and every y within [−1−tol, 1+tol]. Guards the paths whose sums rely
-  /// on the bound (core::ObjectiveAccumulator::Build aborts without it).
-  bool SatisfiesNormalizationContract(double tol = 1e-9) const;
+  /// True when y holds one label per row and every tuple passes
+  /// CheckNormalizationContract for `task`. Guards the paths whose sums
+  /// rely on the bound (core::ObjectiveAccumulator::Build aborts without
+  /// it).
+  bool SatisfiesNormalizationContract(TaskKind task) const;
 };
 
 /// One train/test split of row indices.

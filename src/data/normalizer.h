@@ -13,10 +13,6 @@
 
 namespace fm::data {
 
-/// Which regression task a dataset is being prepared for. Linear keeps the
-/// label continuous in [−1, 1]; logistic thresholds it to {0, 1}.
-enum class TaskKind { kLinear, kLogistic };
-
 /// Implements the paper's §3 preprocessing contract.
 ///
 /// Features: each attribute X_j is min–max mapped by

@@ -25,23 +25,6 @@ struct FoldOutcome {
   Status status;
 };
 
-// The cache path skips the per-fold Fit validation (there is no per-fold
-// dataset to validate), so it is only taken when the whole dataset passes
-// the checks the §3-contract-enforcing front-ends would run per fold. The
-// checks are row-wise, so the full dataset passing implies every fold
-// passes — and a violating dataset falls back to the direct path, where the
-// per-fold failures surface exactly as before.
-bool DatasetEligibleForCache(const data::RegressionDataset& dataset,
-                             data::TaskKind task) {
-  if (!dataset.SatisfiesNormalizationContract()) return false;
-  if (task == data::TaskKind::kLogistic) {
-    for (size_t i = 0; i < dataset.size(); ++i) {
-      if (dataset.y[i] != 0.0 && dataset.y[i] != 1.0) return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 bool DefaultObjectiveCacheEnabled() {
@@ -74,10 +57,13 @@ Result<CvResult> CrossValidate(const baselines::RegressionAlgorithm& algorithm,
   // which every (repeat, fold) task derives its training objective as
   // global-sum-minus-test-slice in O(|test| · d²) instead of re-summing its
   // (k−1)/k·n training tuples. Shared by all repeats — the global sum does
-  // not depend on the fold partition.
+  // not depend on the fold partition. The cache path skips the per-fold Fit
+  // validation, so it is taken only when the whole dataset passes the §3
+  // check Fit runs per fold. The check is row-wise, so a violating dataset
+  // takes the direct path, where the per-fold failures surface as before.
   std::optional<core::ObjectiveAccumulator> cache;
   if (options.use_objective_cache && algorithm.SupportsObjectiveCache(task) &&
-      DatasetEligibleForCache(dataset, task)) {
+      dataset.SatisfiesNormalizationContract(task)) {
     cache.emplace(core::ObjectiveAccumulator::Build(
         dataset, core::ObjectiveKindForTask(task), &pool));
   }

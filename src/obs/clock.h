@@ -67,8 +67,8 @@ inline const Clock* ClockOrDefault(const Clock* clock) {
   return clock != nullptr ? clock : MonotonicClock::Default();
 }
 
-/// Elapsed-time helper over the Clock seam: the one wall-clock timer of the
-/// bench and fuzz drivers.
+/// Elapsed-time helper over the Clock seam: the fuzz driver's wall-clock
+/// timer.
 class Stopwatch {
  public:
   explicit Stopwatch(const Clock* clock = nullptr)

@@ -53,27 +53,6 @@ Result<uint64_t> BudgetAccountant::Reserve(double epsilon,
   return id;
 }
 
-Status BudgetAccountant::Commit(uint64_t reservation, double actual_epsilon) {
-  FM_RETURN_NOT_OK(dp::ValidateEpsilon(actual_epsilon));
-  MutexLock lock(mutex_);
-  const auto it = pending_.find(reservation);
-  if (it == pending_.end()) {
-    return Status::NotFound("unknown or already-settled reservation " +
-                            std::to_string(reservation));
-  }
-  if (actual_epsilon > it->second.epsilon + kSlack) {
-    return Status::InvalidArgument(
-        "commit of " + FormatEpsilon(actual_epsilon) +
-        " exceeds the reserved " + FormatEpsilon(it->second.epsilon) + " (" +
-        it->second.label + ")");
-  }
-  reserved_epsilon_ -= it->second.epsilon;
-  spent_epsilon_ += actual_epsilon;
-  charges_.push_back(ChargeRecord{actual_epsilon, it->second.label});
-  pending_.erase(it);
-  return Status::OK();
-}
-
 Status BudgetAccountant::Settle(uint64_t reservation, double actual_epsilon) {
   MutexLock lock(mutex_);
   const auto it = pending_.find(reservation);

@@ -22,16 +22,18 @@ namespace fm::serve {
 /// can race on without over-spending. This is the repo's one ε ledger, and
 /// it splits a charge into
 ///
-///   Reserve(worst case) → train → Commit(actual) | Abort(),
+///   Reserve(worst case) → train → Settle(actual) | Abort(),
 ///
 /// because a training request's final cost is not known up front (the §6
 /// kResample remedy spends 2ε when it resamples — Lemma 5 — and a request
 /// that fails to train must consume nothing). Reserve atomically sets aside
 /// the worst case and fails with kFailedPrecondition when
-/// spent + reserved + ε would exceed the total; Commit converts at most the
-/// reservation into spent budget and releases the remainder; Abort releases
-/// all of it. A rejected or aborted request therefore consumes zero budget,
-/// and the invariant
+/// spent + reserved + ε would exceed the total; Settle converts at most the
+/// reservation into spent budget and releases the remainder, or, when the
+/// actual ε does not fit the reservation, releases all of it; Abort
+/// releases all of it. Either way the reservation is settled exactly once.
+/// A rejected or aborted request therefore consumes zero budget, and the
+/// invariant
 ///
 ///   spent + reserved ≤ total   (spent, reserved ≥ 0)
 ///
@@ -51,47 +53,39 @@ class BudgetAccountant {
   BudgetAccountant& operator=(const BudgetAccountant&) = delete;
 
   /// Atomically sets aside `epsilon` of budget for an in-flight request.
-  /// Returns a reservation id to Commit or Abort; every reservation must
+  /// Returns a reservation id to Settle or Abort; every reservation must
   /// eventually see exactly one of the two. Fails with InvalidArgument for
   /// invalid ε and kFailedPrecondition when the remaining budget is
   /// insufficient — in both cases the ledger is unchanged.
   Result<uint64_t> Reserve(double epsilon, const std::string& label);
 
-  /// Converts `actual_epsilon` of the reservation into spent budget and
-  /// releases the rest. `actual_epsilon` must be positive and at most the
-  /// reserved amount (within 1e-12 round-off tolerance). Fails with
-  /// kNotFound for an unknown/settled id — the reservation, if any, is left
-  /// pending on failure.
-  Status Commit(uint64_t reservation, double actual_epsilon);
-
   /// Releases the whole reservation; nothing is spent.
   Status Abort(uint64_t reservation);
 
-  /// Settles a reservation in one critical section: commits
-  /// `actual_epsilon` when it fits the reservation, otherwise releases the
-  /// whole reservation and returns the root-cause error. Either way the
-  /// reservation is settled exactly once — unlike a Commit-then-Abort
-  /// sequence, which on a commit failure leaves the caller holding two
-  /// statuses and a second settle attempt against an id the first call may
-  /// already have erased. Returns OK exactly when the commit happened;
-  /// kNotFound for an unknown/already-settled id (ledger unchanged).
+  /// Settles a reservation in one critical section: spends
+  /// `actual_epsilon` and releases the rest when it is a valid ε at most
+  /// the reserved amount (within 1e-12 round-off tolerance); otherwise
+  /// releases the whole reservation and returns the root-cause
+  /// InvalidArgument. Either way the reservation is settled exactly once.
+  /// Returns OK exactly when the spend happened; kNotFound for an
+  /// unknown/already-settled id (ledger unchanged).
   Status Settle(uint64_t reservation, double actual_epsilon);
 
   double total_epsilon() const;
-  /// Committed spend.
+  /// Settled spend.
   double spent_epsilon() const;
   /// Outstanding (reserved, not yet settled) budget.
   double reserved_epsilon() const;
   /// total − spent − reserved: what a new Reserve can still claim.
   double remaining_epsilon() const;
 
-  /// One committed charge.
+  /// One settled charge.
   struct ChargeRecord {
     double epsilon;
     std::string label;
   };
 
-  /// All committed charges, in commit order (copied under the lock).
+  /// All settled charges, in settle order (copied under the lock).
   std::vector<ChargeRecord> charges() const;
   size_t pending_reservations() const;
 

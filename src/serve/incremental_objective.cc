@@ -1,16 +1,11 @@
 #include "serve/incremental_objective.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
-
 
 namespace fm::serve {
 
 namespace {
-
-// Matches data::RegressionDataset::SatisfiesNormalizationContract.
-constexpr double kContractTolerance = 1e-9;
 
 // Number of chunks of at most kObjectiveShardRows entries that n entries
 // fill.
@@ -40,36 +35,8 @@ Status IncrementalObjective::ValidateTuple(const double* x, size_t dim,
         "tuple dimensionality " + std::to_string(dim) +
         " does not match the store's " + std::to_string(dim_));
   }
-  double norm_sq = 0.0;
-  for (size_t j = 0; j < dim; ++j) {
-    if (!std::isfinite(x[j])) {
-      return Status::InvalidArgument("feature values must be finite");
-    }
-    norm_sq += x[j] * x[j];
-  }
-  if (norm_sq > (1.0 + kContractTolerance) * (1.0 + kContractTolerance)) {
-    return Status::InvalidArgument(
-        "‖x‖₂ > 1 violates the §3 normalization contract; run tuples "
-        "through data::Normalizer first");
-  }
-  if (!std::isfinite(y)) {
-    return Status::InvalidArgument("label must be finite");
-  }
-  switch (kind_) {
-    case core::ObjectiveKind::kLinear:
-      if (y < -1.0 - kContractTolerance || y > 1.0 + kContractTolerance) {
-        return Status::InvalidArgument(
-            "linear-task label outside [−1, 1] violates the §3 contract");
-      }
-      break;
-    case core::ObjectiveKind::kTruncatedLogistic:
-      if (y != 0.0 && y != 1.0) {
-        return Status::InvalidArgument(
-            "logistic-task label must be 0 or 1");
-      }
-      break;
-  }
-  return Status::OK();
+  return data::CheckNormalizationContract(
+      x, dim, y, core::TaskForObjectiveKind(kind_));
 }
 
 Result<size_t> IncrementalObjective::FindLiveSlot(TupleId id) const {

@@ -212,7 +212,8 @@ class IncrementalObjective {
   bool StoreStateBitwiseEquals(const IncrementalObjective& other) const;
 
  private:
-  // Validates one tuple against the §3 contract for kind_.
+  // Checks the dimensionality, then data::CheckNormalizationContract for
+  // kind_'s task.
   Status ValidateTuple(const double* x, size_t dim, double y) const;
 
   // Binary-searches slot_to_id_ (strictly increasing) for `id`, within the

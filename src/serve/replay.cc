@@ -7,6 +7,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/io_env.h"
 #include "common/io_util.h"
 #include "common/rng.h"
 #include "exec/thread_pool.h"
@@ -250,13 +251,14 @@ Status WriteReproArtifact(const std::string& path,
   const std::string parent =
       std::filesystem::path(path).parent_path().string();
   if (!parent.empty()) {
-    FM_RETURN_NOT_OK(io::CreateDirectories(parent));
+    FM_RETURN_NOT_OK(io::Env::Default().CreateDirectories(parent));
   }
-  return io::WriteFileAtomic(path, out, /*sync=*/false);
+  return io::WriteFileAtomic(io::Env::Default(), path, out, /*sync=*/false);
 }
 
 Result<ReproArtifact> ReadReproArtifact(const std::string& path) {
-  FM_ASSIGN_OR_RETURN(const std::string file, io::ReadFileToString(path));
+  FM_ASSIGN_OR_RETURN(const std::string file,
+                      io::ReadFileToString(io::Env::Default(), path));
   if (file.size() < sizeof(kReproMagic) ||
       std::memcmp(file.data(), kReproMagic, sizeof(kReproMagic)) != 0) {
     return Status::IoError(path + " is not a FMFUZZR1 repro artifact");
@@ -382,14 +384,15 @@ Result<ReplayObservation> ExecuteReplay(const ServiceOptions& options,
 
   DurabilityOptions durability;
   if (durable) {
-    FM_RETURN_NOT_OK(io::CreateDirectories(scratch_dir));
+    FM_RETURN_NOT_OK(io::Env::Default().CreateDirectories(scratch_dir));
     durability.wal.path = scratch_dir + "/replay.fmwal";
     // fsync-free: write(2) happens per commit, so truncating the file is
     // exactly the crash model (an arbitrary lost suffix).
     durability.wal.sync = WalSyncMode::kNone;
     durability.snapshot_dir = scratch_dir + "/snapshots";
     durability.snapshot_keep = 3;
-    FM_RETURN_NOT_OK(io::RemoveFileIfExists(durability.wal.path));
+    FM_RETURN_NOT_OK(
+        io::Env::Default().RemoveFileIfExists(durability.wal.path));
     std::error_code ec;
     std::filesystem::remove_all(durability.snapshot_dir, ec);
   }
@@ -411,7 +414,8 @@ Result<ReplayObservation> ExecuteReplay(const ServiceOptions& options,
   uint64_t header_bytes = 0;
   if (durable) {
     FM_RETURN_NOT_OK(service->EnableDurability(durability));
-    FM_ASSIGN_OR_RETURN(header_bytes, io::FileSize(durability.wal.path));
+    FM_ASSIGN_OR_RETURN(header_bytes,
+                        io::Env::Default().FileSize(durability.wal.path));
   }
 
   ReplayObservation observation;
@@ -473,10 +477,11 @@ Result<ReplayObservation> ExecuteReplay(const ServiceOptions& options,
       ++next_crash;
       service.reset();  // whatever reached the file is all that survives
       FM_ASSIGN_OR_RETURN(const uint64_t size,
-                          io::FileSize(durability.wal.path));
+                          io::Env::Default().FileSize(durability.wal.path));
       const uint64_t cut =
           header_bytes + schedule.UniformInt(size - header_bytes + 1);
-      FM_RETURN_NOT_OK(io::TruncateFile(durability.wal.path, cut));
+      FM_RETURN_NOT_OK(
+          io::Env::Default().TruncateFile(durability.wal.path, cut));
       FM_ASSIGN_OR_RETURN(service,
                           Service::Recover(run_options, durability));
       // The client re-submits everything the crash lost; re-executed
@@ -791,8 +796,8 @@ Result<FaultRunResult> ExecuteFaultReplay(const ServiceOptions& options,
   durability.snapshot_dir = scratch_dir + "/snapshots";
   durability.snapshot_keep = 2;
 
-  FM_RETURN_NOT_OK(io::CreateDirectories(scratch_dir));
-  FM_RETURN_NOT_OK(io::RemoveFileIfExists(durability.wal.path));
+  FM_RETURN_NOT_OK(io::Env::Default().CreateDirectories(scratch_dir));
+  FM_RETURN_NOT_OK(io::Env::Default().RemoveFileIfExists(durability.wal.path));
   std::error_code ec;
   std::filesystem::remove_all(durability.snapshot_dir, ec);
 

@@ -322,9 +322,10 @@ std::vector<Response> Service::ExecuteLogImplLocked(
     const RequestKind kind = log[i].kind;
     size_t segment_end = i + 1;
     if (kind == RequestKind::kPredict || kind == RequestKind::kInsert) {
-      // Maximal same-kind run: batched execution is response- and
-      // state-equivalent to serial execution (see the class comment), so
-      // serializability in log order is preserved.
+      // Maximal same-kind run, timed and traced as one segment. A predict
+      // run evaluates concurrently, which is response-equivalent to serial
+      // execution (see the class comment); an insert run executes request
+      // by request.
       size_t j = i;
       while (j < log.size() && log[j].kind == kind) ++j;
       segment_end = j;
@@ -336,7 +337,7 @@ std::vector<Response> Service::ExecuteLogImplLocked(
       if (kind == RequestKind::kPredict) {
         RunPredictBatch(log, i, j, out);
       } else {
-        RunInsertBatchLocked(log, i, j, out);
+        for (size_t k = i; k < j; ++k) out[k] = DoInsertLocked(log[k]);
       }
     } else {
       obs::Span request_span;
@@ -532,40 +533,6 @@ Response Service::DoInsertLocked(const Request& request) {
   return r;
 }
 
-void Service::RunInsertBatchLocked(const std::vector<Request>& log, size_t begin,
-                             size_t end, std::vector<Response>& out) {
-  const size_t count = end - begin;
-  if (count == 1) {
-    out[begin] = DoInsertLocked(log[begin]);
-    return;
-  }
-  // Hot path: assemble the run into one dataset and insert it in one call.
-  // InsertBatch validates up front and is atomic, so
-  // if any row is invalid fall back to per-request inserts — each request
-  // then reports its own status, exactly as serial execution would.
-  bool uniform = true;
-  for (size_t i = begin; i < end && uniform; ++i) {
-    uniform = log[i].x.size() == objective_.dim();
-  }
-  if (uniform) {
-    data::RegressionDataset batch;
-    batch.x = linalg::Matrix(count, objective_.dim());
-    batch.y = linalg::Vector(count);
-    for (size_t i = 0; i < count; ++i) {
-      batch.x.SetRow(i, log[begin + i].x);
-      batch.y[i] = log[begin + i].y;
-    }
-    const Result<TupleId> first = objective_.InsertBatch(batch, &pool());
-    if (first.ok()) {
-      for (size_t i = 0; i < count; ++i) {
-        out[begin + i].id = first.ValueOrDie() + i;
-      }
-      return;
-    }
-  }
-  for (size_t i = begin; i < end; ++i) out[i] = DoInsertLocked(log[i]);
-}
-
 Response Service::DoDeleteLocked(const Request& request) {
   Response r;
   r.status = objective_.Delete(request.id);
@@ -644,9 +611,9 @@ Response Service::DoTrainLocked(const Request& request, uint64_t position) {
     r.status = dp::ValidateEpsilon(request.epsilon);
     if (!r.status.ok()) return r;
     // Reserve the worst case up front: Lemma 5's resampling remedy spends
-    // 2ε when it resamples, every other path spends ε. Commit converts the
-    // actual spend and releases the rest; a failed train aborts and
-    // consumes nothing.
+    // 2ε when it resamples, every other path spends ε. Settle spends the
+    // actual ε and releases the rest; a failed train aborts and consumes
+    // nothing.
     const double worst_case =
         options_.post_processing == core::PostProcessing::kResample
             ? 2.0 * request.epsilon
@@ -691,10 +658,8 @@ Response Service::DoTrainLocked(const Request& request, uint64_t position) {
 
   const baselines::TrainedModel& model = trained.ValueOrDie();
   if (is_private) {
-    // Settle commits-or-releases in one step, so the reservation is
-    // settled exactly once and a failed commit reports its root cause —
-    // the old Commit-then-Abort sequence double-settled and could mask
-    // the commit error with Abort's kNotFound.
+    // Settle spends or releases in one step, so the reservation is settled
+    // exactly once and a failed settle reports its root cause.
     r.status = accountant_->Settle(reservation, model.epsilon_spent);
     if (!r.status.ok()) return r;
   }
@@ -1023,8 +988,8 @@ void Service::PollGaugesLocked() {
   set("fm_pool_tasks_submitted", static_cast<double>(p.tasks_submitted()));
   set("fm_pool_tasks_completed", static_cast<double>(p.tasks_completed()));
   telemetry_->pool_task_nanos->CopyFrom(p.task_nanos());
-  // The fault-cleanliness keys exist with or without durability, so the
-  // run_bench.py healthy-run gate can always assert they are zero.
+  // The fault-cleanliness keys exist with or without durability, so a
+  // healthy-run check can always assert they are zero.
   if (wal_ != nullptr) {
     set("fm_wal_appended_records",
         static_cast<double>(wal_->appended_records()));

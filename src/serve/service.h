@@ -47,8 +47,8 @@ enum class TrainerKind {
 
 const char* TrainerKindToString(TrainerKind kind);
 
-/// What a request does. The engine batches maximal runs of same-kind
-/// read-only/ingest requests (see Service::ExecuteLog).
+/// What a request does. The engine evaluates maximal runs of kPredict
+/// requests concurrently (see Service).
 enum class RequestKind {
   kInsert,
   kDelete,
@@ -117,14 +117,15 @@ struct ServiceOptions {
   size_t dim = 0;
   data::TaskKind task = data::TaskKind::kLinear;
   /// §6 remedy used by kFunctionalMechanism trains. kResample reserves 2ε
-  /// (its Lemma-5 worst case) and commits what the fit actually spent.
+  /// (its Lemma-5 worst case) and settles what the fit actually spent.
   core::PostProcessing post_processing = core::PostProcessing::kAdaptive;
   /// Total ε the dataset may ever disclose (sequential composition).
   double total_epsilon = 4.0;
   /// Root seed; train request at log position p draws from
   /// Rng(Rng::Fork(seed, p)).
   uint64_t seed = 0x5e12e5eed;
-  /// Pool for batched predicts/ingest; nullptr → the global FM_THREADS pool.
+  /// Pool for batched predicts and the store's bulk work (Bootstrap, the
+  /// pending work a train applies); nullptr → the global FM_THREADS pool.
   exec::ThreadPool* pool = nullptr;
   /// Model versions retained by the registry.
   size_t max_model_history = 64;
@@ -163,14 +164,12 @@ struct ServiceOptions {
 /// Semantics are strictly serializable in log order: the effect and response
 /// of every request equal those of one-at-a-time execution in the order the
 /// log presents them. Within that contract the engine extracts parallelism
-/// from maximal same-kind runs — consecutive kPredict requests evaluate
-/// concurrently against one registry snapshot (they are read-only and all
-/// see the same version, exactly as serial execution would), and consecutive
-/// kInsert requests go to the store as one batch (bit-identical to serial
-/// inserts, since the store's sum is exact). kTrain / kDelete / kUpdate /
-/// kEvaluate / kCompact execute serially at their log position (a train or
-/// compaction applies the store's pending work in parallel, but
-/// bit-identically for every pool size).
+/// from maximal runs of kPredict requests, which evaluate concurrently
+/// against one registry snapshot (they are read-only and all see the same
+/// version, exactly as serial execution would). Every other request
+/// executes serially at its log position; a kInsert only records a pending
+/// add in the store, which the next train or compaction applies in
+/// parallel, bit-identically for every pool size.
 ///
 /// Clients address tuples by the stable TupleId a kInsert response carries;
 /// ids survive compaction, so a client may hold one across any interleaving
@@ -404,13 +403,10 @@ class Service {
   // successful delete (the only transition that grows dead_count).
   void MaybeAutoCompactLocked() FM_REQUIRES(execute_mutex_);
 
-  // Batched handlers over log[begin, end). RunPredictBatch is read-only
-  // (registry snapshot + worker-thread DoPredict) and needs no lock.
+  // Batched predicts over log[begin, end): read-only (registry snapshot +
+  // worker-thread DoPredict), so it needs no lock.
   void RunPredictBatch(const std::vector<Request>& log, size_t begin,
                        size_t end, std::vector<Response>& out) const;
-  void RunInsertBatchLocked(const std::vector<Request>& log, size_t begin,
-                            size_t end, std::vector<Response>& out)
-      FM_REQUIRES(execute_mutex_);
 
   ServiceOptions options_;
   std::unique_ptr<BudgetAccountant> accountant_;

@@ -175,7 +175,8 @@ class Wal {
   Status ProbeWritable();
 
   /// Transient-fault retry counters accumulated by commits and probes;
-  /// all-zero on a healthy volume (the bench_serve no-fault gate).
+  /// all-zero on a healthy volume (perfbench's durable_ingest checks them
+  /// in every segment; the service exports them as fm_wal_* gauges).
   const io::RetryStats& retry_stats() const { return retry_stats_; }
 
   /// Attaches metric sinks (see WalTelemetry). Not thread-safe; call

@@ -139,7 +139,7 @@ TEST(CensusGeneratorTest, NormalizesCleanly) {
         t, features, CensusGenerator::LabelColumn(), options);
     ASSERT_TRUE(norm.ok());
     const auto ds = norm.ValueOrDie().Apply(t).ValueOrDie();
-    EXPECT_TRUE(ds.SatisfiesNormalizationContract());
+    EXPECT_TRUE(ds.SatisfiesNormalizationContract(TaskKind::kLinear));
     EXPECT_EQ(ds.dim(), static_cast<size_t>(dims - 1));
   }
 }

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/fm_linear.h"
 #include "data/csv.h"
 #include "data/dataset.h"
 #include "data/normalizer.h"
 #include "data/table.h"
 #include "linalg/solve.h"
+#include "serve/service.h"
 
 namespace fm::data {
 namespace {
@@ -130,12 +132,12 @@ TEST(DatasetTest, SampleRespectsRate) {
 
 TEST(DatasetTest, NormalizationContract) {
   RegressionDataset ds = MakeDataset(20, 4, 4);
-  EXPECT_TRUE(ds.SatisfiesNormalizationContract());
+  EXPECT_TRUE(ds.SatisfiesNormalizationContract(TaskKind::kLinear));
   ds.y[0] = 2.0;
-  EXPECT_FALSE(ds.SatisfiesNormalizationContract());
+  EXPECT_FALSE(ds.SatisfiesNormalizationContract(TaskKind::kLinear));
   ds.y[0] = 0.0;
   ds.x(0, 0) = 5.0;
-  EXPECT_FALSE(ds.SatisfiesNormalizationContract());
+  EXPECT_FALSE(ds.SatisfiesNormalizationContract(TaskKind::kLinear));
 }
 
 TEST(DatasetTest, NormalizationContractRejectsNonFiniteValues) {
@@ -146,11 +148,38 @@ TEST(DatasetTest, NormalizationContractRejectsNonFiniteValues) {
   for (const double bad : {nan, inf, -inf}) {
     RegressionDataset feature = MakeDataset(20, 4, 4);
     feature.x(3, 1) = bad;
-    EXPECT_FALSE(feature.SatisfiesNormalizationContract()) << bad;
+    EXPECT_FALSE(feature.SatisfiesNormalizationContract(TaskKind::kLinear))
+        << bad;
     RegressionDataset label = MakeDataset(20, 4, 4);
     label.y[5] = bad;
-    EXPECT_FALSE(label.SatisfiesNormalizationContract()) << bad;
+    EXPECT_FALSE(label.SatisfiesNormalizationContract(TaskKind::kLinear))
+        << bad;
   }
+}
+
+TEST(DatasetTest, BoundaryTupleGetsOneContractVerdictEverywhere) {
+  // Σx² = 1.0000000020000004 lies above the (1 + 1e-9)² bound, yet its
+  // rounded square root does not exceed 1 + 1e-9: a check on the root
+  // accepted the tuple that the serving store's check on the square
+  // refused, so Fit trained on data Bootstrap rejected.
+  RegressionDataset ds;
+  ds.x = linalg::Matrix(1, 2);
+  ds.x(0, 0) = 0.92001730983005447;
+  ds.x(0, 1) = 0.39187772533415316;
+  ds.y = linalg::Vector(1);
+  ds.y[0] = 0.5;
+
+  EXPECT_FALSE(ds.SatisfiesNormalizationContract(TaskKind::kLinear));
+  Rng rng(7);
+  EXPECT_EQ(core::FmLinearRegression(core::FmOptions{})
+                .Fit(ds, rng)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  serve::ServiceOptions options;
+  options.dim = 2;
+  auto service = serve::Service::Create(options).ValueOrDie();
+  EXPECT_EQ(service->Bootstrap(ds).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(KFoldTest, PartitionsEveryRowExactlyOnce) {
@@ -201,7 +230,8 @@ TEST(NormalizerTest, FeaturesLandInUnitSphere) {
   ASSERT_TRUE(norm.ok());
   const auto ds = norm.ValueOrDie().Apply(t);
   ASSERT_TRUE(ds.ok());
-  EXPECT_TRUE(ds.ValueOrDie().SatisfiesNormalizationContract());
+  EXPECT_TRUE(
+      ds.ValueOrDie().SatisfiesNormalizationContract(TaskKind::kLinear));
 }
 
 TEST(NormalizerTest, LinearLabelSpansMinusOneToOne) {
@@ -264,7 +294,7 @@ TEST(NormalizerTest, ClampsUnseenOutOfRangeValues) {
   wild.AppendRow({-100.0, -7.0});
   wild.AppendRow({1000.0, 7.0});
   const auto ds = norm.ValueOrDie().Apply(wild).ValueOrDie();
-  EXPECT_TRUE(ds.SatisfiesNormalizationContract());
+  EXPECT_TRUE(ds.SatisfiesNormalizationContract(TaskKind::kLinear));
 }
 
 TEST(NormalizerTest, ConstantFeatureMapsToZero) {
@@ -294,7 +324,7 @@ TEST(NormalizerTest, InterceptExtensionAddsConstantCoordinate) {
   ASSERT_TRUE(norm.ok());
   const auto ds = norm.ValueOrDie().Apply(t).ValueOrDie();
   EXPECT_EQ(ds.dim(), 3u);
-  EXPECT_TRUE(ds.SatisfiesNormalizationContract());
+  EXPECT_TRUE(ds.SatisfiesNormalizationContract(TaskKind::kLinear));
   const double expected = 1.0 / std::sqrt(3.0);
   for (size_t i = 0; i < ds.size(); ++i) {
     ASSERT_DOUBLE_EQ(ds.x(i, 2), expected);

@@ -209,7 +209,7 @@ TEST(ExperimentTest, PrepareTaskBuildsContractSatisfyingDatasets) {
     for (auto task : {data::TaskKind::kLinear, data::TaskKind::kLogistic}) {
       const auto ds = PrepareTask(bundles[0].table, dims, task);
       ASSERT_TRUE(ds.ok()) << ds.status();
-      EXPECT_TRUE(ds.ValueOrDie().SatisfiesNormalizationContract());
+      EXPECT_TRUE(ds.ValueOrDie().SatisfiesNormalizationContract(task));
       EXPECT_EQ(ds.ValueOrDie().dim(), static_cast<size_t>(dims - 1));
     }
   }

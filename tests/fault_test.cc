@@ -231,14 +231,14 @@ TEST(FaultEnvTest, WriteFileAtomicNeverLeavesTmpOrPartialContent) {
     // Atomicity: the target is always one of the two full contents, and no
     // tmp debris survives any failure path.
     FM_ASSERT_OK_AND_ASSIGN(const std::string content,
-                            io::ReadFileToString(path));
+                            io::ReadFileToString(io::Env::Default(), path));
     EXPECT_TRUE(content == old_content || content == new_content)
         << "seed " << seed << ": torn content of size " << content.size();
     if (written.ok()) {
       EXPECT_EQ(content, new_content) << "seed " << seed;
     }
     FM_ASSERT_OK_AND_ASSIGN(const std::vector<std::string> names,
-                            io::ListDirectory(dir));
+                            io::Env::Default().ListDirectory(dir));
     for (const std::string& name : names) {
       EXPECT_EQ(name.find(".tmp"), std::string::npos)
           << "seed " << seed << " stranded " << name;
@@ -488,7 +488,7 @@ TEST(FaultSnapshotTest, FailedSnapshotWriteIsContained) {
 
     // Containment: no tmp debris, and the previous snapshot still loads.
     FM_ASSERT_OK_AND_ASSIGN(const std::vector<std::string> names,
-                            io::ListDirectory(dir));
+                            io::Env::Default().ListDirectory(dir));
     for (const std::string& name : names) {
       EXPECT_EQ(name.find(".tmp"), std::string::npos)
           << kind << " stranded " << name;
@@ -519,10 +519,12 @@ TEST(FaultSnapshotTest, SelectionSurvivesHostileDirectory) {
     f.put('?');  // flip a payload byte: the CRC must reject it
   }
   // A zero-byte snapshot that sorts newest of all, and a partial tmp file.
-  ASSERT_TRUE(io::WriteFileAtomic(
-                  dir + "/" + serve::SnapshotFileName(12), "", false)
+  ASSERT_TRUE(io::WriteFileAtomic(io::Env::Default(),
+                                  dir + "/" + serve::SnapshotFileName(12), "",
+                                  false)
                   .ok());
   ASSERT_TRUE(io::WriteFileAtomic(
+                  io::Env::Default(),
                   dir + "/" + serve::SnapshotFileName(99) + ".tmp",
                   "partial-checkpoint-debris", false)
                   .ok());
@@ -536,7 +538,7 @@ TEST(FaultSnapshotTest, SelectionSurvivesHostileDirectory) {
   // The pruner is the tmp janitor; valid snapshots within `keep` survive.
   ASSERT_TRUE(serve::PruneSnapshots(dir, 8).ok());
   FM_ASSERT_OK_AND_ASSIGN(const std::vector<std::string> names,
-                          io::ListDirectory(dir));
+                          io::Env::Default().ListDirectory(dir));
   for (const std::string& name : names) {
     EXPECT_EQ(name.find(".tmp"), std::string::npos) << "stranded " << name;
   }

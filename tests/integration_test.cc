@@ -144,7 +144,8 @@ TEST_F(IntegrationTest, SamplingRateSweepKeepsContract) {
   Rng rng(107);
   for (double rate : {0.1, 0.5, 1.0}) {
     const auto sampled = full.Sample(rate, rng);
-    EXPECT_TRUE(sampled.SatisfiesNormalizationContract());
+    EXPECT_TRUE(
+        sampled.SatisfiesNormalizationContract(data::TaskKind::kLogistic));
     EXPECT_EQ(sampled.size(),
               static_cast<size_t>(std::ceil(rate * static_cast<double>(full.size()))));
   }

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/io_env.h"
 #include "common/io_util.h"
 #include "common/rng.h"
 
@@ -359,27 +360,31 @@ TEST(ByteReader, EmptyBufferEdges) {
 
 TEST(FileHelpers, AtomicWriteRoundTripsBinaryContents) {
   const std::string dir = ::testing::TempDir() + "io_util_test_files";
-  ASSERT_TRUE(io::CreateDirectories(dir).ok());
+  ASSERT_TRUE(io::Env::Default().CreateDirectories(dir).ok());
   const std::string path = dir + "/binary.dat";
   std::string contents;
   Rng rng(0xf11e);
   for (int i = 0; i < 1000; ++i) {
     contents.push_back(static_cast<char>(rng.UniformInt(256)));
   }
-  ASSERT_TRUE(io::WriteFileAtomic(path, contents, /*sync=*/false).ok());
-  const Result<std::string> read = io::ReadFileToString(path);
+  ASSERT_TRUE(io::WriteFileAtomic(io::Env::Default(), path, contents,
+                                  /*sync=*/false)
+                  .ok());
+  const Result<std::string> read =
+      io::ReadFileToString(io::Env::Default(), path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.ValueOrDie(), contents);
 
-  ASSERT_TRUE(io::TruncateFile(path, 100).ok());
-  const Result<uint64_t> size = io::FileSize(path);
+  ASSERT_TRUE(io::Env::Default().TruncateFile(path, 100).ok());
+  const Result<uint64_t> size = io::Env::Default().FileSize(path);
   ASSERT_TRUE(size.ok());
   EXPECT_EQ(size.ValueOrDie(), 100u);
 
-  ASSERT_TRUE(io::RemoveFileIfExists(path).ok());
-  EXPECT_EQ(io::ReadFileToString(path).status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(io::Env::Default().RemoveFileIfExists(path).ok());
+  EXPECT_EQ(io::ReadFileToString(io::Env::Default(), path).status().code(),
+            StatusCode::kNotFound);
   // Removing a missing file is OK (idempotent).
-  EXPECT_TRUE(io::RemoveFileIfExists(path).ok());
+  EXPECT_TRUE(io::Env::Default().RemoveFileIfExists(path).ok());
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/io_env.h"
 #include "serve/replay.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
@@ -163,7 +164,8 @@ TEST(ReproArtifactIo, RejectsCorruptionStrictly) {
   const std::vector<Request> log = GenerateWorkload(workload, 1);
   const std::string path = dir + "/log.fmfuzz";
   ASSERT_TRUE(WriteReproArtifact(path, options, log).ok());
-  const Result<std::string> bytes = io::ReadFileToString(path);
+  const Result<std::string> bytes =
+      io::ReadFileToString(io::Env::Default(), path);
   ASSERT_TRUE(bytes.ok());
 
   // Truncation anywhere fails (unlike WAL recovery, which tolerates it).
@@ -171,18 +173,21 @@ TEST(ReproArtifactIo, RejectsCorruptionStrictly) {
     const std::string truncated = bytes.ValueOrDie().substr(
         0, static_cast<size_t>(static_cast<double>(bytes.ValueOrDie().size()) *
                                fraction));
-    ASSERT_TRUE(io::WriteFileAtomic(path, truncated, false).ok());
+    ASSERT_TRUE(
+        io::WriteFileAtomic(io::Env::Default(), path, truncated, false).ok());
     EXPECT_FALSE(ReadReproArtifact(path).ok());
   }
   // A flipped payload byte fails the record CRC.
   std::string corrupt = bytes.ValueOrDie();
   corrupt[corrupt.size() - 3] = static_cast<char>(corrupt[corrupt.size() - 3] ^ 0x40);
-  ASSERT_TRUE(io::WriteFileAtomic(path, corrupt, false).ok());
+  ASSERT_TRUE(
+      io::WriteFileAtomic(io::Env::Default(), path, corrupt, false).ok());
   EXPECT_FALSE(ReadReproArtifact(path).ok());
   // Wrong magic fails immediately.
   std::string wrong_magic = bytes.ValueOrDie();
   wrong_magic[0] = 'X';
-  ASSERT_TRUE(io::WriteFileAtomic(path, wrong_magic, false).ok());
+  ASSERT_TRUE(
+      io::WriteFileAtomic(io::Env::Default(), path, wrong_magic, false).ok());
   EXPECT_FALSE(ReadReproArtifact(path).ok());
   // A record count far beyond the file's bytes is a typed error, not an
   // allocation sized by the count field (magic, version and options fill
@@ -191,13 +196,15 @@ TEST(ReproArtifactIo, RejectsCorruptionStrictly) {
   std::string count_field;
   io::AppendU64(&count_field, uint64_t{1} << 40);
   huge_count.replace(55, count_field.size(), count_field);
-  ASSERT_TRUE(io::WriteFileAtomic(path, huge_count, false).ok());
+  ASSERT_TRUE(
+      io::WriteFileAtomic(io::Env::Default(), path, huge_count, false).ok());
   EXPECT_EQ(ReadReproArtifact(path).status().code(), StatusCode::kIoError);
   // The auto_compact flag byte (after magic, version, dim, task,
   // post-processing, ε and seed) must be 0 or 1.
   std::string bad_flag = bytes.ValueOrDie();
   bad_flag[38] = 2;
-  ASSERT_TRUE(io::WriteFileAtomic(path, bad_flag, false).ok());
+  ASSERT_TRUE(
+      io::WriteFileAtomic(io::Env::Default(), path, bad_flag, false).ok());
   EXPECT_EQ(ReadReproArtifact(path).status().code(), StatusCode::kIoError);
 }
 

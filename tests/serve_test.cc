@@ -639,13 +639,13 @@ TEST(BudgetAccountant, RejectsInvalidEpsilonEverywhere) {
   EXPECT_EQ(accountant->remaining_epsilon(), 1.0);
 }
 
-TEST(BudgetAccountant, ReserveCommitAbortLedger) {
+TEST(BudgetAccountant, ReserveSettleAbortLedger) {
   auto accountant = serve::BudgetAccountant::Create(1.0).ValueOrDie();
 
-  // Reserve the Lemma-5 worst case, commit the actual spend.
+  // Reserve the Lemma-5 worst case, settle the actual spend.
   const uint64_t r1 = accountant->Reserve(0.5, "train#1").ValueOrDie();
   EXPECT_EQ(accountant->reserved_epsilon(), 0.5);
-  ASSERT_TRUE(accountant->Commit(r1, 0.25).ok());
+  ASSERT_TRUE(accountant->Settle(r1, 0.25).ok());
   EXPECT_EQ(accountant->spent_epsilon(), 0.25);
   EXPECT_EQ(accountant->reserved_epsilon(), 0.0);
   EXPECT_EQ(accountant->remaining_epsilon(), 0.75);
@@ -661,15 +661,10 @@ TEST(BudgetAccountant, ReserveCommitAbortLedger) {
   EXPECT_EQ(accountant->Reserve(0.5, "too much").status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(accountant->reserved_epsilon(), 0.5);
-
-  // Over-committing is rejected and leaves the reservation pending.
-  EXPECT_EQ(accountant->Commit(r3, 0.75).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(accountant->pending_reservations(), 1u);
-  ASSERT_TRUE(accountant->Commit(r3, 0.5).ok());
+  ASSERT_TRUE(accountant->Settle(r3, 0.5).ok());
 
   // Settled ids are gone.
-  EXPECT_EQ(accountant->Commit(r3, 0.1).code(), StatusCode::kNotFound);
+  EXPECT_EQ(accountant->Settle(r3, 0.1).code(), StatusCode::kNotFound);
   EXPECT_EQ(accountant->Abort(r1).code(), StatusCode::kNotFound);
 
   EXPECT_EQ(accountant->spent_epsilon(), 0.75);
@@ -711,7 +706,7 @@ TEST(BudgetAccountant, SettleSettlesExactlyOnce) {
   EXPECT_EQ(accountant->charges().size(), 1u);
 }
 
-TEST(BudgetAccountant, ConcurrentReserveCommitAbortBalancesExactly) {
+TEST(BudgetAccountant, ConcurrentReserveSettleAbortBalancesExactly) {
   // 1/1024 is exactly representable, so every ledger transition is exact
   // arithmetic and the final balance must be EQ, not NEAR.
   constexpr double kCharge = 1.0 / 1024.0;
@@ -719,7 +714,7 @@ TEST(BudgetAccountant, ConcurrentReserveCommitAbortBalancesExactly) {
   constexpr size_t kOpsPerThread = 200;
   auto accountant = serve::BudgetAccountant::Create(8.0).ValueOrDie();
 
-  std::vector<size_t> committed(kThreads, 0);
+  std::vector<size_t> settled(kThreads, 0);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
@@ -731,21 +726,21 @@ TEST(BudgetAccountant, ConcurrentReserveCommitAbortBalancesExactly) {
           ASSERT_TRUE(accountant->Abort(reservation.ValueOrDie()).ok());
         } else {
           ASSERT_TRUE(
-              accountant->Commit(reservation.ValueOrDie(), kCharge).ok());
-          ++committed[t];
+              accountant->Settle(reservation.ValueOrDie(), kCharge).ok());
+          ++settled[t];
         }
       }
     });
   }
   for (auto& thread : threads) thread.join();
 
-  size_t total_commits = 0;
-  for (const size_t c : committed) total_commits += c;
+  size_t total_settles = 0;
+  for (const size_t c : settled) total_settles += c;
   EXPECT_EQ(accountant->pending_reservations(), 0u);
   EXPECT_EQ(accountant->reserved_epsilon(), 0.0);
   EXPECT_EQ(accountant->spent_epsilon(),
-            static_cast<double>(total_commits) * kCharge);
-  EXPECT_EQ(accountant->charges().size(), total_commits);
+            static_cast<double>(total_settles) * kCharge);
+  EXPECT_EQ(accountant->charges().size(), total_settles);
   EXPECT_EQ(accountant->spent_epsilon() + accountant->remaining_epsilon(),
             accountant->total_epsilon());
 }
@@ -765,12 +760,14 @@ TEST(BudgetAccountant, DiagnosticsKeepSmallEpsilonPrecision) {
       << exhausted.status().message();
 
   const uint64_t r = accountant->Reserve(1e-9, "tiny-train").ValueOrDie();
-  const Status over = accountant->Commit(r, 2e-9);
+  const Status over = accountant->Settle(r, 2e-9);
   ASSERT_EQ(over.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(over.message().find("0.000000"), std::string::npos)
       << over.message();
   EXPECT_NE(over.message().find("e-09"), std::string::npos) << over.message();
-  ASSERT_TRUE(accountant->Commit(r, 1e-9).ok());
+  // The failed settle released the reservation, so the budget is whole.
+  const uint64_t again = accountant->Reserve(1e-9, "tiny-train").ValueOrDie();
+  ASSERT_TRUE(accountant->Settle(again, 1e-9).ok());
 }
 
 TEST(BudgetAccountant, RestoreRefusesALedgerThatCouldOverspend) {
@@ -967,17 +964,24 @@ TEST(Service, IncrementalModelMatchesScratchRetrainBitwise) {
   ASSERT_TRUE(service->Bootstrap(initial).ok());
 
   const auto extra = MakeDataset(32, 5, false, 43);
-  std::vector<serve::Request> log;
+  std::vector<serve::Request> mutations;
   for (size_t i = 0; i < extra.size(); ++i) {
-    log.push_back(serve::Request::Insert(extra.x.RowVector(i), extra.y[i]));
+    mutations.push_back(
+        serve::Request::Insert(extra.x.RowVector(i), extra.y[i]));
   }
-  log.push_back(serve::Request::Delete(17));
-  const uint64_t train_position = service->log_position() + log.size();
-  log.push_back(
-      serve::Request::Train(serve::TrainerKind::kFunctionalMechanism, 0.9));
-  const auto responses = service->ExecuteLog(log);
+  mutations.push_back(serve::Request::Delete(17));
+  for (const serve::Response& r : service->ExecuteLog(mutations)) {
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  }
+  // The retrain is incremental: the train applies the 32 inserts and the
+  // delete (33 tuple contributions), not a re-sum of the 2,131 live tuples.
+  EXPECT_EQ(service->objective().pending_tuples(), 33u);
+  const uint64_t train_position = service->log_position();
+  const auto responses = service->ExecuteLog(
+      {serve::Request::Train(serve::TrainerKind::kFunctionalMechanism, 0.9)});
   ASSERT_TRUE(responses.back().status.ok())
       << responses.back().status.ToString();
+  EXPECT_EQ(service->objective().pending_tuples(), 0u);
 
   // Scratch path: recompute the objective from the raw tuples and rerun the
   // mechanism on the same Fork substream the service used.
@@ -1575,6 +1579,19 @@ TEST(Service, MixedWorkloadPopulatesPerKindMetrics) {
   EXPECT_NE(prometheus.find("# TYPE fm_serve_requests_total counter"),
             std::string::npos);
   EXPECT_NE(prometheus.find("fm_serve_log_position"), std::string::npos);
+
+  // The fault-cleanliness gauges are exported without a WAL too, and read
+  // zero on this healthy run.
+  for (const char* gauge : {"fm_wal_poisoned", "fm_wal_transient_retries",
+                            "fm_wal_short_writes",
+                            "fm_serve_degraded_rejections"}) {
+    EXPECT_NE(json.find(std::string("\"") + gauge + "\":"),
+              std::string::npos)
+        << gauge;
+    const obs::Gauge* polled = metrics->FindGauge(gauge);
+    ASSERT_NE(polled, nullptr) << gauge;
+    EXPECT_EQ(polled->Value(), 0.0) << gauge;
+  }
 }
 
 TEST(Service, MetricsSwitchNeverChangesResponseBytes) {

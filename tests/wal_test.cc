@@ -28,11 +28,13 @@
 
 #include <gtest/gtest.h>
 
+#include "common/io_env.h"
 #include "common/io_util.h"
 #include "common/rng.h"
 #include "common/ulp.h"
 #include "data/dataset.h"
 #include "exec/thread_pool.h"
+#include "obs/metrics.h"
 #include "serve/budget_accountant.h"
 #include "serve/incremental_objective.h"
 #include "serve/model_registry.h"
@@ -254,12 +256,16 @@ TEST(IoUtil, AtomicWriteReadsBackAndMissingFileIsNotFound) {
   const std::string dir = TestDir("io_atomic");
   const std::string path = dir + "/file.bin";
   const std::string contents("with\0nul", 8);
-  ASSERT_TRUE(io::WriteFileAtomic(path, contents, /*sync=*/false).ok());
-  auto read = io::ReadFileToString(path);
+  ASSERT_TRUE(io::WriteFileAtomic(io::Env::Default(), path, contents,
+                                  /*sync=*/false)
+                  .ok());
+  auto read = io::ReadFileToString(io::Env::Default(), path);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.ValueOrDie(), contents);
-  EXPECT_EQ(io::FileSize(path).ValueOrDie(), contents.size());
-  EXPECT_EQ(io::ReadFileToString(dir + "/missing").status().code(),
+  EXPECT_EQ(io::Env::Default().FileSize(path).ValueOrDie(), contents.size());
+  EXPECT_EQ(io::ReadFileToString(io::Env::Default(), dir + "/missing")
+                .status()
+                .code(),
             StatusCode::kNotFound);
 }
 
@@ -322,7 +328,8 @@ TEST(Wal, AppendCommitReadAllRoundTripsEveryKind) {
     EXPECT_EQ(replay.records[i].position, i);
     ExpectRequestEqual(replay.records[i].request, requests[i]);
   }
-  EXPECT_EQ(replay.valid_bytes, io::FileSize(wopts.path).ValueOrDie());
+  EXPECT_EQ(replay.valid_bytes,
+            io::Env::Default().FileSize(wopts.path).ValueOrDie());
 
   // Reopen appends after the existing records.
   {
@@ -347,10 +354,10 @@ TEST(Wal, TornTailIsDetectedAndTruncatedOnOpen) {
     for (size_t i = 0; i < requests.size(); ++i) wal->Append(i, requests[i]);
     ASSERT_TRUE(wal->Commit().ok());
   }
-  const uint64_t full = io::FileSize(wopts.path).ValueOrDie();
+  const uint64_t full = io::Env::Default().FileSize(wopts.path).ValueOrDie();
 
   // A crash mid-write leaves a torn final record: chop three bytes.
-  ASSERT_TRUE(io::TruncateFile(wopts.path, full - 3).ok());
+  ASSERT_TRUE(io::Env::Default().TruncateFile(wopts.path, full - 3).ok());
   auto replay = serve::Wal::ReadAll(wopts.path, fp).ValueOrDie();
   EXPECT_TRUE(replay.torn_tail);
   ASSERT_EQ(replay.records.size(), requests.size() - 1);
@@ -368,7 +375,8 @@ TEST(Wal, TornTailIsDetectedAndTruncatedOnOpen) {
 
   // Open truncates back to the record boundary; a fresh scan is clean.
   { auto wal = serve::Wal::Open(wopts, fp).ValueOrDie(); }
-  EXPECT_EQ(io::FileSize(wopts.path).ValueOrDie(), replay.valid_bytes);
+  EXPECT_EQ(io::Env::Default().FileSize(wopts.path).ValueOrDie(),
+            replay.valid_bytes);
   auto replay3 = serve::Wal::ReadAll(wopts.path, fp).ValueOrDie();
   EXPECT_FALSE(replay3.torn_tail);
   EXPECT_EQ(replay3.records.size(), requests.size() - 1);
@@ -552,11 +560,14 @@ TEST(Snapshot, LoadSkipsCorruptNewestAndPrunes) {
     ASSERT_TRUE(serve::WriteSnapshotFile(dir, position, fp,
                                          payload_for(position, newer), false)
                     .ok());
-    std::string old_bytes = io::ReadFileToString(old_file).ValueOrDie();
+    std::string old_bytes =
+        io::ReadFileToString(io::Env::Default(), old_file).ValueOrDie();
     std::string version_field;
     io::AppendU32(&version_field, old_version);
     old_bytes.replace(8, version_field.size(), version_field);  // after magic
-    ASSERT_TRUE(io::WriteFileAtomic(old_file, old_bytes, false).ok());
+    ASSERT_TRUE(
+        io::WriteFileAtomic(io::Env::Default(), old_file, old_bytes, false)
+            .ok());
   }
   contents = serve::LoadLatestSnapshot(dir, fp).ValueOrDie();
   EXPECT_EQ(contents.next_position, 10u);
@@ -564,9 +575,10 @@ TEST(Snapshot, LoadSkipsCorruptNewestAndPrunes) {
 
   // Corrupt the newest valid file; recovery must fall back to the older one.
   const std::string newest = dir + "/" + serve::SnapshotFileName(10);
-  auto bytes = io::ReadFileToString(newest).ValueOrDie();
+  auto bytes = io::ReadFileToString(io::Env::Default(), newest).ValueOrDie();
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x40);
-  ASSERT_TRUE(io::WriteFileAtomic(newest, bytes, false).ok());
+  ASSERT_TRUE(
+      io::WriteFileAtomic(io::Env::Default(), newest, bytes, false).ok());
   contents = serve::LoadLatestSnapshot(dir, fp).ValueOrDie();
   EXPECT_EQ(contents.next_position, 5u);
   EXPECT_EQ(contents.components, older);
@@ -578,7 +590,7 @@ TEST(Snapshot, LoadSkipsCorruptNewestAndPrunes) {
             StatusCode::kNotFound);
 
   ASSERT_TRUE(serve::PruneSnapshots(dir, 1).ok());
-  EXPECT_EQ(io::ListDirectory(dir).ValueOrDie().size(), 1u);
+  EXPECT_EQ(io::Env::Default().ListDirectory(dir).ValueOrDie().size(), 1u);
 }
 
 // --------------------------------------------------------------------------
@@ -680,7 +692,10 @@ TEST(ServiceDurability, RecoverFromSnapshotPlusTailAndSnapshotOnly) {
     ASSERT_TRUE(service->Checkpoint().ok());
     service->ExecuteLog(tail);
   }
-  EXPECT_GE(io::ListDirectory(durability.snapshot_dir).ValueOrDie().size(),
+  EXPECT_GE(io::Env::Default()
+                .ListDirectory(durability.snapshot_dir)
+                .ValueOrDie()
+                .size(),
             1u);
   {
     auto recovered =
@@ -698,7 +713,7 @@ TEST(ServiceDurability, RecoverFromSnapshotPlusTailAndSnapshotOnly) {
 
   // Snapshot-only recovery: the final checkpoint covers everything, so the
   // WAL may vanish entirely (rotated away) and recovery still lands exact.
-  ASSERT_TRUE(io::RemoveFileIfExists(durability.wal.path).ok());
+  ASSERT_TRUE(io::Env::Default().RemoveFileIfExists(durability.wal.path).ok());
   auto recovered = serve::Service::Recover(options, durability).ValueOrDie();
   EXPECT_EQ(recovered->log_position(), log.size());
   ExpectServicesBitwiseEqual(*recovered, *reference);
@@ -720,8 +735,10 @@ TEST(ServiceDurability, RecoverTruncatesTornFinalRecord) {
   }
   // Tear the final record: every record is ≥ 16 header bytes, so chopping
   // three bytes always leaves a torn last record, never a clean boundary.
-  const uint64_t full = io::FileSize(durability.wal.path).ValueOrDie();
-  ASSERT_TRUE(io::TruncateFile(durability.wal.path, full - 3).ok());
+  const uint64_t full =
+      io::Env::Default().FileSize(durability.wal.path).ValueOrDie();
+  ASSERT_TRUE(
+      io::Env::Default().TruncateFile(durability.wal.path, full - 3).ok());
 
   auto recovered = serve::Service::Recover(options, durability).ValueOrDie();
   EXPECT_EQ(recovered->log_position(), log.size() - 1);
@@ -759,8 +776,22 @@ TEST(ServiceDurability, AutoCheckpointFiresAndStaysRecoverable) {
               static_cast<std::ptrdiff_t>(std::min(i + 10, log.size())));
       service->ExecuteLog(chunk);
     }
+    // A healthy volume trips no fault machinery: the metrics snapshot's
+    // fault-cleanliness gauges all read zero.
+    const std::string json = service->MetricsSnapshot();
+    for (const char* gauge : {"fm_wal_poisoned", "fm_wal_transient_retries",
+                              "fm_wal_short_writes",
+                              "fm_serve_degraded_rejections"}) {
+      EXPECT_NE(json.find(std::string("\"") + gauge + "\":"),
+                std::string::npos)
+          << gauge;
+      const obs::Gauge* polled = service->metrics()->FindGauge(gauge);
+      ASSERT_NE(polled, nullptr) << gauge;
+      EXPECT_EQ(polled->Value(), 0.0) << gauge;
+    }
   }
-  const auto files = io::ListDirectory(durability.snapshot_dir).ValueOrDie();
+  const auto files =
+      io::Env::Default().ListDirectory(durability.snapshot_dir).ValueOrDie();
   EXPECT_GE(files.size(), 1u);
   EXPECT_LE(files.size(), durability.snapshot_keep);
 
@@ -793,7 +824,8 @@ void RunCrashTrial(const serve::ServiceOptions& options,
   {
     auto service = serve::Service::Create(options).ValueOrDie();
     ASSERT_TRUE(service->EnableDurability(durability).ok());
-    header_bytes = io::FileSize(durability.wal.path).ValueOrDie();
+    header_bytes =
+        io::Env::Default().FileSize(durability.wal.path).ValueOrDie();
     const size_t prefix = 1 + static_cast<size_t>(rng.UniformInt(log.size()));
     size_t i = 0;
     while (i < prefix) {
@@ -813,9 +845,10 @@ void RunCrashTrial(const serve::ServiceOptions& options,
     }
   }  // crash: whatever reached the file is all that survives
 
-  const uint64_t size = io::FileSize(durability.wal.path).ValueOrDie();
+  const uint64_t size =
+      io::Env::Default().FileSize(durability.wal.path).ValueOrDie();
   const uint64_t cut = header_bytes + rng.UniformInt(size - header_bytes + 1);
-  ASSERT_TRUE(io::TruncateFile(durability.wal.path, cut).ok());
+  ASSERT_TRUE(io::Env::Default().TruncateFile(durability.wal.path, cut).ok());
 
   auto recovered_or = serve::Service::Recover(options, durability);
   ASSERT_TRUE(recovered_or.ok()) << recovered_or.status().ToString();

@@ -10,32 +10,31 @@ same inputs. By the kernel layer's bit-identity contract
 differs, and the harness reports each pair's speedup. Requires Google
 Benchmark.
 
-``--mode serve`` runs ``bench_serve`` (self-contained timer — no Google
-Benchmark needed) and re-emits its report as ``BENCH_serve.json``: service
-throughput (ingest / predict / mixed requests per second) and
-ingest-to-fresh-model latency, incremental objective maintenance vs full
-retrain-from-scratch.
+``--mode serve`` runs the repository benchmark (perfbench/, see
+perfbench/README.md) on every workload ``BENCHMARK.json`` names, once at
+``FM_THREADS=1`` and once at ``FM_THREADS=nproc``:
+
+    python3 perfbench/run.py --workload W --seed 1 --seconds S --trace 0 \
+        --threads T
+
+S is ``BENCHMARK.json``'s ``run_seconds``. It writes ``BENCH_serve.json``:
+for each workload and thread count, the five end-to-end metrics
+``BENCHMARK.json`` gates plus ``attempted`` / ``failed``, and for the serve
+workloads the digest of the first responses. perfbench checks
+every output of every run (bitwise recovery, the ledger, the thread-count
+digest, the fault counters); the harness exits non-zero when a run exits
+non-zero or reports ``correct: false``. It sets no timing gate.
 
 Usage:
     python3 tools/run_bench.py [--mode linalg|serve] [--build-dir build]
                                [--out FILE] [--smoke] [--gate]
                                [--filter REGEX]
 
-``--smoke`` shortens measurement (fewer repetitions / smaller request
-volumes) for CI; the serve dataset size stays at the gate's n = 1e5.
-``--gate`` exits non-zero when the perf contract is violated: in linalg
-mode, a blocked kernel slower than its reference in any twin pair, or no
-twin pair in the run; in serve mode, (1) incremental retrain slower than a
-full rebuild at n >= 1e5, or (2) the churn workload's post-compaction store
-not O(live) — resident slots must equal the live count exactly and
-Objective() must run within 1.5x of a fresh store holding the same live
-tuples (bench_serve itself exits non-zero if the compacted store is not
-bitwise equal to that fresh store, so the perf gate can never pass on a
-wrong store), or (3) the telemetry surface is broken — the report must
-carry a ``metrics`` snapshot (docs/OBSERVABILITY.md) and its
-fault-cleanliness gauges (WAL transient retries / short writes /
-poisoning, degraded-mode rejections) must all read zero on the healthy
-benchmark volume.
+``--smoke`` shortens measurement for CI: fewer Google Benchmark
+repetitions in linalg mode, ``--seconds 1`` in serve mode (perfbench
+still runs whole segments). ``--gate`` (linalg mode only) exits non-zero
+when a blocked kernel is slower than its reference in any twin pair, or
+when no twin pair ran.
 """
 
 import argparse
@@ -55,15 +54,17 @@ DEFAULT_FILTER = (
 # A twin instance: benchmark name, which side of the pair, then its args.
 TWIN_PATTERN = re.compile(r"^(\w+)/(blocked|ref)(/.*)?$")
 
-# The serve gate only binds at scale: below this n a full rebuild is cheap
-# enough that scheduling noise could dominate the comparison.
-SERVE_GATE_MIN_N = 100000
+# perfbench's note on a serve workload's response digest (the same at
+# FM_THREADS=1 and nproc by its own check), recorded so a reader can see
+# that a change left every response bit where it was.
+DIGEST_PATTERN = re.compile(r"digest of the first \d+ responses ([0-9a-f]+)")
 
-# Post-compaction Objective() may cost at most this multiple of a fresh
-# store of the same live tuples. The two stores are bit-identical (checked
-# inside bench_serve), so the ratio measures pure overhead; the headroom
-# absorbs timer noise on shared runners.
-SERVE_CHURN_MAX_POST_VS_FRESH = 1.5
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Serve mode's --smoke run length. perfbench ends a run after the first
+# whole segment past --seconds, so a short run still does whole units of
+# every workload's work and all of its output checks.
+SMOKE_SECONDS = 1
 
 
 def resolve_min_time_arg(binary, min_time):
@@ -121,131 +122,87 @@ def median_times(report):
     return out
 
 
+def run_perfbench(workload, seconds, threads):
+    """One untraced seed-1 perfbench run; returns (exit code, result or
+    None, response digest or None). perfbench prints its result JSON as the
+    last stdout line."""
+    cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
+           "--workload", workload, "--seed", "1", "--seconds", str(seconds),
+           "--trace", "0", "--threads", str(threads)]
+    print(f"running {workload} at FM_THREADS={threads}...", flush=True)
+    proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except ValueError:
+        result = None
+    digest = DIGEST_PATTERN.search(proc.stdout)
+    return proc.returncode, result, digest.group(1) if digest else None
+
+
 def run_serve_mode(args):
-    binary = os.path.join(args.build_dir, "bench_serve")
-    if not os.path.exists(binary):
-        raise SystemExit(
-            f"{binary} not found — build it first (cmake -B build -S . && "
-            "cmake --build build -j); bench_serve needs no Google Benchmark")
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    seconds = SMOKE_SECONDS if args.smoke else spec["run_seconds"]
+    nproc = len(os.sched_getaffinity(0))
+    metrics = [m["name"] for m in spec["end_to_end"]]
 
-    out = args.out if args.out else "BENCH_serve.json"
-    # Repeats: explicit --repetitions wins, else 3 for --smoke, else
-    # bench_serve's built-in default (7).
-    repeats = args.repetitions if args.repetitions is not None else (
-        3 if args.smoke else None)
-    cmd = [binary, "--out", out, "--n", str(SERVE_GATE_MIN_N)]
-    if repeats is not None:
-        cmd += ["--repeats", str(repeats)]
-    if args.smoke:
-        cmd += ["--ingest", "5000", "--predicts", "5000", "--mixed", "5000",
-                "--churn-live", "2000", "--durable", "3000"]
-    proc = subprocess.run(cmd)
-    if proc.returncode != 0:
-        raise SystemExit("bench_serve failed")
+    runs = {}
+    failures = []
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs[workload] = {}
+        for threads in sorted({1, nproc}):
+            code, result, digest = run_perfbench(workload, seconds, threads)
+            correct = (code == 0 and result is not None
+                       and result.get("correct") is True)
+            row = {"correct": correct}
+            if result is not None:
+                row["attempted"] = result["attempted"]
+                row["failed"] = result["failed"]
+                for name in metrics:
+                    if name in result["metrics"]:
+                        row[name] = result["metrics"][name]["value"]
+            if digest is not None:
+                row["response_digest"] = digest
+            runs[workload][str(threads)] = row
+            if not correct:
+                failures.append(f"{workload} at FM_THREADS={threads} "
+                                f"(exit code {code})")
 
-    with open(out) as f:
-        report = json.load(f)
-    print(f"\nwrote {out}")
+    report = {
+        "description": "perfbench end-to-end metrics (BENCHMARK.json) per "
+                       "workload at FM_THREADS=1 and FM_THREADS=nproc, seed "
+                       "1, untraced; response_digest is perfbench's digest "
+                       "of a serve workload's first responses",
+        "command": "python3 perfbench/run.py --workload W --seed 1 "
+                   f"--seconds {seconds} --trace 0 --threads T",
+        "host": {
+            "machine": platform.machine(),
+            "system": platform.system(),
+            "nproc": nproc,
+        },
+        "smoke": args.smoke,
+        "seconds": seconds,
+        "units": {m["name"]: m["unit"] for m in spec["end_to_end"]},
+        "runs": runs,
+    }
+    with open(args.out, "w") as f:
+        json.dump(report, f, indent=2)
+        f.write("\n")
 
-    # Durability phase (informational, no perf gate): WAL group-commit
-    # throughput spread and the in-process recovery check bench_serve
-    # already enforced (it exits non-zero when the recovered service is not
-    # bitwise-equal to the uninterrupted one).
-    if "durable_ingest_rps_sync_batch" in report:
-        print("durable ingest: "
-              f"{report['durable_ingest_rps_sync_none']:.0f}/s (no fsync), "
-              f"{report['durable_ingest_rps_sync_batch']:.0f}/s "
-              f"(group commit, {report['durable_syncs_sync_batch']} fsyncs "
-              f"over {report['durable_commit_batches']} commits), "
-              f"{report['durable_ingest_rps_sync_always']:.0f}/s "
-              "(fsync-always); "
-              f"mean commit batch "
-              f"{report['durable_commit_ms_sync_batch'] * 1000:.0f} us; "
-              f"recovery {report['recovery_seconds'] * 1000:.2f} ms "
-              f"(bitwise-verified: {report['recovered_bitwise_equal']})")
-
-    if args.gate:
-        n = report["n"]
-        incremental = report["incremental_retrain_seconds"]
-        rebuild = report["full_rebuild_seconds"]
-        if n < SERVE_GATE_MIN_N:
-            raise SystemExit(
-                f"--gate needs n >= {SERVE_GATE_MIN_N}, got {n}")
-        if incremental > rebuild:
-            print(f"GATE FAILURE: incremental retrain ({incremental:.6f}s) "
-                  f"is slower than a full rebuild ({rebuild:.6f}s) at "
-                  f"n={n}", file=sys.stderr)
-            raise SystemExit(1)
-        print(f"gate passed: incremental retrain beats full rebuild at "
-              f"n={n} ({report['incremental_vs_full_speedup']:.2f}x)")
-
-        # Churn/compaction contract: O(live) resident slots, exactly, and
-        # post-compaction Objective() within the fresh-store envelope.
-        slots_after = report["churn_slots_after_compaction"]
-        churn_live = report["churn_live_tuples"]
-        if slots_after != churn_live:
-            print(f"GATE FAILURE: post-compaction slot space ({slots_after}) "
-                  f"is not the live count ({churn_live})", file=sys.stderr)
-            raise SystemExit(1)
-        ratio = report["churn_post_vs_fresh_ratio"]
-        if ratio > SERVE_CHURN_MAX_POST_VS_FRESH:
-            print(f"GATE FAILURE: post-compaction Objective() is {ratio:.2f}x "
-                  f"a fresh store of the same live tuples (limit "
-                  f"{SERVE_CHURN_MAX_POST_VS_FRESH}x)", file=sys.stderr)
-            raise SystemExit(1)
-        print(f"gate passed: compaction reclaimed "
-              f"{report['churn_slots_reclaimed']} of "
-              f"{report['churn_slots_before_compaction']} churn slots; "
-              f"post-compaction objective is {ratio:.2f}x fresh "
-              f"(bitwise-equal stores)")
-
-        # Fault-path hygiene (docs/FAULTS.md): on a healthy volume the
-        # durable runs must never trip the transient-retry loop, degraded
-        # read-only mode, or WAL poisoning. A nonzero counter here means
-        # the hardening machinery is firing on the no-fault path.
-        retries = report.get("durable_transient_io_retries", 0)
-        degraded = report.get("durable_degraded_rejections", 0)
-        poisoned = report.get("durable_wal_poisoned", False)
-        if retries != 0 or degraded != 0 or poisoned:
-            print(f"GATE FAILURE: fault counters nonzero on a healthy "
-                  f"volume (io retries={retries}, degraded "
-                  f"rejections={degraded}, wal poisoned={poisoned})",
-                  file=sys.stderr)
-            raise SystemExit(1)
-        print("gate passed: fault counters clean (0 retries, 0 degraded "
-              "rejections, WAL not poisoned)")
-
-        # Telemetry surface (docs/OBSERVABILITY.md): the report must embed
-        # the durable run's metrics snapshot — a missing/empty object means
-        # Service::MetricsSnapshot() broke — and the snapshot's own
-        # fault-cleanliness gauges must agree with the healthy-volume
-        # counters above. These gauges are exported whether or not the run
-        # was durable, precisely so this assertion can never be skipped.
-        metrics = report.get("metrics")
-        if not isinstance(metrics, dict) or "gauges" not in metrics:
-            print("GATE FAILURE: BENCH_serve.json has no metrics snapshot "
-                  "(expected a 'metrics' object with a 'gauges' map)",
-                  file=sys.stderr)
-            raise SystemExit(1)
-        gauges = metrics["gauges"]
-        clean_keys = ("fm_wal_transient_retries", "fm_wal_short_writes",
-                      "fm_wal_poisoned", "fm_serve_degraded_rejections")
-        missing = [k for k in clean_keys if k not in gauges]
-        if missing:
-            print(f"GATE FAILURE: metrics snapshot is missing "
-                  f"fault-cleanliness gauges: {', '.join(missing)}",
-                  file=sys.stderr)
-            raise SystemExit(1)
-        dirty = {k: gauges[k] for k in clean_keys if gauges[k] != 0}
-        if dirty:
-            print(f"GATE FAILURE: fault-cleanliness gauges nonzero on a "
-                  f"healthy volume: {dirty}", file=sys.stderr)
-            raise SystemExit(1)
-        overhead = report.get("metrics_overhead_durable_ratio")
-        churn_overhead = report.get("metrics_overhead_churn_ratio")
-        print(f"gate passed: metrics snapshot present, fault-cleanliness "
-              f"gauges all zero (telemetry overhead: durable "
-              f"{overhead:.3f}x, churn {churn_overhead:.3f}x off/on)")
+    print(f"\n{'workload':<16}{'metric':<14}{'threads=1':>14}"
+          f"{'threads=' + str(nproc):>14}")
+    for workload, by_threads in runs.items():
+        for name in metrics:
+            cells = [by_threads.get(str(t), {}).get(name)
+                     for t in (1, nproc)]
+            text = ["-" if v is None else f"{v:.6g}" for v in cells]
+            print(f"{workload:<16}{name:<14}{text[0]:>14}{text[1]:>14}")
+    print(f"\nwrote {args.out}")
+    if failures:
+        for failure in failures:
+            print(f"FAILED: {failure}", file=sys.stderr)
+        raise SystemExit(1)
 
 
 def main():
@@ -258,21 +215,21 @@ def main():
     parser.add_argument("--filter", default=DEFAULT_FILTER)
     parser.add_argument("--smoke", action="store_true",
                         help="short measurement for CI")
-    parser.add_argument("--repetitions", type=int, default=None,
-                        help="measurement repetitions (default: 3 in linalg "
-                             "mode, bench_serve's default in serve mode)")
+    parser.add_argument("--repetitions", type=int, default=3,
+                        help="Google Benchmark repetitions (linalg mode)")
     parser.add_argument("--gate", action="store_true",
-                        help="fail on perf-contract violation (see module "
-                             "docstring)")
+                        help="fail when a blocked kernel is slower than its "
+                             "reference (linalg mode)")
     args = parser.parse_args()
+    if args.out is None:
+        args.out = f"BENCH_{args.mode}.json"
 
     if args.mode == "serve":
+        if args.gate:
+            parser.error("--gate applies to --mode linalg only; serve mode "
+                         "fails on perfbench's output checks")
         run_serve_mode(args)
         return
-    if args.out is None:
-        args.out = "BENCH_linalg.json"
-    if args.repetitions is None:
-        args.repetitions = 3
 
     binary = os.path.join(args.build_dir, "micro_substrates")
     if not os.path.exists(binary):
