@@ -20,9 +20,10 @@
 //       (b) after destroy + Recover the state equals the live state bitwise
 //       (no acknowledged response is ever lost). docs/FAULTS.md.
 //   fuzz_determinism --self_check
-//       Plant the test-only nondeterminism bug (Service::
-//       SetTestOnlyNondeterminism) and require the harness to catch it and
-//       minimize it to <= 10 requests — proof the fuzzer can actually fail.
+//       Plant a determinism bug in the harness's own runs (DifferentialOptions
+//       ::plant_pool_size_seed: each run's service seed depends on its pool
+//       size) and require the harness to catch it and minimize it to <= 10
+//       requests — proof the fuzzer can actually fail.
 //
 // Exit codes: 0 = clean, 1 = divergence (or self-check failure), 2 = usage.
 
@@ -37,8 +38,8 @@
 
 #include "common/rng.h"
 #include "obs/clock.h"
-#include "serve/replay.h"
 #include "serve/service.h"
+#include "testing/replay.h"
 
 namespace {
 
@@ -53,7 +54,6 @@ using fm::serve::ReproArtifact;
 using fm::serve::Request;
 using fm::serve::RunDifferential;
 using fm::serve::RunFaultDifferential;
-using fm::serve::Service;
 using fm::serve::ServiceOptions;
 using fm::serve::WorkloadOptions;
 using fm::serve::WorkloadServiceOptions;
@@ -355,8 +355,7 @@ int RunReplay(const Flags& flags) {
 }
 
 int RunSelfCheck(const Flags& flags) {
-  std::printf("self-check: planting the test-only nondeterminism bug\n");
-  Service::SetTestOnlyNondeterminism(true);
+  std::printf("self-check: planting the pool-size seed leak\n");
 
   WorkloadOptions workload;
   workload.dim = 4;
@@ -365,7 +364,8 @@ int RunSelfCheck(const Flags& flags) {
   const ServiceOptions service_options =
       WorkloadServiceOptions(workload, seed);
   const std::vector<Request> log = GenerateWorkload(workload, seed);
-  const DifferentialOptions differential = MakeDifferentialOptions(flags);
+  DifferentialOptions differential = MakeDifferentialOptions(flags);
+  differential.plant_pool_size_seed = true;
 
   int exit_code = 1;
   const fm::Result<MinimizeResult> minimized =
@@ -395,7 +395,6 @@ int RunSelfCheck(const Flags& flags) {
     }
   }
 
-  Service::SetTestOnlyNondeterminism(false);
   std::error_code ec;
   std::filesystem::remove_all(differential.scratch_dir, ec);
   return exit_code;

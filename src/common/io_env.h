@@ -17,7 +17,7 @@ namespace fm::io {
 /// Every open/read/write/fsync/rename/truncate the WAL and snapshot code
 /// performs goes through an `Env`, so tests and the `fuzz_determinism
 /// --faults` harness can substitute a `FaultInjectingEnv`
-/// (common/fault_env.h) that deterministically injects ENOSPC, EIO, EINTR,
+/// (testing/fault_env.h) that deterministically injects ENOSPC, EIO, EINTR,
 /// short writes, and failed fsyncs. `Env::Default()` is a thin POSIX
 /// passthrough with the exact syscall behavior the layer used before the
 /// seam existed — the no-fault path is bit-identical.

@@ -184,9 +184,8 @@ void ObjectiveAccumulator::AddRows(const std::vector<size_t>& rows,
 ObjectiveAccumulator ObjectiveAccumulator::Build(
     const data::RegressionDataset& dataset, ObjectiveKind kind,
     exec::ThreadPool* pool) {
-  // The contract bounds every term, which the fixed-point sum relies on.
-  FM_CHECK(
-      dataset.SatisfiesNormalizationContract(TaskForObjectiveKind(kind)));
+  FM_CHECK(dataset.y.size() == dataset.size());
+  const data::TaskKind task = TaskForObjectiveKind(kind);
   ObjectiveAccumulator acc;
   acc.dataset_ = &dataset;
   acc.kind_ = kind;
@@ -200,6 +199,11 @@ ObjectiveAccumulator ObjectiveAccumulator::Build(
         const double* xs[kObjectiveShardRows];
         for (size_t row = begin; row < end; ++row) {
           xs[row - begin] = dataset.x.Row(row);
+          // The contract bounds every term, which the fixed-point sum
+          // relies on. Checked here, in the pass that reads the row anyway.
+          FM_CHECK(data::CheckNormalizationContract(
+                       xs[row - begin], dataset.dim(), dataset.y[row], task)
+                       .ok());
         }
         partial->AddTuples(kind, xs, dataset.y.raw() + begin, end - begin);
       },

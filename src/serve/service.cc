@@ -22,9 +22,6 @@ namespace fm::serve {
 
 namespace {
 
-// The planted determinism bug's switch (see Service::SetTestOnlyNondeterminism).
-std::atomic<bool> g_test_only_nondeterminism{false};
-
 // Outcome label classes for the per-kind request counters. Coarser than
 // StatusCode so the catalog stays readable: codes that mean the same thing
 // to an operator share a class.
@@ -116,14 +113,6 @@ struct Service::Telemetry {
   obs::Counter* snapshot_write_failures;
   obs::Histogram* pool_task_nanos;
 };
-
-void Service::SetTestOnlyNondeterminism(bool enabled) {
-  g_test_only_nondeterminism.store(enabled, std::memory_order_relaxed);
-}
-
-bool Service::TestOnlyNondeterminism() {
-  return g_test_only_nondeterminism.load(std::memory_order_relaxed);
-}
 
 const char* ServingModeToString(ServingMode mode) {
   switch (mode) {
@@ -629,15 +618,8 @@ Response Service::DoTrainLocked(const Request& request, uint64_t position) {
 
   // All training randomness derives from the request's log position — never
   // from thread scheduling — so the released coefficients are bit-identical
-  // for every FM_THREADS (the determinism contract, docs/SERVING.md). The
-  // test-only planted bug below violates exactly that: it leaks the pool
-  // size into the stream index so the fuzz harness has a real divergence
-  // to catch (SetTestOnlyNondeterminism).
-  uint64_t fork_stream = position;
-  if (TestOnlyNondeterminism()) {
-    fork_stream += pool().num_threads() - 1;
-  }
-  Rng rng(Rng::Fork(options_.seed, fork_stream));
+  // for every FM_THREADS (the determinism contract, docs/SERVING.md).
+  Rng rng(Rng::Fork(options_.seed, position));
   const Result<baselines::TrainedModel> trained =
       TrainWith(request, options_, objective_.Objective(&pool()), rng);
   if (!trained.ok()) {

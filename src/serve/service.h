@@ -320,14 +320,6 @@ class Service {
   /// `enable_metrics && trace_requests`. Drain with Tracer::TakeRecords.
   obs::Tracer* tracer();
 
-  /// Test-only: plants a deliberate determinism bug (the train RNG stream
-  /// picks up the pool size, so responses depend on FM_THREADS). Exists so
-  /// the differential fuzz harness (serve/replay.h, fuzz_determinism
-  /// --self_check) can prove it detects and minimizes real divergence —
-  /// never enable outside tests. Process-global; remember to restore.
-  static void SetTestOnlyNondeterminism(bool enabled);
-  static bool TestOnlyNondeterminism();
-
  private:
   explicit Service(const ServiceOptions& options,
                    std::unique_ptr<BudgetAccountant> accountant);

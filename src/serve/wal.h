@@ -198,7 +198,7 @@ class Wal {
   /// payload fails with kIoError and leaves `reader` unspecified — callers
   /// that must tolerate a torn tail (ReadAll) copy the reader first. Shared
   /// by WAL recovery and the fuzz harness's repro-artifact loader
-  /// (serve/replay.h), so both speak the identical record codec.
+  /// (testing/replay.h), so both speak the identical record codec.
   static Status DecodeRecord(io::ByteReader& reader, WalRecord* out);
 
  private:

@@ -1,4 +1,4 @@
-#include "common/fault_env.h"
+#include "testing/fault_env.h"
 
 #include <cerrno>
 #include <utility>

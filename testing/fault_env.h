@@ -1,5 +1,5 @@
-#ifndef FM_COMMON_FAULT_ENV_H_
-#define FM_COMMON_FAULT_ENV_H_
+#ifndef FM_TESTING_FAULT_ENV_H_
+#define FM_TESTING_FAULT_ENV_H_
 
 #include <cstdint>
 #include <memory>
@@ -121,4 +121,4 @@ class FaultInjectingEnv final : public Env {
 
 }  // namespace fm::io
 
-#endif  // FM_COMMON_FAULT_ENV_H_
+#endif  // FM_TESTING_FAULT_ENV_H_

@@ -1,4 +1,4 @@
-#include "serve/replay.h"
+#include "testing/replay.h"
 
 #include <algorithm>
 #include <cmath>
@@ -381,6 +381,9 @@ Result<ReplayObservation> ExecuteReplay(const ServiceOptions& options,
   ServiceOptions run_options = options;
   run_options.pool = &pool;
   run_options.enable_metrics = knobs.metrics;
+  if (knobs.plant_pool_size_seed) {
+    run_options.seed = Rng::Fork(options.seed, pool.num_threads());
+  }
 
   DurabilityOptions durability;
   if (durable) {
@@ -542,17 +545,19 @@ Divergence CompareObservations(const ReplayObservation& reference,
 
 std::vector<ReplayKnobs> EnumerateKnobs(const DifferentialOptions& options) {
   std::vector<ReplayKnobs> knobs;
+  ReplayKnobs base;
+  base.plant_pool_size_seed = options.plant_pool_size_seed;
   uint64_t run = 0;
   for (const size_t threads : options.thread_counts) {
     for (const BatchingMode batching : options.batchings) {
-      ReplayKnobs k;
+      ReplayKnobs k = base;
       k.threads = threads;
       k.batching = batching;
       k.schedule_seed = Rng::Fork(options.schedule_seed, run++);
       knobs.push_back(k);
     }
     if (options.crash_points > 0) {
-      ReplayKnobs k;
+      ReplayKnobs k = base;
       k.threads = threads;
       k.batching = BatchingMode::kRandomChunks;
       k.crash_points = options.crash_points;
@@ -563,7 +568,7 @@ std::vector<ReplayKnobs> EnumerateKnobs(const DifferentialOptions& options) {
       // The metrics axis: one metrics-off run per thread count. Telemetry
       // must be observation-only, so disabling it must still reproduce the
       // metrics-on reference byte for byte.
-      ReplayKnobs k;
+      ReplayKnobs k = base;
       k.threads = threads;
       k.batching = BatchingMode::kRandomChunks;
       k.metrics = false;
@@ -582,6 +587,7 @@ ReplayKnobs ReferenceKnobs(const DifferentialOptions& options) {
   reference.threads = 1;
   reference.batching = BatchingMode::kCheckpointChunks;
   reference.schedule_seed = Rng::Fork(options.schedule_seed, ~uint64_t{0});
+  reference.plant_pool_size_seed = options.plant_pool_size_seed;
   return reference;
 }
 

@@ -1,15 +1,15 @@
-#ifndef FM_SERVE_REPLAY_H_
-#define FM_SERVE_REPLAY_H_
+#ifndef FM_TESTING_REPLAY_H_
+#define FM_TESTING_REPLAY_H_
 
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "common/fault_env.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "serve/service.h"
+#include "testing/fault_env.h"
 
 namespace fm::serve {
 
@@ -148,6 +148,8 @@ struct ReplayKnobs {
   /// off. Telemetry is observation-only by contract, so a metrics-off run
   /// must reproduce the (metrics-on) reference byte for byte.
   bool metrics = true;
+  /// Copied from DifferentialOptions::plant_pool_size_seed.
+  bool plant_pool_size_seed = false;
 
   std::string Name() const;
 };
@@ -209,6 +211,13 @@ struct DifferentialOptions {
   /// Scratch directory for crash runs' WAL/snapshot files. Created on
   /// demand; per-run subdirectories are removed after each run.
   std::string scratch_dir;
+  /// Test-only planted determinism bug, off by default: every run,
+  /// reference included, serves with ServiceOptions::seed replaced by
+  /// Rng::Fork(seed, threads) for the pool that run built, so FM train
+  /// noise depends on the pool size. `fuzz_determinism --self_check` and
+  /// PlantedBugTest set it to prove the differential catches and ddmin
+  /// minimizes a real divergence.
+  bool plant_pool_size_seed = false;
 };
 
 /// The non-reference knob combinations `options` describes, in a fixed
@@ -346,4 +355,4 @@ Result<FaultDivergence> RunFaultDifferential(const ServiceOptions& options,
 
 }  // namespace fm::serve
 
-#endif  // FM_SERVE_REPLAY_H_
+#endif  // FM_TESTING_REPLAY_H_

@@ -22,15 +22,15 @@
 
 #include <gtest/gtest.h>
 
-#include "common/fault_env.h"
 #include "common/io_env.h"
 #include "common/io_util.h"
 #include "common/rng.h"
 #include "exec/thread_pool.h"
-#include "serve/replay.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
 #include "serve/wal.h"
+#include "testing/fault_env.h"
+#include "testing/replay.h"
 
 // gtest-flavored sibling of FM_ASSIGN_OR_RETURN: unwrap a Result or fail
 // the test with the status.

@@ -189,6 +189,25 @@ TEST(ObjectiveAccumulatorTest, BuildIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// Build checks the §3 contract row by row inside its parallel pass, so one
+// violating row in the last chunk still aborts the process, as does a
+// label vector that is one short.
+TEST(ObjectiveAccumulatorDeathTest, BuildAbortsOnAContractViolation) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  exec::ThreadPool pool(4);
+  auto ds = MakeDataset(3 * core::kObjectiveShardRows + 10, 5, false, 79);
+  ds.y[ds.size() - 1] = 2.0;  // a linear-task label outside [−1, 1]
+  EXPECT_DEATH(core::ObjectiveAccumulator::Build(
+                   ds, core::ObjectiveKind::kLinear, &pool),
+               "FM_CHECK failed");
+
+  auto short_labels = MakeDataset(10, 5, false, 79);
+  short_labels.y = linalg::Vector(9);
+  EXPECT_DEATH(core::ObjectiveAccumulator::Build(
+                   short_labels, core::ObjectiveKind::kLinear, &pool),
+               "FM_CHECK failed");
+}
+
 // units = (2⁵³ + odd) · 2^shift ± small: the correctly rounded double of
 // units · 2⁻⁸², computed independently of RoundFixedPoint.
 TEST(ExactObjectiveSumTest, RoundFixedPointRoundsToNearestTiesToEven) {

@@ -1,4 +1,4 @@
-// The record/replay engine and differential fuzz harness (serve/replay.h),
+// The record/replay engine and differential fuzz harness (testing/replay.h),
 // tier-1 smoke form:
 //  - GenerateWorkload is deterministic in (options, seed) and covers every
 //    request kind, malformed requests included.
@@ -9,8 +9,8 @@
 //    (threads × batching × crash/recovery points × metrics) byte-matches
 //    the reference execution — the determinism contract as a machine-checked
 //    invariant.
-//  - The planted nondeterminism (Service::SetTestOnlyNondeterminism) is
-//    caught, ddmin-minimized to ≤ 10 requests, and the written repro
+//  - The planted nondeterminism (DifferentialOptions::plant_pool_size_seed)
+//    is caught, ddmin-minimized to ≤ 10 requests, and the written repro
 //    artifact still diverges after reload — the harness can actually fail.
 //  - Negative paths: malformed requests return typed errors and mutate
 //    nothing (byte-identical state snapshots before/after), and logs thick
@@ -24,10 +24,10 @@
 #include <gtest/gtest.h>
 
 #include "common/io_env.h"
-#include "serve/replay.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
 #include "serve/wal.h"
+#include "testing/replay.h"
 
 namespace fm {
 namespace {
@@ -208,6 +208,82 @@ TEST(ReproArtifactIo, RejectsCorruptionStrictly) {
   EXPECT_EQ(ReadReproArtifact(path).status().code(), StatusCode::kIoError);
 }
 
+// The .fmfuzz bytes of one fixed log, pinned: a change that altered the
+// writer and the reader together would still round-trip, so only fixed
+// bytes catch a format change.
+TEST(ReproArtifactIo, WriterEmitsThePinnedBytes) {
+  ServiceOptions options;
+  options.dim = 3;
+  options.task = data::TaskKind::kLinear;
+  options.post_processing = core::PostProcessing::kAdaptive;
+  options.total_epsilon = 2.0;
+  options.seed = 0x1234;
+  options.auto_compact = true;
+  options.compaction_dead_ratio = 0.25;
+  options.compaction_min_dead = 64;
+  const std::vector<Request> log = {
+      Request::Insert(linalg::Vector{0.5, -0.25, 0.125}, 0.75),
+      Request::Train(TrainerKind::kFunctionalMechanism, 0.5),
+      Request::Predict(linalg::Vector{0.25, 0.5, -0.5})};
+  const std::string kPinnedHex =
+      // magic "FMFUZZR1", version 1
+      "464d46555a5a5231" "01000000"
+      // dim, task, post-processing, total ε, seed, auto_compact,
+      // compaction_dead_ratio, compaction_min_dead
+      "0300000000000000" "00" "04" "0000000000000040" "3412000000000000"
+      "01" "000000000000d03f" "4000000000000000"
+      // record count
+      "0300000000000000"
+      // WAL records: [len u32][crc u32][position u64][payload]
+      "3a00000038bb5c85" "0000000000000000"
+      "00009a9999999999e93f000000000000e83f0000000000000000030000000000"
+      "0000000000000000e03f000000000000d0bf000000000000c03f"
+      "220000007746783b" "0100000000000000"
+      "0300000000000000e03f00000000000000000000000000000000000000000000"
+      "0000"
+      "3a000000f53d9e2e" "0200000000000000"
+      "04009a9999999999e93f00000000000000000000000000000000030000000000"
+      "0000000000000000d03f000000000000e03f000000000000e0bf";
+
+  const std::string path = TestDir("artifact_pinned") + "/log.fmfuzz";
+  ASSERT_TRUE(WriteReproArtifact(path, options, log).ok());
+  const Result<std::string> bytes =
+      io::ReadFileToString(io::Env::Default(), path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  std::string hex;
+  for (const char c : bytes.ValueOrDie()) {
+    static const char kDigits[] = "0123456789abcdef";
+    hex.push_back(kDigits[static_cast<unsigned char>(c) >> 4]);
+    hex.push_back(kDigits[static_cast<unsigned char>(c) & 0xf]);
+  }
+  EXPECT_EQ(hex, kPinnedHex);
+
+  const Result<ReproArtifact> read = ReadReproArtifact(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  const ServiceOptions& back = read.ValueOrDie().options;
+  EXPECT_EQ(back.dim, options.dim);
+  EXPECT_EQ(back.task, options.task);
+  EXPECT_EQ(back.post_processing, options.post_processing);
+  EXPECT_EQ(back.total_epsilon, options.total_epsilon);
+  EXPECT_EQ(back.seed, options.seed);
+  EXPECT_EQ(back.auto_compact, options.auto_compact);
+  EXPECT_EQ(back.compaction_dead_ratio, options.compaction_dead_ratio);
+  EXPECT_EQ(back.compaction_min_dead, options.compaction_min_dead);
+  const std::vector<Request>& read_log = read.ValueOrDie().log;
+  ASSERT_EQ(read_log.size(), log.size());
+  for (size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(read_log[i].kind, log[i].kind) << i;
+    ASSERT_EQ(read_log[i].x.size(), log[i].x.size()) << i;
+    for (size_t j = 0; j < log[i].x.size(); ++j) {
+      EXPECT_EQ(read_log[i].x[j], log[i].x[j]) << i << "," << j;
+    }
+    EXPECT_EQ(read_log[i].y, log[i].y) << i;
+    EXPECT_EQ(read_log[i].id, log[i].id) << i;
+    EXPECT_EQ(read_log[i].trainer, log[i].trainer) << i;
+    EXPECT_EQ(read_log[i].epsilon, log[i].epsilon) << i;
+  }
+}
+
 // --------------------------------------------------------------------------
 // Differential replay: the contract holds
 // --------------------------------------------------------------------------
@@ -264,14 +340,7 @@ TEST(Differential, ObservationsCoverEveryPositionAndCheckpoint) {
 // The harness can actually fail: planted nondeterminism
 // --------------------------------------------------------------------------
 
-class PlantedBugTest : public ::testing::Test {
- protected:
-  void TearDown() override { Service::SetTestOnlyNondeterminism(false); }
-};
-
-TEST_F(PlantedBugTest, CaughtMinimizedAndArtifactStillDiverges) {
-  Service::SetTestOnlyNondeterminism(true);
-
+TEST(PlantedBugTest, CaughtMinimizedAndArtifactStillDiverges) {
   WorkloadOptions workload;
   workload.dim = 4;
   workload.requests = 40;
@@ -279,9 +348,10 @@ TEST_F(PlantedBugTest, CaughtMinimizedAndArtifactStillDiverges) {
   const ServiceOptions options = WorkloadServiceOptions(workload, seed);
   const std::vector<Request> log = GenerateWorkload(workload, seed);
   const std::string dir = TestDir("planted");
-  const DifferentialOptions differential = SmokeDifferential(dir + "/scratch");
+  DifferentialOptions differential = SmokeDifferential(dir + "/scratch");
+  differential.plant_pool_size_seed = true;
 
-  // Caught: the pool size leaks into the train RNG stream, so any
+  // Caught: the pool size leaks into the train noise seed, so any
   // threads != 1 combination diverges from the single-threaded reference.
   const Result<Divergence> found =
       serve::RunDifferential(options, log, differential);
@@ -321,7 +391,7 @@ TEST_F(PlantedBugTest, CaughtMinimizedAndArtifactStillDiverges) {
 
   // And with the bug unplanted, the same repro runs clean — the artifact
   // doubles as the bug's regression test.
-  Service::SetTestOnlyNondeterminism(false);
+  differential.plant_pool_size_seed = false;
   const Result<Divergence> fixed = serve::RunDifferential(
       reloaded.ValueOrDie().options, reloaded.ValueOrDie().log, differential);
   ASSERT_TRUE(fixed.ok()) << fixed.status().ToString();

@@ -1004,6 +1004,35 @@ TEST(Service, IncrementalModelMatchesScratchRetrainBitwise) {
   EXPECT_EQ(served->trained_on, initial.size() + extra.size() - 1);
 }
 
+TEST(Service, TrainAppliesPendingWorkOnTheServicePool) {
+  // A train applies the pending inserts on Service::pool(); if that ignored
+  // ServiceOptions::pool, the work would land on the global pool and this
+  // one would see no task.
+  exec::ThreadPool pool(3);
+  serve::ServiceOptions options;
+  options.dim = 4;
+  options.pool = &pool;
+  auto service = serve::Service::Create(options).ValueOrDie();
+  // More inserts than one apply chunk holds, so the train sums two chunks
+  // and spreads them over the pool.
+  const auto extra = MakeDataset(core::kObjectiveShardRows + 100, 4, false, 53);
+  std::vector<serve::Request> inserts;
+  for (size_t i = 0; i < extra.size(); ++i) {
+    inserts.push_back(serve::Request::Insert(extra.x.RowVector(i), extra.y[i]));
+  }
+  for (const serve::Response& r : service->ExecuteLog(inserts)) {
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  }
+  ASSERT_GT(service->objective().pending_tuples(), core::kObjectiveShardRows);
+
+  const uint64_t submitted = pool.tasks_submitted();
+  const auto responses = service->ExecuteLog(
+      {serve::Request::Train(serve::TrainerKind::kTruncated, 0.0)});
+  ASSERT_TRUE(responses[0].status.ok()) << responses[0].status.ToString();
+  EXPECT_EQ(service->objective().pending_tuples(), 0u);
+  EXPECT_GT(pool.tasks_submitted(), submitted);
+}
+
 TEST(Service, BudgetGovernsTrainRequests) {
   const auto initial = MakeDataset(600, 4, false, 47);
   serve::ServiceOptions options;

@@ -14,7 +14,8 @@ surrounding comment):
 
   fm-wall-clock          No wall-clock reads (system_clock, steady_clock,
                          gettimeofday, time(), ...) in determinism-contract
-                         code (src/serve, src/core, src/linalg). Time enters
+                         code (src/serve, src/core, src/linalg, and the
+                         testing/ harness that replays it). Time enters
                          serving only through the injectable obs::Clock seam.
   fm-randomness          No ambient randomness (rand(), random_device,
                          mt19937, ...) in determinism-contract code. All
@@ -25,31 +26,33 @@ surrounding comment):
                          hash-seed dependent. Point lookups (find/at/erase)
                          are fine.
   fm-locked-annotation   `*Locked` helper names and FM_REQUIRES(...)
-                         annotations imply each other, both directions: a
-                         header-declared *Locked function must carry
-                         FM_REQUIRES, and an FM_REQUIRES function must be
-                         named *Locked.
+                         annotations imply each other in src/ and testing/,
+                         both directions: a header-declared *Locked function
+                         must carry FM_REQUIRES, and an FM_REQUIRES function
+                         must be named *Locked.
   fm-raw-mutex           No std::mutex / std::lock_guard / std::unique_lock /
-                         std::condition_variable in src/ outside
+                         std::condition_variable in src/ or testing/ outside
                          common/thread_annotations.h — the fm::Mutex wrappers
                          carry the thread-safety capabilities.
-  fm-discarded-status    A `(void)Call(...)` discard in src/ must carry a
-                         `// discard-ok:` rationale on the same line or the
-                         comment block directly above. (The compiler enforces
-                         [[nodiscard]]; this rule enforces the *why*.)
+  fm-discarded-status    A `(void)Call(...)` discard in src/ or testing/ must
+                         carry a `// discard-ok:` rationale on the same line
+                         or the comment block directly above. (The compiler
+                         enforces [[nodiscard]]; this rule enforces the
+                         *why*.)
   fm-observation-only    The bodies of OptionsFingerprint (src/serve/wal.cc)
                          and EncodeServiceOptions / DecodeServiceOptions
-                         (src/serve/replay.cc) must never mention the
+                         (testing/replay.cc) must never mention the
                          observation-only fields enable_metrics,
                          trace_requests, or clock — telemetry must not leak
-                         into durable-state identity or replay codecs.
+                         into durable-state identity or replay codecs. A
+                         listed file that is missing is itself a finding.
   fm-test-only-module    Every src/ file must be reachable from a program
                          that is not a test: a walk of `#include "..."`
-                         edges from every file under bench/, examples/,
-                         fuzz/ and perfbench/ (reaching src/X.h also
-                         reaches src/X.cc) must visit it. A file the walk
-                         misses is compiled only for tests/ and is flagged
-                         at line 1.
+                         edges from every file under bench/, examples/ and
+                         perfbench/ (reaching src/X.h also reaches src/X.cc)
+                         must visit it. A file the walk misses is compiled
+                         only for tests/, fuzz/ or testing/ and is flagged
+                         at line 1; test-only code belongs in testing/.
   fm-kernel-oracle       No `kernels::Ref*` reference in src/ outside
                          src/linalg/kernels.{h,cc}. The scalar Ref* kernels
                          are the oracles tests/kernels_test.cc and the
@@ -67,11 +70,16 @@ import tempfile
 # Directories covered by the determinism-contract rules (fm-wall-clock,
 # fm-randomness, fm-unordered-iter). src/obs is deliberately absent: it OWNS
 # the injectable clock seam and is kept off the response bytes by
-# construction (tests/obs_test.cc proves it).
-DETERMINISM_DIRS = ("src/serve", "src/core", "src/linalg")
+# construction (tests/obs_test.cc proves it). testing/ is present: its
+# replayer and fault injector must be as deterministic as what they check.
+DETERMINISM_DIRS = ("src/serve", "src/core", "src/linalg", "testing")
 
-# Root of the lock-discipline and status-hygiene rules.
+# The production library, the include root of its `#include "..."` names.
 SRC_DIR = "src"
+
+# Roots of the lock-discipline and status-hygiene rules: src/ and the test
+# harness library (fm_testing), which holds the test-only code src/ may not.
+LIBRARY_DIRS = (SRC_DIR, "testing")
 
 # The wrapper layer itself: defines the capabilities, so it is exempt from
 # fm-raw-mutex (it wraps std::mutex) and fm-locked-annotation (CondVar::Wait
@@ -81,7 +89,8 @@ WRAPPER_HEADER = "src/common/thread_annotations.h"
 CXX_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp", ".cxx")
 
 # Roots of the fm-test-only-module walk: every program that is not a test.
-NON_TEST_ROOTS = ("bench", "examples", "fuzz", "perfbench")
+# fuzz/ is a test driver: it links the testing/ harness.
+NON_TEST_ROOTS = ("bench", "examples", "perfbench")
 
 QUOTED_INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
 
@@ -91,7 +100,7 @@ KERNEL_ORACLE_PATTERNS = [re.compile(r"\bkernels::Ref\w*")]
 
 OBSERVATION_ONLY_FUNCTIONS = {
     "src/serve/wal.cc": ("OptionsFingerprint",),
-    "src/serve/replay.cc": ("EncodeServiceOptions", "DecodeServiceOptions"),
+    "testing/replay.cc": ("EncodeServiceOptions", "DecodeServiceOptions"),
 }
 OBSERVATION_ONLY_TOKENS = re.compile(
     r"\b(enable_metrics|trace_requests|clock)\b")
@@ -404,8 +413,11 @@ def function_body_span(code, func_name):
 
 def check_observation_only(root, findings):
     for relpath, funcs in OBSERVATION_ONLY_FUNCTIONS.items():
-        full = os.path.join(root, relpath)
-        if not os.path.exists(full):
+        if not os.path.exists(os.path.join(root, relpath)):
+            findings.append(Finding(
+                "fm-observation-only", relpath, 1,
+                "expected file not found — if it moved, update "
+                "tools/fm_lint.py OBSERVATION_ONLY_FUNCTIONS"))
             continue
         unit = FileUnit(root, relpath)
         for func in funcs:
@@ -431,9 +443,10 @@ def check_observation_only(root, findings):
 
 def resolve_include(root, includer, name):
     """The repo file a quoted `#include "name"` in `includer` names: the
-    includer's own directory first, then the src/ include root. None for
-    anything else (system and third-party headers)."""
-    for base in (os.path.dirname(includer), SRC_DIR):
+    includer's own directory first, then the src/ include root, then the
+    repository root (`testing/...`). None for anything else (system and
+    third-party headers)."""
+    for base in (os.path.dirname(includer), SRC_DIR, ""):
         candidate = os.path.normpath(os.path.join(base, name))
         if os.path.isfile(os.path.join(root, candidate)):
             return candidate
@@ -468,9 +481,10 @@ def check_test_only_modules(root, findings):
         if not waived(raw_lines, 1, "fm-test-only-module"):
             findings.append(Finding(
                 "fm-test-only-module", relpath, 1,
-                "no #include path from bench/, examples/, fuzz/ or "
-                "perfbench/ reaches this file, so only tests/ use it — "
-                "delete it or give it a caller outside tests/"))
+                "no #include path from bench/, examples/ or perfbench/ "
+                "reaches this file, so only tests/, fuzz/ or testing/ use "
+                "it — delete it, move it to testing/, or give it a caller "
+                "that is not a test"))
 
 
 def run_lint(root):
@@ -489,7 +503,7 @@ def run_lint(root):
             "common/rng Rng::Fork)", findings)
     check_unordered_iteration(det_units, findings)
 
-    for relpath in iter_source_files(root, (SRC_DIR,)):
+    for relpath in iter_source_files(root, LIBRARY_DIRS):
         unit = FileUnit(root, relpath)
         if relpath != WRAPPER_HEADER:
             scan_line_patterns(
@@ -497,7 +511,8 @@ def run_lint(root):
                 "raw standard-library lock primitive (use fm::Mutex / "
                 "fm::MutexLock / fm::CondVar from "
                 "common/thread_annotations.h)", findings)
-        if relpath not in KERNEL_FILES:
+        in_src = relpath.startswith(SRC_DIR + os.sep)
+        if in_src and relpath not in KERNEL_FILES:
             scan_line_patterns(
                 unit, KERNEL_ORACLE_PATTERNS, "fm-kernel-oracle",
                 "scalar Ref* oracle outside the kernel layer (production "
@@ -587,24 +602,46 @@ SELF_CHECK_PLANTS = [
      "int ReachedOnlyFromTests();\n"
      "#endif\n",
      "fm-test-only-module", 1),
+    # Reached from fuzz/ alone (SELF_CHECK_FUZZ_MAIN): fuzz/ is a test root.
+    ("src/serve/planted_fuzz_only.h",
+     "#ifndef PLANTED_FUZZ_ONLY_H_\n"
+     "#define PLANTED_FUZZ_ONLY_H_\n"
+     "int ReachedOnlyFromTheFuzzDriver();\n"
+     "#endif\n",
+     "fm-test-only-module", 1),
+    # The harness library is scanned like src/.
+    ("testing/planted_wall_clock.cc",
+     "#include <chrono>\n"
+     "long Now() {\n"
+     "  return std::chrono::steady_clock::now().time_since_epoch().count();\n"
+     "}\n",
+     "fm-wall-clock", 3),
+    ("testing/planted_raw_mutex.cc",
+     "std::mutex planted_mutex;\n",
+     "fm-raw-mutex", 1),
 ]
 
 # Clean files for the fm-test-only-module walk: a non-test program that
-# includes every planted file except the test-only one, and a header/source
-# pair it reaches through the header alone.
+# includes every planted src/ file except the test-only ones, a header/source
+# pair it reaches through the header alone, and a fuzz driver that reaches
+# its own planted header.
 SELF_CHECK_REACHED_PAIR = {
     "src/exec/planted_pair.h": "int Paired();\n",
     "src/exec/planted_pair.cc": "#include \"exec/planted_pair.h\"\n"
                                 "int Paired() { return 1; }\n",
+}
+SELF_CHECK_FUZZ_MAIN = {
+    "fuzz/planted_fuzz_main.cc": "#include \"serve/planted_fuzz_only.h\"\n",
 }
 
 
 def self_check():
     ok = True
     # Clean companions of the plants. The planted wal.cc's replay.cc sibling
-    # is absent; silence the codec-function probe with minimal clean codecs.
+    # is absent; give the codec-function probe minimal clean codecs.
     clean = dict(SELF_CHECK_REACHED_PAIR)
-    clean["src/serve/replay.cc"] = (
+    clean.update(SELF_CHECK_FUZZ_MAIN)
+    clean["testing/replay.cc"] = (
         "struct ServiceOptions { unsigned dim; };\n"
         "void EncodeServiceOptions(char*, const ServiceOptions&) {\n"
         "}\n"
@@ -612,8 +649,9 @@ def self_check():
         "  return 0;\n"
         "}\n")
     reached = [relpath for relpath, _, rule, _ in SELF_CHECK_PLANTS
-               if rule != "fm-test-only-module"]
-    reached += ["src/serve/replay.cc", "src/exec/planted_pair.h"]
+               if rule != "fm-test-only-module"
+               and relpath.startswith(SRC_DIR + "/")]
+    reached += ["src/exec/planted_pair.h"]
     clean["examples/planted_main.cc"] = "".join(
         f'#include "{os.path.relpath(relpath, SRC_DIR)}"\n'
         for relpath in reached)
