@@ -1,5 +1,6 @@
 // E15: google-benchmark micro-benchmarks for the substrate hot paths —
-// Gram-matrix construction, Cholesky, Jacobi eigendecomposition, Laplace
+// Gram-matrix construction, Cholesky, the symmetric eigendecomposition
+// (Householder tridiagonalization plus implicit-shift QL), Laplace
 // sampling, full FM fits and the Newton logistic solver.
 //
 // BM_ExactBatch is a twin: its `blocked` and `ref` instances time a
@@ -155,13 +156,14 @@ void BM_LogisticGradient(benchmark::State& state) {
 }
 BENCHMARK(BM_LogisticGradient)->Args({20000, 14});
 
-void BM_JacobiEigen(benchmark::State& state) {
+// The §6.2 trim's eigensolve at offline_cv's d (13) and serve_churn's (50).
+void BM_EigenSym(benchmark::State& state) {
   const auto spd = RandomSpd(static_cast<size_t>(state.range(0)), 3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(linalg::EigenSym(spd));
   }
 }
-BENCHMARK(BM_JacobiEigen)->Arg(4)->Arg(13)->Arg(32);
+BENCHMARK(BM_EigenSym)->Arg(4)->Arg(13)->Arg(50)->Arg(100);
 
 void BM_LaplaceSampling(benchmark::State& state) {
   Rng rng(4);

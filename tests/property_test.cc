@@ -209,7 +209,7 @@ TEST_P(TrimProperty, RetainedSpectrumIsPositive) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, TrimProperty,
-                         ::testing::Values(2, 3, 5, 8, 13));
+                         ::testing::Values(2, 3, 5, 8, 13, 50));
 
 // ---------------------------------------------------------------------------
 // Property: FM's fit error decreases (stochastically) as ε grows — the
