@@ -38,7 +38,7 @@ class ChebyshevFm : public baselines::RegressionAlgorithm {
       return Status::Unimplemented("chebyshev surrogate is logistic-only");
     }
     const opt::QuadraticModel objective =
-        core::BuildChebyshevLogisticObjective(train.x, train.y, coefficients_);
+        core::BuildChebyshevLogisticObjective(train, coefficients_);
     baselines::TrainedModel model;
     if (noiseless_) {
       FM_ASSIGN_OR_RETURN(model.omega, objective.Minimize());

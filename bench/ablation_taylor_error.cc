@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "core/objective_accumulator.h"
 #include "core/taylor.h"
 #include "opt/logistic_loss.h"
 
@@ -26,7 +27,9 @@ int main() {
       const double n = static_cast<double>(data.size());
 
       const opt::QuadraticModel truncated =
-          core::BuildTruncatedLogisticObjective(data.x, data.y);
+          core::ObjectiveAccumulator::Build(
+              data, core::ObjectiveKind::kTruncatedLogistic)
+              .Global();
       const opt::LogisticObjective exact(data.x, data.y);
 
       auto omega_hat = truncated.Minimize();

@@ -78,7 +78,13 @@ void PrintSweep(const std::string& figure, const std::string& x_label,
 
 BenchContext LoadContext() {
   BenchContext ctx;
-  ctx.config = eval::BenchConfig::FromEnv();
+  auto config = eval::BenchConfig::FromEnv();
+  if (!config.ok()) {
+    std::fprintf(stderr, "invalid benchmark settings: %s\n",
+                 config.status().ToString().c_str());
+    std::exit(1);
+  }
+  ctx.config = std::move(config).ValueOrDie();
   auto bundles = eval::LoadCensusDatasets(ctx.config.scale, ctx.config.seed);
   if (!bundles.ok()) {
     std::fprintf(stderr, "failed to generate census data: %s\n",
@@ -93,11 +99,11 @@ void PrintBanner(const std::string& bench_name, const BenchContext& ctx) {
   std::printf("# %s — Functional Mechanism reproduction\n", bench_name.c_str());
   // The fold-objective cache state matters for reading the figs 7–9 timing
   // columns (FM/Truncated/NoPrivacy-linear per-fold times drop when on), so
-  // the banner records it alongside the other knobs.
+  // the banner records the one the sweeps run with.
   std::printf("# scale=%.3g repeats=%zu folds=%zu seed=%llu cv_cache=%s",
               ctx.config.scale, ctx.config.repeats, ctx.config.folds,
               static_cast<unsigned long long>(ctx.config.seed),
-              eval::DefaultObjectiveCacheEnabled() ? "on" : "off");
+              eval::CvOptions{}.use_objective_cache ? "on" : "off");
   for (const auto& bundle : ctx.bundles) {
     std::printf("  %s=%zu rows", bundle.name.c_str(),
                 bundle.table.num_rows());

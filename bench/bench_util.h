@@ -17,8 +17,9 @@ struct BenchContext {
 };
 
 /// Loads the config from the environment and generates both datasets.
-/// Aborts (with a message) on failure — bench binaries have no caller to
-/// propagate a Status to.
+/// Exits 1 (with a message) on failure — an invalid FM_BENCH_SCALE or
+/// FM_BENCH_REPEATS, say; bench binaries have no caller to propagate a
+/// Status to.
 BenchContext LoadContext();
 
 /// Prints the standard bench banner: scale, repeats, seed, dataset sizes.
@@ -29,10 +30,7 @@ void PrintBanner(const std::string& bench_name, const BenchContext& ctx);
 /// accuracy tables are byte-identical for every thread count; the timing
 /// tables of figs 7–9 report per-fold thread-CPU seconds — stable across
 /// thread counts but, being measured time, still run-dependent. Each point's
-/// CV run derives its fold objectives from a cached dataset-global sum
-/// (FM_CV_CACHE=0 reverts to per-fold re-summation; the banner records the
-/// state, and the accuracy tables are identical either way at their printed
-/// precision).
+/// CV run derives its fold objectives from a cached dataset-global sum.
 
 /// Figure 4: accuracy vs dimensionality at the default ε and sampling rate.
 /// `figure` is the per-dataset label prefix, e.g. "fig4a" for US-Linear.

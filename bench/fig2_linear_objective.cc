@@ -5,20 +5,23 @@
 
 #include "common/rng.h"
 #include "core/functional_mechanism.h"
-#include "core/taylor.h"
-#include "linalg/matrix.h"
+#include "core/objective_accumulator.h"
+#include "data/dataset.h"
 
 int main() {
   using namespace fm;
 
   // The paper's example database: (1, 0.4), (0.9, 0.3), (−0.5, −1).
-  linalg::Matrix x(3, 1);
-  x(0, 0) = 1.0;
-  x(1, 0) = 0.9;
-  x(2, 0) = -0.5;
-  linalg::Vector y{0.4, 0.3, -1.0};
+  data::RegressionDataset db;
+  db.x = linalg::Matrix(3, 1);
+  db.x(0, 0) = 1.0;
+  db.x(1, 0) = 0.9;
+  db.x(2, 0) = -0.5;
+  db.y = linalg::Vector{0.4, 0.3, -1.0};
 
-  const opt::QuadraticModel objective = core::BuildLinearObjective(x, y);
+  const opt::QuadraticModel objective =
+      core::ObjectiveAccumulator::Build(db, core::ObjectiveKind::kLinear)
+          .Global();
   std::printf("# fig2 — §4.2 worked example (linear objective + FM noise)\n");
   std::printf("# built objective: %.6gω² %+.6gω %+.6g (paper: 2.06ω² −2.34ω "
               "+1.25)\n",

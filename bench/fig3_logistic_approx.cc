@@ -3,22 +3,26 @@
 // printed as (ω, fD(ω), f̂D(ω)) series over ω ∈ [0, 2].
 #include <cstdio>
 
+#include "core/objective_accumulator.h"
 #include "core/taylor.h"
-#include "linalg/matrix.h"
+#include "data/dataset.h"
 #include "opt/logistic_loss.h"
 
 int main() {
   using namespace fm;
 
-  linalg::Matrix x(3, 1);
-  x(0, 0) = -0.5;
-  x(1, 0) = 0.0;
-  x(2, 0) = 1.0;
-  linalg::Vector y{1.0, 0.0, 1.0};
+  data::RegressionDataset db;
+  db.x = linalg::Matrix(3, 1);
+  db.x(0, 0) = -0.5;
+  db.x(1, 0) = 0.0;
+  db.x(2, 0) = 1.0;
+  db.y = linalg::Vector{1.0, 0.0, 1.0};
 
-  const opt::LogisticObjective exact(x, y);
+  const opt::LogisticObjective exact(db.x, db.y);
   const opt::QuadraticModel truncated =
-      core::BuildTruncatedLogisticObjective(x, y);
+      core::ObjectiveAccumulator::Build(db,
+                                        core::ObjectiveKind::kTruncatedLogistic)
+          .Global();
 
   std::printf("# fig3 — §5.2 logistic objective vs degree-2 Taylor "
               "approximation\n");

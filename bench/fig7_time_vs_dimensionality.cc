@@ -1,9 +1,8 @@
 // Regenerates Figure 7: per-fold training time (seconds) vs dimensionality
 // on the logistic task (the paper reports logistic only; linear is
 // qualitatively similar — run the other figure benches for accuracy).
-// With the fold-objective cache on (default), the FM/Truncated columns time
-// the cached global-sum-minus-test-fold derivation plus the mechanism;
-// FM_CV_CACHE=0 times the paper's naive per-fold re-summation instead.
+// The FM/Truncated columns time the fold-objective cache's
+// global-sum-minus-test-fold derivation plus the mechanism.
 #include "bench_util.h"
 
 int main() {

@@ -1,6 +1,6 @@
 // Regenerates Figure 8: per-fold training time (seconds) vs sampling rate
-// on the logistic task. Timed under the fold-objective cache by default —
-// see fig7_time_vs_dimensionality.cc and FM_CV_CACHE.
+// on the logistic task. Timed under the fold-objective cache — see
+// fig7_time_vs_dimensionality.cc.
 #include "bench_util.h"
 
 int main() {

@@ -1,5 +1,5 @@
-// E15: google-benchmark micro-benchmarks for the substrate hot paths —
-// Gram-matrix construction, Cholesky, the symmetric eigendecomposition
+// E15: google-benchmark micro-benchmarks for the substrate hot paths — the
+// exact objective sum, Cholesky, the symmetric eigendecomposition
 // (Householder tridiagonalization plus implicit-shift QL), Laplace
 // sampling, full FM fits and the Newton logistic solver.
 //
@@ -18,7 +18,6 @@
 #include "core/fm_logistic.h"
 #include "core/functional_mechanism.h"
 #include "core/objective_accumulator.h"
-#include "core/taylor.h"
 #include "data/dataset.h"
 #include "dp/laplace_mechanism.h"
 #include "linalg/cholesky.h"
@@ -37,8 +36,15 @@ linalg::Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
   return m;
 }
 
+// AᵀA + n·I for a random n×n A.
 linalg::Matrix RandomSpd(size_t n, uint64_t seed) {
-  linalg::Matrix spd = linalg::Gram(RandomMatrix(n, n, seed));
+  const linalg::Matrix a = RandomMatrix(n, n, seed);
+  linalg::Matrix spd(n, n);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t j = 0; j < n; ++j) {
+      for (size_t l = 0; l < n; ++l) spd(j, l) += a(r, j) * a(r, l);
+    }
+  }
   spd.AddToDiagonal(static_cast<double>(n));
   return spd;
 }
@@ -61,15 +67,6 @@ data::RegressionDataset RandomDataset(size_t n, size_t d, bool binary,
   }
   return ds;
 }
-
-void BM_GramMatrix(benchmark::State& state) {
-  const auto x = RandomMatrix(static_cast<size_t>(state.range(0)), 13, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::Gram(x));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_GramMatrix)->Arg(1000)->Arg(10000)->Arg(50000);
 
 void BM_Cholesky(benchmark::State& state) {
   const auto spd = RandomSpd(static_cast<size_t>(state.range(0)), 2);
@@ -174,16 +171,6 @@ void BM_LaplaceSampling(benchmark::State& state) {
 }
 BENCHMARK(BM_LaplaceSampling);
 
-void BM_BuildLinearObjective(benchmark::State& state) {
-  const auto ds =
-      RandomDataset(static_cast<size_t>(state.range(0)), 13, false, 5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::BuildLinearObjective(ds.x, ds.y));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BuildLinearObjective)->Arg(10000)->Arg(50000);
-
 // The one-off cost of the fold cache: one exact pass over all tuples.
 // d=14 is the fig7 default dimensionality (eval::BenchConfig).
 void BM_ObjectiveAccumulatorBuild(benchmark::State& state) {
@@ -198,8 +185,8 @@ void BM_ObjectiveAccumulatorBuild(benchmark::State& state) {
 BENCHMARK(BM_ObjectiveAccumulatorBuild)->Args({10000, 14})->Args({50000, 14});
 
 // The per-fold cost after caching: global-sum-minus-test-slice touches only
-// the held-out n/k tuples. Compare against BM_BuildLinearObjective at the
-// same n — the direct path re-sums the other (k−1)/k·n tuples per fold.
+// the held-out n/k tuples. Compare against BM_ObjectiveAccumulatorBuild at
+// the same n — the direct path re-sums the other (k−1)/k·n tuples per fold.
 void BM_TrainObjectiveForFold(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const auto ds = RandomDataset(n, 13, false, 5);

@@ -10,12 +10,12 @@
 #include <cmath>
 #include <cstdio>
 
+#include "baselines/no_privacy.h"
 #include "common/rng.h"
 #include "core/fm_linear.h"
 #include "data/normalizer.h"
 #include "data/table.h"
 #include "eval/metrics.h"
-#include "linalg/solve.h"
 
 int main() {
   using namespace fm;
@@ -41,7 +41,11 @@ int main() {
           .ValueOrDie();
   const auto dataset = normalizer.Apply(registry).ValueOrDie();
 
-  const auto exact = linalg::LeastSquares(dataset.x, dataset.y).ValueOrDie();
+  Rng exact_rng(8);  // NoPrivacy draws nothing
+  const auto exact = baselines::NoPrivacy()
+                         .Train(dataset, data::TaskKind::kLinear, exact_rng)
+                         .ValueOrDie()
+                         .omega;
   std::printf("Figure-1a scenario: expenses ~ age, %d patients\n", kPatients);
   std::printf("%-10s %14s %14s %12s\n", "epsilon", "slope(norm.)",
               "vs exact", "test MSE");

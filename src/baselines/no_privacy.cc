@@ -1,6 +1,6 @@
 #include "baselines/no_privacy.h"
 
-#include "core/taylor.h"
+#include "core/objective_accumulator.h"
 #include "linalg/solve.h"
 #include "opt/logistic_loss.h"
 #include "opt/quadratic_model.h"
@@ -20,21 +20,37 @@ Result<linalg::Vector> MinimizeWithPseudoFallback(
   return linalg::SolveSymmetricPseudo(two_m, -objective.alpha);
 }
 
+// The exact objective of `train` for `task`, after the §3 check that Build
+// would otherwise abort on.
+Result<opt::QuadraticModel> BuildObjective(
+    const data::RegressionDataset& train, data::TaskKind task) {
+  if (train.size() == 0) {
+    return Status::FailedPrecondition("cannot train on an empty dataset");
+  }
+  if (!train.SatisfiesNormalizationContract(task)) {
+    return Status::InvalidArgument(
+        "dataset violates the §3 contract; run it through data::Normalizer "
+        "first");
+  }
+  return core::ObjectiveAccumulator::Build(train,
+                                           core::ObjectiveKindForTask(task))
+      .Global();
+}
+
 }  // namespace
 
 Result<TrainedModel> NoPrivacy::Train(const data::RegressionDataset& train,
                                       data::TaskKind task, Rng& rng) const {
-  (void)rng;  // deterministic
+  if (task == data::TaskKind::kLinear) {
+    FM_ASSIGN_OR_RETURN(const opt::QuadraticModel objective,
+                        BuildObjective(train, task));
+    return TrainFromObjective(objective, task, rng);
+  }
   if (train.size() == 0) {
     return Status::FailedPrecondition("cannot train on an empty dataset");
   }
   TrainedModel model;
-  if (task == data::TaskKind::kLinear) {
-    FM_ASSIGN_OR_RETURN(model.omega, linalg::LeastSquares(train.x, train.y));
-  } else {
-    FM_ASSIGN_OR_RETURN(model.omega,
-                        opt::FitLogisticNewton(train.x, train.y));
-  }
+  FM_ASSIGN_OR_RETURN(model.omega, opt::FitLogisticNewton(train.x, train.y));
   return model;
 }
 
@@ -44,9 +60,9 @@ Result<TrainedModel> NoPrivacy::TrainFromObjective(
   if (task != data::TaskKind::kLinear) {
     return RegressionAlgorithm::TrainFromObjective(objective, task, rng);
   }
-  // Minimizing the cached §4.2 objective solves the same normal equations
-  // as LeastSquares on the materialized split — including its minimum-norm
-  // pseudo-inverse fallback when the Gram matrix is singular.
+  // Least squares is the minimizer of the §4.2 objective: the normal
+  // equations, with the minimum-norm pseudo-inverse solution when the Gram
+  // matrix is singular.
   TrainedModel model;
   FM_ASSIGN_OR_RETURN(model.omega, MinimizeWithPseudoFallback(objective));
   return model;
@@ -54,32 +70,19 @@ Result<TrainedModel> NoPrivacy::TrainFromObjective(
 
 Result<TrainedModel> Truncated::Train(const data::RegressionDataset& train,
                                       data::TaskKind task, Rng& rng) const {
-  (void)rng;  // deterministic
-  if (train.size() == 0) {
-    return Status::FailedPrecondition("cannot train on an empty dataset");
-  }
-  TrainedModel model;
-  if (task == data::TaskKind::kLinear) {
-    // Linear regression's objective is already a finite polynomial (§4.2) —
-    // no truncation happens, so Truncated == NoPrivacy.
-    FM_ASSIGN_OR_RETURN(model.omega, linalg::LeastSquares(train.x, train.y));
-    return model;
-  }
-  const opt::QuadraticModel objective =
-      core::BuildTruncatedLogisticObjective(train.x, train.y);
-  // Singular Gram (collinear features) falls back to the minimum-norm
-  // stationary point.
-  FM_ASSIGN_OR_RETURN(model.omega, MinimizeWithPseudoFallback(objective));
-  return model;
+  FM_ASSIGN_OR_RETURN(const opt::QuadraticModel objective,
+                      BuildObjective(train, task));
+  return TrainFromObjective(objective, task, rng);
 }
 
 Result<TrainedModel> Truncated::TrainFromObjective(
     const opt::QuadraticModel& objective, data::TaskKind task, Rng& rng) const {
   (void)rng;  // deterministic
   (void)task;
-  // Either task: the objective's minimizer is what Train computes, and the
-  // pseudo fallback mirrors LeastSquares' (linear) and Train's (logistic)
-  // handling of a singular Gram matrix.
+  // Either task: minimize the objective (linear regression's is already a
+  // finite polynomial, §4.2, so there Truncated == NoPrivacy). A singular
+  // Gram matrix (collinear features) falls back to the minimum-norm
+  // stationary point.
   TrainedModel model;
   FM_ASSIGN_OR_RETURN(model.omega, MinimizeWithPseudoFallback(objective));
   return model;

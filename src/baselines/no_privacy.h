@@ -6,7 +6,8 @@
 namespace fm::baselines {
 
 /// The paper's NoPrivacy comparator: the exact, non-private optimum.
-/// Linear task: ordinary least squares through the normal equations.
+/// Linear task: ordinary least squares, as the minimizer of the exact §4.2
+/// objective sum.
 /// Logistic task: damped Newton on the exact logistic objective.
 class NoPrivacy : public RegressionAlgorithm {
  public:

@@ -46,18 +46,18 @@ class RegressionAlgorithm {
 
   /// True when, for `task`, Train consumes the training tuples only through
   /// the fold-decomposable quadratic objective (the §4.2 sum or the §5.3
-  /// surrogate), so eval::CrossValidate may call TrainFromObjective with an
-  /// objective derived from a core::ObjectiveAccumulator's cached global
-  /// sum instead of materializing and re-summing a per-fold matrix.
+  /// surrogate): Train is then TrainFromObjective on
+  /// core::ObjectiveAccumulator::Build(train, ObjectiveKindForTask(task))
+  /// .Global(), so eval::CrossValidate may pass an objective derived from a
+  /// cached global sum instead and get the same bits.
   virtual bool SupportsObjectiveCache(data::TaskKind task) const {
     (void)task;
     return false;
   }
 
   /// Trains from a pre-built training objective (see SupportsObjectiveCache;
-  /// the objective kind is core::ObjectiveKindForTask(task)). Must draw the
-  /// same randomness as the equivalent Train call so cached and direct paths
-  /// stay statistically interchangeable. Default: Unimplemented.
+  /// the objective kind is core::ObjectiveKindForTask(task)), drawing the
+  /// same randomness as the equivalent Train call. Default: Unimplemented.
   virtual Result<TrainedModel> TrainFromObjective(
       const opt::QuadraticModel& objective, data::TaskKind task,
       Rng& rng) const {

@@ -11,10 +11,9 @@ namespace fm {
 /// lexicographically ordered integer representation of IEEE-754 doubles.
 /// 0 iff a == b (including +0 vs −0); max<uint64_t> when either is NaN.
 ///
-/// This is the yardstick for the library's accuracy contracts — the fold
-/// cache's and the serving layer's "within 1 ulp per coefficient of direct
-/// construction" guarantees (core/objective_accumulator.h,
-/// serve/incremental_objective.h) — shared by the tests and the
+/// This is the yardstick for the library's accuracy contract — the exact
+/// objective sum rounds "within 1 ulp per coefficient of the real sum"
+/// (core/objective_accumulator.h) — shared by the tests and the
 /// self-checking examples so every consumer asserts the same criterion.
 inline uint64_t UlpDistance(double a, double b) {
   if (a == b) return 0;

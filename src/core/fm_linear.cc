@@ -1,6 +1,6 @@
 #include "core/fm_linear.h"
 
-#include "core/taylor.h"
+#include "core/objective_accumulator.h"
 
 namespace fm::core {
 
@@ -14,7 +14,9 @@ Result<FmFitReport> FmLinearRegression::Fit(
         "dataset violates the §3 contract (‖x‖ ≤ 1, y ∈ [−1,1]); run it "
         "through data::Normalizer first");
   }
-  return FitObjective(BuildLinearObjective(train.x, train.y), rng);
+  return FitObjective(
+      ObjectiveAccumulator::Build(train, ObjectiveKind::kLinear).Global(),
+      rng);
 }
 
 Result<FmFitReport> FmLinearRegression::FitObjective(

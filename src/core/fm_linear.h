@@ -25,8 +25,12 @@ class FmLinearRegression {
  public:
   explicit FmLinearRegression(const FmOptions& options) : options_(options) {}
 
-  /// Runs the mechanism on `train` using randomness from `rng`. Fails when
-  /// the dataset is empty, violates the §3 contract, or ε ≤ 0.
+  /// Runs the mechanism on `train` using randomness from `rng`: FitObjective
+  /// on core::ObjectiveAccumulator::Build(train, kLinear).Global(). The sum
+  /// is exact, so this returns the same bits as FitObjective on any exact
+  /// derivation of the same tuples' objective (a fold of a cached global
+  /// sum, say). Fails when the dataset is empty, violates the §3 contract,
+  /// or ε ≤ 0.
   Result<FmFitReport> Fit(const data::RegressionDataset& train,
                           Rng& rng) const;
 

@@ -1,6 +1,6 @@
 #include "core/fm_logistic.h"
 
-#include "core/taylor.h"
+#include "core/objective_accumulator.h"
 #include "opt/logistic_loss.h"
 
 namespace fm::core {
@@ -15,7 +15,10 @@ Result<FmFitReport> FmLogisticRegression::Fit(
         "dataset violates the §3 contract (‖x‖ ≤ 1, y ∈ {0, 1} per "
         "Definition 2); run it through data::Normalizer first");
   }
-  return FitObjective(BuildTruncatedLogisticObjective(train.x, train.y), rng);
+  return FitObjective(ObjectiveAccumulator::Build(
+                          train, ObjectiveKind::kTruncatedLogistic)
+                          .Global(),
+                      rng);
 }
 
 Result<FmFitReport> FmLogisticRegression::FitObjective(

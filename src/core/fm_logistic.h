@@ -23,7 +23,11 @@ class FmLogisticRegression {
   explicit FmLogisticRegression(const FmOptions& options)
       : options_(options) {}
 
-  /// Runs Algorithm 2 on `train` using randomness from `rng`.
+  /// Runs Algorithm 2 on `train` using randomness from `rng`: FitObjective
+  /// on core::ObjectiveAccumulator::Build(train, kTruncatedLogistic)
+  /// .Global(), so the result matches FitObjective on any exact derivation
+  /// of the same tuples' surrogate bit for bit. Fails when the dataset is
+  /// empty, violates the §3 contract, or ε ≤ 0.
   Result<FmFitReport> Fit(const data::RegressionDataset& train,
                           Rng& rng) const;
 

@@ -96,8 +96,9 @@ struct FmFitReport {
 /// class is the reusable engine for any optimization-based analysis whose
 /// (possibly truncated) objective is a finite polynomial:
 ///
-///   opt::QuadraticModel objective = BuildLinearObjective(x, y);
-///   double delta = LinearRegressionSensitivity(x.cols());
+///   opt::QuadraticModel objective =
+///       ObjectiveAccumulator::Build(train, ObjectiveKind::kLinear).Global();
+///   double delta = LinearRegressionSensitivity(train.dim());
 ///   FM_ASSIGN_OR_RETURN(FmFitReport fit,
 ///       FunctionalMechanism::FitQuadratic(objective, delta, options, rng));
 class FunctionalMechanism {

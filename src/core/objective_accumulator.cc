@@ -16,23 +16,21 @@ ObjectiveKind ObjectiveKindForTask(data::TaskKind task) {
                                          : ObjectiveKind::kTruncatedLogistic;
 }
 
-void ObjectiveTupleParams(ObjectiveKind kind, double y, double* m_scale,
-                          double* alpha_bias, double* beta) {
-  switch (kind) {
-    case ObjectiveKind::kLinear:
-      // (y − xᵀω)² = ωᵀ(x xᵀ)ω − 2y xᵀω + y².
-      *m_scale = 1.0;
-      *alpha_bias = -2.0 * y;
-      *beta = y * y;
-      break;
-    case ObjectiveKind::kTruncatedLogistic:
-    default:
-      // log2 + ½xᵀω + ⅛(xᵀω)² − y·xᵀω  (Equation 10 summed per tuple).
-      *m_scale = LogisticF1SecondDerivative0() / 2.0;  // 1/8
-      *alpha_bias = LogisticF1Derivative0() - y;       // ½ − y
-      *beta = LogisticF1Value0();                      // log 2
-      break;
+ObjectiveWeights ObjectiveWeightsFor(ObjectiveKind kind) {
+  ObjectiveWeights weights;
+  if (kind == ObjectiveKind::kLinear) {
+    // (y − xᵀω)² = ωᵀ(x xᵀ)ω − 2y xᵀω + y².
+    weights.m_scale = 1.0;
+    weights.alpha_label = -2.0;
+    weights.beta_label_square = 1.0;
+  } else {
+    // log2 + ½xᵀω + ⅛(xᵀω)² − y·xᵀω  (Equation 10 summed per tuple).
+    weights.m_scale = LogisticF1SecondDerivative0() / 2.0;  // 1/8
+    weights.alpha_offset = LogisticF1Derivative0();         // ½
+    weights.alpha_label = -1.0;
+    weights.beta_offset = LogisticF1Value0();  // log 2
   }
+  return weights;
 }
 
 double RoundFixedPoint(Int128 units) {
@@ -72,11 +70,18 @@ double RoundFixedPoint(Int128 units) {
 ExactObjectiveSum::ExactObjectiveSum(size_t dim)
     : dim_(dim), units_(NumObjectiveCoefficients(dim), 0) {}
 
-void ExactObjectiveSum::AddTuples(ObjectiveKind kind, const double* const* xs,
-                                  const double* ys, size_t count,
-                                  bool subtract) {
+void ExactObjectiveSum::AddTuples(const ObjectiveWeights& weights,
+                                  const double* const* xs, const double* ys,
+                                  size_t count, bool subtract) {
   namespace kernels = linalg::kernels;
   constexpr size_t kB = kernels::kExactBatch;
+  // With ‖x‖₂ ≤ 1 and |y| ≤ 1, these bounds keep every term below 4.
+  FM_CHECK(std::fabs(weights.m_scale) <= 2.0 &&
+           std::fabs(weights.alpha_offset) + std::fabs(weights.alpha_label) <=
+               2.0 &&
+           std::fabs(weights.beta_offset) +
+                   std::fabs(weights.beta_label_square) <=
+               2.0);
   if (count == 0) return;
   const size_t coefficients = units_.size();
   // Chunk words: hi then lo, zeroed per chunk of at most kExactChunkTuples
@@ -92,12 +97,12 @@ void ExactObjectiveSum::AddTuples(ObjectiveKind kind, const double* const* xs,
       const double* batch_xs[kB];
       double alpha_bias[kB];
       double beta[kB];
-      double m_scale = 0.0;
       for (size_t r = 0; r < kB; ++r) {
         if (i + r < end) {
+          const double y = ys[i + r];
           batch_xs[r] = xs[i + r];
-          ObjectiveTupleParams(kind, ys[i + r], &m_scale, &alpha_bias[r],
-                               &beta[r]);
+          alpha_bias[r] = weights.alpha_offset + weights.alpha_label * y;
+          beta[r] = weights.beta_offset + weights.beta_label_square * (y * y);
         } else {
           batch_xs[r] = zero_tuple.data();
           alpha_bias[r] = 0.0;
@@ -106,8 +111,8 @@ void ExactObjectiveSum::AddTuples(ObjectiveKind kind, const double* const* xs,
       }
       kernels::ExactTupleAccumulateBatch(words.data(),
                                          words.data() + coefficients,
-                                         batch_xs, dim_, m_scale, alpha_bias,
-                                         beta);
+                                         batch_xs, dim_, weights.m_scale,
+                                         alpha_bias, beta);
     }
     constexpr Int128 kHiUnit = Int128{1} << kernels::kExactLoBits;
     for (size_t idx = 0; idx < coefficients; ++idx) {
@@ -168,24 +173,12 @@ void SumChunks(size_t num_chunks,
   for (const ExactObjectiveSum& partial : partials) sum->Add(partial);
 }
 
-void ObjectiveAccumulator::AddRows(const std::vector<size_t>& rows,
-                                   bool subtract,
-                                   ExactObjectiveSum* sum) const {
-  std::vector<const double*> xs(rows.size());
-  std::vector<double> ys(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    FM_CHECK(rows[i] < dataset_->size());
-    xs[i] = dataset_->x.Row(rows[i]);
-    ys[i] = dataset_->y[rows[i]];
-  }
-  sum->AddTuples(kind_, xs.data(), ys.data(), rows.size(), subtract);
-}
-
 ObjectiveAccumulator ObjectiveAccumulator::Build(
     const data::RegressionDataset& dataset, ObjectiveKind kind,
     exec::ThreadPool* pool) {
   FM_CHECK(dataset.y.size() == dataset.size());
   const data::TaskKind task = TaskForObjectiveKind(kind);
+  const ObjectiveWeights weights = ObjectiveWeightsFor(kind);
   ObjectiveAccumulator acc;
   acc.dataset_ = &dataset;
   acc.kind_ = kind;
@@ -205,7 +198,8 @@ ObjectiveAccumulator ObjectiveAccumulator::Build(
                        xs[row - begin], dataset.dim(), dataset.y[row], task)
                        .ok());
         }
-        partial->AddTuples(kind, xs, dataset.y.raw() + begin, end - begin);
+        partial->AddTuples(weights, xs, dataset.y.raw() + begin,
+                           end - begin);
       },
       &acc.sum_, pool);
   return acc;
@@ -215,17 +209,18 @@ opt::QuadraticModel ObjectiveAccumulator::Global() const {
   return sum_.Round();
 }
 
-opt::QuadraticModel ObjectiveAccumulator::SliceObjective(
-    const std::vector<size_t>& rows) const {
-  ExactObjectiveSum slice(dim());
-  AddRows(rows, /*subtract=*/false, &slice);
-  return slice.Round();
-}
-
 opt::QuadraticModel ObjectiveAccumulator::TrainObjectiveForFold(
     const std::vector<size_t>& test_rows) const {
+  std::vector<const double*> xs(test_rows.size());
+  std::vector<double> ys(test_rows.size());
+  for (size_t i = 0; i < test_rows.size(); ++i) {
+    FM_CHECK(test_rows[i] < dataset_->size());
+    xs[i] = dataset_->x.Row(test_rows[i]);
+    ys[i] = dataset_->y[test_rows[i]];
+  }
   ExactObjectiveSum train = sum_;
-  AddRows(test_rows, /*subtract=*/true, &train);
+  train.AddTuples(ObjectiveWeightsFor(kind_), xs.data(), ys.data(),
+                  test_rows.size(), /*subtract=*/true);
   return train.Round();
 }
 

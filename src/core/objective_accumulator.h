@@ -50,10 +50,20 @@ inline constexpr size_t NumObjectiveCoefficients(size_t dim) {
   return dim * (dim + 1) / 2 + dim + 1;
 }
 
-/// The per-tuple coefficient weights of `kind` for label `y`: tuple x
-/// contributes m_scale · x xᵀ to M, alpha_bias · x to α, and beta to β.
-void ObjectiveTupleParams(ObjectiveKind kind, double y, double* m_scale,
-                          double* alpha_bias, double* beta);
+/// The per-tuple coefficient weights of an objective that is a sum over
+/// tuples: tuple (x, y) contributes m_scale · x xᵀ to M,
+/// (alpha_offset + alpha_label · y) · x to α, and
+/// beta_offset + beta_label_square · y² to β.
+struct ObjectiveWeights {
+  double m_scale = 0.0;
+  double alpha_offset = 0.0;
+  double alpha_label = 0.0;
+  double beta_offset = 0.0;
+  double beta_label_square = 0.0;
+};
+
+/// The weights of `kind`.
+ObjectiveWeights ObjectiveWeightsFor(ObjectiveKind kind);
 
 /// A signed 128-bit integer (a GCC/Clang extension; `__extension__` keeps
 /// -Wpedantic quiet).
@@ -77,8 +87,9 @@ double RoundFixedPoint(Int128 units);
 /// error (n·2⁻⁸³ for n tuples) is below half an ulp.
 ///
 /// Tuples must satisfy the §3 normalization contract (finite, ‖x‖₂ ≤ 1,
-/// |y| ≤ 1), which bounds every term below 4 in magnitude. The sum then
-/// cannot overflow below 2⁴³ tuples.
+/// |y| ≤ 1), and each weight bound of AddTuples must be at most 2, which
+/// together bound every term below 4 in magnitude. The sum then cannot
+/// overflow below 2⁴³ tuples.
 class ExactObjectiveSum {
  public:
   ExactObjectiveSum() = default;
@@ -87,9 +98,12 @@ class ExactObjectiveSum {
 
   size_t dim() const { return dim_; }
 
-  /// Adds the contributions of the tuples (xs[i], ys[i]), i < count, or
-  /// removes them when `subtract` is set. O(count · d²), serial.
-  void AddTuples(ObjectiveKind kind, const double* const* xs,
+  /// Adds the contributions of the tuples (xs[i], ys[i]), i < count, under
+  /// `weights`, or removes them when `subtract` is set. The weights must
+  /// satisfy |m_scale| ≤ 2, |alpha_offset| + |alpha_label| ≤ 2 and
+  /// |beta_offset| + |beta_label_square| ≤ 2 (checked). O(count · d²),
+  /// serial.
+  void AddTuples(const ObjectiveWeights& weights, const double* const* xs,
                  const double* ys, size_t count, bool subtract = false);
 
   /// Adds another sum of the same dimensionality. O(d²).
@@ -152,13 +166,11 @@ class ObjectiveAccumulator {
   /// Number of tuples accumulated.
   size_t size() const { return dataset_ == nullptr ? 0 : dataset_->size(); }
 
-  /// The rounded dataset-global objective — equal to BuildLinearObjective /
-  /// BuildTruncatedLogisticObjective on the full dataset up to summation
-  /// order (and more accurate, being exact before the one rounding).
+  /// The rounded dataset-global objective: the exact sum, rounded once per
+  /// coefficient. This is how every fit in the library builds its
+  /// objective, so a fit on a dataset and a fit on a fold derived from a
+  /// larger dataset's sum see the same bits.
   opt::QuadraticModel Global() const;
-
-  /// The objective of just the tuples at `rows`. O(|rows| · d²).
-  opt::QuadraticModel SliceObjective(const std::vector<size_t>& rows) const;
 
   /// The training objective of the fold whose held-out (test) tuples are
   /// `test_rows`: the cached global sum minus the test slice, exactly.
@@ -168,10 +180,6 @@ class ObjectiveAccumulator {
 
  private:
   ObjectiveAccumulator() = default;
-
-  // Adds (or subtracts) the tuples at `rows` into *sum.
-  void AddRows(const std::vector<size_t>& rows, bool subtract,
-               ExactObjectiveSum* sum) const;
 
   const data::RegressionDataset* dataset_ = nullptr;
   ObjectiveKind kind_ = ObjectiveKind::kLinear;

@@ -1,8 +1,10 @@
 #include "core/taylor.h"
 
 #include <cmath>
+#include <vector>
 
 #include "common/logging.h"
+#include "core/objective_accumulator.h"
 
 namespace fm::core {
 
@@ -29,28 +31,6 @@ double LogisticF1ThirdDerivative(double z) {
 double LogisticTaylorErrorBound() {
   const double e = std::exp(1.0);
   return (e * e - e) / (6.0 * std::pow(1.0 + e, 3.0));
-}
-
-opt::QuadraticModel BuildTruncatedLogisticObjective(const linalg::Matrix& x,
-                                                    const linalg::Vector& y) {
-  FM_CHECK(x.rows() == y.size());
-  const size_t n = x.rows();
-  const size_t d = x.cols();
-
-  opt::QuadraticModel model;
-  model.m = linalg::Gram(x);
-  model.m *= LogisticF1SecondDerivative0() / 2.0;  // f₁″(0)/2! = 1/8
-
-  // α = f₁′(0)·Σ x_i − Σ y_i x_i.
-  model.alpha = linalg::Vector(d);
-  for (size_t i = 0; i < n; ++i) {
-    const double* row = x.Row(i);
-    const double weight = LogisticF1Derivative0() - y[i];
-    for (size_t j = 0; j < d; ++j) model.alpha[j] += weight * row[j];
-  }
-
-  model.beta = static_cast<double>(n) * LogisticF1Value0();
-  return model;
 }
 
 ChebyshevLogisticCoefficients FitChebyshevLogistic(double radius) {
@@ -92,24 +72,24 @@ ChebyshevLogisticCoefficients FitChebyshevLogistic(double radius) {
 }
 
 opt::QuadraticModel BuildChebyshevLogisticObjective(
-    const linalg::Matrix& x, const linalg::Vector& y,
+    const data::RegressionDataset& train,
     const ChebyshevLogisticCoefficients& coefficients) {
-  FM_CHECK(x.rows() == y.size());
-  const size_t n = x.rows();
-  const size_t d = x.cols();
-
-  opt::QuadraticModel model;
-  model.m = linalg::Gram(x);
-  model.m *= coefficients.a2;
-
-  model.alpha = linalg::Vector(d);
-  for (size_t i = 0; i < n; ++i) {
-    const double* row = x.Row(i);
-    const double weight = coefficients.a1 - y[i];
-    for (size_t j = 0; j < d; ++j) model.alpha[j] += weight * row[j];
+  FM_CHECK(train.y.size() == train.size());
+  std::vector<const double*> xs(train.size());
+  for (size_t i = 0; i < train.size(); ++i) {
+    xs[i] = train.x.Row(i);
+    FM_CHECK(data::CheckNormalizationContract(xs[i], train.dim(), train.y[i],
+                                              data::TaskKind::kLogistic)
+                 .ok());
   }
-  model.beta = static_cast<double>(n) * coefficients.a0;
-  return model;
+  ObjectiveWeights weights;
+  weights.m_scale = coefficients.a2;
+  weights.alpha_offset = coefficients.a1;
+  weights.alpha_label = -1.0;
+  weights.beta_offset = coefficients.a0;
+  ExactObjectiveSum sum(train.dim());
+  sum.AddTuples(weights, xs.data(), train.y.raw(), train.size());
+  return sum.Round();
 }
 
 double ChebyshevLogisticSensitivity(
@@ -117,17 +97,6 @@ double ChebyshevLogisticSensitivity(
   const double dd = static_cast<double>(d);
   return 2.0 * (std::fabs(coefficients.a1) * dd +
                 std::fabs(coefficients.a2) * dd * dd + dd);
-}
-
-opt::QuadraticModel BuildLinearObjective(const linalg::Matrix& x,
-                                         const linalg::Vector& y) {
-  FM_CHECK(x.rows() == y.size());
-  opt::QuadraticModel model;
-  model.m = linalg::Gram(x);
-  model.alpha = linalg::MatTVec(x, y);
-  model.alpha *= -2.0;
-  model.beta = linalg::Dot(y, y);
-  return model;
 }
 
 }  // namespace fm::core

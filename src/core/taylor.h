@@ -1,8 +1,9 @@
 #ifndef FM_CORE_TAYLOR_H_
 #define FM_CORE_TAYLOR_H_
 
-#include "linalg/matrix.h"
-#include "linalg/vector.h"
+#include <cstddef>
+
+#include "data/dataset.h"
 #include "opt/quadratic_model.h"
 
 namespace fm::core {
@@ -31,14 +32,6 @@ double LogisticF1ThirdDerivative(double z);
 /// (e² − e) / (6 (1+e)³) ≈ 0.015.
 double LogisticTaylorErrorBound();
 
-/// Builds the truncated objective of §5.3,
-///   f̂_D(ω) = Σ_i [log2 + ½ x_iᵀω + ⅛ (x_iᵀω)²] − (Σ_i y_i x_i)ᵀ ω,
-/// in quadratic canonical form: M = ⅛ XᵀX, α = ½ Σx_i − Σy_i x_i,
-/// β = n·log2. Shared by FM-logistic (which then perturbs it) and the
-/// Truncated baseline (which minimizes it as-is).
-opt::QuadraticModel BuildTruncatedLogisticObjective(const linalg::Matrix& x,
-                                                    const linalg::Vector& y);
-
 /// §8 future-work extension: a degree-2 Chebyshev (L∞-oriented) polynomial
 /// approximation of f₁(z) = log(1+eᶻ) on [−radius, radius], as an
 /// alternative analytical tool to the Maclaurin truncation. The fitted
@@ -59,22 +52,19 @@ struct ChebyshevLogisticCoefficients {
 /// (numerically, via the Chebyshev-series projection; radius must be > 0).
 ChebyshevLogisticCoefficients FitChebyshevLogistic(double radius);
 
-/// Builds the Chebyshev analogue of the §5.3 surrogate:
-///   f̌_D(ω) = Σ_i [a0 + a1 x_iᵀω + a2 (x_iᵀω)²] − (Σ_i y_i x_i)ᵀ ω.
+/// Builds the Chebyshev analogue of the §5.3 surrogate,
+///   f̌_D(ω) = Σ_i [a0 + a1 x_iᵀω + a2 (x_iᵀω)²] − (Σ_i y_i x_i)ᵀ ω,
+/// as an exact core::ExactObjectiveSum rounded once, like every other
+/// objective. `train` must satisfy the logistic §3 contract (checked;
+/// aborts otherwise), and so must the coefficients' weights
+/// (ExactObjectiveSum::AddTuples).
 opt::QuadraticModel BuildChebyshevLogisticObjective(
-    const linalg::Matrix& x, const linalg::Vector& y,
+    const data::RegressionDataset& train,
     const ChebyshevLogisticCoefficients& coefficients);
 
 /// Δ for the Chebyshev surrogate: 2(|a₁|·d + |a₂|·d² + d).
 double ChebyshevLogisticSensitivity(
     size_t d, const ChebyshevLogisticCoefficients& coefficients);
-
-/// Builds the (exact) linear-regression objective of §4.2,
-///   f_D(ω) = Σ_i (y_i − x_iᵀω)² = ωᵀ(XᵀX)ω − 2(Xᵀy)ᵀω + Σy_i²,
-/// in quadratic canonical form. Linear regression needs no truncation —
-/// its objective is already a degree-2 polynomial.
-opt::QuadraticModel BuildLinearObjective(const linalg::Matrix& x,
-                                         const linalg::Vector& y);
 
 }  // namespace fm::core
 

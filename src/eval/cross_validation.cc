@@ -1,10 +1,10 @@
 #include "eval/cross_validation.h"
 
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <vector>
 
-#include "common/env_util.h"
 #include "common/rng.h"
 #include "core/objective_accumulator.h"
 #include "eval/metrics.h"
@@ -27,10 +27,6 @@ struct FoldOutcome {
 
 }  // namespace
 
-bool DefaultObjectiveCacheEnabled() {
-  return GetEnvInt64("FM_CV_CACHE", 1) != 0;
-}
-
 Result<CvResult> CrossValidate(const baselines::RegressionAlgorithm& algorithm,
                                const data::RegressionDataset& dataset,
                                data::TaskKind task, const CvOptions& options) {
@@ -42,6 +38,9 @@ Result<CvResult> CrossValidate(const baselines::RegressionAlgorithm& algorithm,
   }
   if (options.repeats < 1) {
     return Status::InvalidArgument("repeats must be >= 1");
+  }
+  if (options.repeats > std::numeric_limits<size_t>::max() / options.folds) {
+    return Status::InvalidArgument("repeats × folds overflows");
   }
 
   // One task per (repeat, fold), each with its own RNG substream keyed by
@@ -57,10 +56,11 @@ Result<CvResult> CrossValidate(const baselines::RegressionAlgorithm& algorithm,
   // which every (repeat, fold) task derives its training objective as
   // global-sum-minus-test-slice in O(|test| · d²) instead of re-summing its
   // (k−1)/k·n training tuples. Shared by all repeats — the global sum does
-  // not depend on the fold partition. The cache path skips the per-fold Fit
-  // validation, so it is taken only when the whole dataset passes the §3
-  // check Fit runs per fold. The check is row-wise, so a violating dataset
-  // takes the direct path, where the per-fold failures surface as before.
+  // not depend on the fold partition. Both paths sum exactly and round
+  // once, so a derived fold objective has the bits a direct Train builds.
+  // The cache path skips the per-fold §3 validation, so it is taken only
+  // when the whole dataset passes it. The check is row-wise, so a violating
+  // dataset takes the direct path, where the per-fold failures surface.
   std::optional<core::ObjectiveAccumulator> cache;
   if (options.use_objective_cache && algorithm.SupportsObjectiveCache(task) &&
       dataset.SatisfiesNormalizationContract(task)) {
@@ -80,9 +80,7 @@ Result<CvResult> CrossValidate(const baselines::RegressionAlgorithm& algorithm,
         FoldOutcome outcome;
         Rng train_rng(Rng::Fork(train_root, task_id));
         // The direct path materializes its fold matrix outside the timed
-        // region, as it always has — the figs 7–9 columns measure training,
-        // and keeping the cache-off baseline's semantics stable makes the
-        // two cache states comparable across releases.
+        // region — the figs 7–9 columns measure training.
         data::RegressionDataset train;
         if (!cache.has_value()) train = dataset.Select(split.train);
         // Thread CPU time, not wall-clock: folds train concurrently, and

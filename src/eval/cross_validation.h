@@ -15,10 +15,6 @@ class ThreadPool;
 
 namespace fm::eval {
 
-/// Default for CvOptions::use_objective_cache: on, unless the FM_CV_CACHE
-/// environment variable is set to 0.
-bool DefaultObjectiveCacheEnabled();
-
 /// §7's evaluation protocol: repeated k-fold cross-validation (the paper
 /// uses 5-fold × 50 repeats; the repository defaults are environment-tunable
 /// — see experiment.h).
@@ -30,17 +26,15 @@ struct CvOptions {
   /// FM_THREADS-sized pool. Results are bit-identical for every pool size
   /// (each task draws from its own Rng::Fork substream).
   exec::ThreadPool* pool = nullptr;
-  /// When true (the default; FM_CV_CACHE=0 flips it), algorithms that
-  /// consume training tuples only through the fold-decomposable quadratic
-  /// objective (FM, Truncated, linear NoPrivacy) are trained from a
-  /// core::ObjectiveAccumulator: per-tuple contributions are summed once
-  /// for the whole dataset and each fold's training objective is the global
-  /// sum minus its held-out slice, instead of k re-summations per repeat.
-  /// Purely an evaluation-loop optimization — the derived objectives match
-  /// direct construction to ≤1 ulp per coefficient (an exact sum, rounded
-  /// once), and output remains byte-identical across thread counts either
-  /// way.
-  bool use_objective_cache = DefaultObjectiveCacheEnabled();
+  /// When true (the default), algorithms that consume training tuples only
+  /// through the fold-decomposable quadratic objective (FM, Truncated,
+  /// linear NoPrivacy) are trained from a core::ObjectiveAccumulator:
+  /// per-tuple contributions are summed once for the whole dataset and each
+  /// fold's training objective is the global sum minus its held-out slice,
+  /// instead of k re-summations per repeat. A pure speed switch: both paths
+  /// sum exactly and round once, so the result is bit-identical either way,
+  /// and across thread counts.
+  bool use_objective_cache = true;
 };
 
 /// Aggregated outcome of one algorithm over all folds × repeats.
@@ -65,8 +59,8 @@ struct CvResult {
 /// is derived deterministically from options.seed via per-task substreams,
 /// so the statistics are bit-identical regardless of thread count.
 /// Individual Train failures are tolerated and counted; the call fails only
-/// when every fold fails or the dataset is too small for the requested fold
-/// count.
+/// when every fold fails, the dataset is too small for the requested fold
+/// count, or repeats × folds overflows.
 Result<CvResult> CrossValidate(const baselines::RegressionAlgorithm& algorithm,
                                const data::RegressionDataset& dataset,
                                data::TaskKind task, const CvOptions& options);

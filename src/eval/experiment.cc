@@ -31,11 +31,16 @@ const std::vector<double>& ParameterGrid::PrivacyBudgets() {
   return *kBudgets;
 }
 
-BenchConfig BenchConfig::FromEnv() {
+Result<BenchConfig> BenchConfig::FromEnv() {
   BenchConfig config;
   config.scale = GetEnvDouble("FM_BENCH_SCALE", config.scale);
-  config.repeats = static_cast<size_t>(
-      GetEnvInt64("FM_BENCH_REPEATS", static_cast<int64_t>(config.repeats)));
+  const int64_t repeats =
+      GetEnvInt64("FM_BENCH_REPEATS", static_cast<int64_t>(config.repeats));
+  if (repeats < 1) {
+    return Status::InvalidArgument("FM_BENCH_REPEATS must be >= 1, got " +
+                                   std::to_string(repeats));
+  }
+  config.repeats = static_cast<size_t>(repeats);
   config.seed = static_cast<uint64_t>(
       GetEnvInt64("FM_BENCH_SEED", static_cast<int64_t>(config.seed)));
   return config;

@@ -41,8 +41,9 @@ struct BenchConfig {
   size_t folds = 5;
   uint64_t seed = 20120827;  // VLDB 2012 opening day
 
-  /// Reads the FM_BENCH_* environment variables.
-  static BenchConfig FromEnv();
+  /// Reads the FM_BENCH_* environment variables. Fails with
+  /// kInvalidArgument when FM_BENCH_REPEATS is below 1.
+  static Result<BenchConfig> FromEnv();
 };
 
 /// A generated census dataset with its display name.

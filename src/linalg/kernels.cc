@@ -17,62 +17,6 @@
 namespace fm::linalg::kernels {
 
 // ---------------------------------------------------------------------------
-// SYRK upper: C(j,l) += Σ_r X(r,j)·X(r,l), l ≥ j.
-// ---------------------------------------------------------------------------
-
-void SyrkUpperAccumulate(const double* x, size_t ldx, size_t rows, size_t d,
-                         double* c, size_t ldc) {
-  constexpr size_t kTj = 4;
-  constexpr size_t kTl = 8;
-  for (size_t r0 = 0; r0 < rows; r0 += kSyrkRowPanel) {
-    const size_t rb = std::min(kSyrkRowPanel, rows - r0);
-    for (size_t j0 = 0; j0 < d; j0 += kTj) {
-      const size_t jb = std::min(kTj, d - j0);
-      for (size_t l0 = j0; l0 < d; l0 += kTl) {
-        const size_t lb = std::min(kTl, d - l0);
-        // Accumulate the full kTj×kTl tile over the row panel (outer
-        // products, one row at a time — per element that is the in-panel
-        // row-order sum), then write back only the upper-triangle part.
-        double acc[kTj][kTl] = {};
-        for (size_t r = r0; r < r0 + rb; ++r) {
-          const double* __restrict xr = x + r * ldx;
-          for (size_t tj = 0; tj < jb; ++tj) {
-            const double xj = xr[j0 + tj];
-            for (size_t tl = 0; tl < lb; ++tl) {
-              acc[tj][tl] += xj * xr[l0 + tl];
-            }
-          }
-        }
-        for (size_t tj = 0; tj < jb; ++tj) {
-          const size_t j = j0 + tj;
-          for (size_t tl = 0; tl < lb; ++tl) {
-            const size_t l = l0 + tl;
-            if (l >= j) c[j * ldc + l] += acc[tj][tl];
-          }
-        }
-      }
-    }
-  }
-}
-
-FM_SCALAR_REF
-void RefSyrkUpperAccumulate(const double* x, size_t ldx, size_t rows,
-                            size_t d, double* c, size_t ldc) {
-  for (size_t r0 = 0; r0 < rows; r0 += kSyrkRowPanel) {
-    const size_t rb = std::min(kSyrkRowPanel, rows - r0);
-    for (size_t j = 0; j < d; ++j) {
-      for (size_t l = j; l < d; ++l) {
-        double acc = 0.0;
-        for (size_t r = r0; r < r0 + rb; ++r) {
-          acc += x[r * ldx + j] * x[r * ldx + l];
-        }
-        c[j * ldc + l] += acc;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // SYRK lower subtract (single panel) — the blocked Cholesky trailing update.
 // ---------------------------------------------------------------------------
 

@@ -7,8 +7,8 @@
 namespace fm::linalg::kernels {
 
 /// Cache-blocked, SIMD-friendly micro-kernels behind every linalg hot path
-/// (rank-k symmetric updates, matvec, exact objective accumulation), plus a
-/// scalar reference (`Ref*`) implementation of each.
+/// (the blocked Cholesky's trailing update, matvec, exact objective
+/// accumulation), plus a scalar reference (`Ref*`) implementation of each.
 ///
 /// ## Determinism contract (bit-identity)
 ///
@@ -22,17 +22,17 @@ namespace fm::linalg::kernels {
 /// implementations follow, rather than by restricting the blocked code to
 /// the naive loop order:
 ///
-/// - **SYRK** (`C(upper) += XᵀX`): the rows of X are cut into panels of
-///   `kSyrkRowPanel`; per element, in-panel products are summed in row
-///   order and panel totals added in panel order.
+/// - **SYRK-subtract** (the Cholesky trailing update): per element, the
+///   panel's products are summed in k order and subtracted as one total.
 /// - **Matvec / dot**: reductions are strictly sequential in element order
 ///   (never split into SIMD partial sums, which would reassociate). The
 ///   blocked kernels gain throughput from instruction-level parallelism
 ///   *across* independent rows, not from splitting any single reduction.
-/// - **Exact accumulation** (core::ExactObjectiveSum): each term is split
-///   into two integers by the same scalar operations in both kernels, and
-///   integers add exactly, so the blocked kernel is free to batch tuples
-///   and vectorize across coefficients without any summation order.
+/// - **Exact accumulation** (core::ExactObjectiveSum, the one way the
+///   library sums an objective): each term is split into two integers by
+///   the same scalar operations in both kernels, and integers add exactly,
+///   so the blocked kernel is free to batch tuples and vectorize across
+///   coefficients without any summation order.
 ///
 /// The build compiles with `-ffp-contract=off` (see CMakeLists.txt), so the
 /// compiler cannot fuse a multiply into an add in one kernel but not the
@@ -44,17 +44,8 @@ namespace fm::linalg::kernels {
 /// outputs is not allowed (hence `__restrict`).
 
 /// Block-size constants (see docs/PERFORMANCE.md for the rationale).
-inline constexpr size_t kSyrkRowPanel = 64; ///< SYRK rows per packed panel
-inline constexpr size_t kCholeskyNb = 32;   ///< blocked Cholesky panel width
-inline constexpr size_t kMatVecMr = 4;      ///< matvec rows in flight (ILP)
-
-// ---------------------------------------------------------------------------
-// SYRK (upper): C(j,l) += Σ_r X(r,j)·X(r,l) for l ≥ j; C is d×d, X rows×d.
-// ---------------------------------------------------------------------------
-void SyrkUpperAccumulate(const double* x, size_t ldx, size_t rows, size_t d,
-                         double* c, size_t ldc);
-void RefSyrkUpperAccumulate(const double* x, size_t ldx, size_t rows,
-                            size_t d, double* c, size_t ldc);
+inline constexpr size_t kCholeskyNb = 32;  ///< blocked Cholesky panel width
+inline constexpr size_t kMatVecMr = 4;     ///< matvec rows in flight (ILP)
 
 // ---------------------------------------------------------------------------
 // SYRK-subtract (lower), single k-panel: C(i,j) -= Σ_k P(i,k)·P(j,k) for
@@ -110,9 +101,11 @@ void RefMatVec(const double* a, size_t lda, size_t rows, size_t cols,
 // a bit.
 //
 // Range: the caller guarantees |t| < 4, which the §3 normalization contract
-// gives (‖x‖₂ ≤ 1, |y| ≤ 1). Then |hi| ≤ 2³⁴ and |lo| ≤ 2⁴⁹, so words that
-// start at zero cannot overflow within kExactChunkTuples tuples; the caller
-// folds them into a wider sum before that.
+// (‖x‖₂ ≤ 1, |y| ≤ 1) gives under the weight bounds that
+// core::ExactObjectiveSum::AddTuples checks. Then |hi| ≤ 2³⁴ and
+// |lo| ≤ 2⁴⁹, so words that start at zero cannot overflow within
+// kExactChunkTuples tuples; the caller folds them into a wider sum before
+// that.
 // ---------------------------------------------------------------------------
 
 /// Number of tuples the batch kernel consumes per call.

@@ -169,29 +169,6 @@ Vector MatVec(const Matrix& a, const Vector& x) {
   return out;
 }
 
-Vector MatTVec(const Matrix& a, const Vector& x) {
-  FM_CHECK(a.rows() == x.size());
-  Vector out(a.cols());
-  for (size_t i = 0; i < a.rows(); ++i) {
-    const double* row = a.Row(i);
-    const double xi = x[i];
-    if (xi == 0.0) continue;
-    for (size_t j = 0; j < a.cols(); ++j) out[j] += xi * row[j];
-  }
-  return out;
-}
-
-Matrix Gram(const Matrix& a) {
-  const size_t d = a.cols();
-  Matrix out(d, d);
-  // Rank-k symmetric update over kSyrkRowPanel-row panels; only the upper
-  // triangle is computed, then mirrored.
-  kernels::SyrkUpperAccumulate(a.data().data(), d, a.rows(), d,
-                               out.data().data(), d);
-  out.SymmetrizeFromUpper();
-  return out;
-}
-
 void AddOuterProduct(Matrix& target, const Vector& x, double scale) {
   FM_CHECK(target.rows() == x.size() && target.cols() == x.size());
   for (size_t i = 0; i < x.size(); ++i) {

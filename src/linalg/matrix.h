@@ -143,13 +143,6 @@ Matrix operator*(double scalar, Matrix m);
 /// Matrix-vector product a*x.
 Vector MatVec(const Matrix& a, const Vector& x);
 
-/// Transposed matrix-vector product aᵀ*x.
-Vector MatTVec(const Matrix& a, const Vector& x);
-
-/// aᵀ*a, computed directly (the Gram matrix used by both regressions).
-/// Exploits symmetry: only the upper triangle is computed, then mirrored.
-Matrix Gram(const Matrix& a);
-
 /// Rank-1 update target += scale * x xᵀ (target must be square, matching x).
 void AddOuterProduct(Matrix& target, const Vector& x, double scale);
 

@@ -32,18 +32,4 @@ Result<Vector> SolveSymmetricPseudo(const Matrix& a, const Vector& b,
   return x;
 }
 
-Result<Vector> LeastSquares(const Matrix& x, const Vector& y, double ridge) {
-  if (x.rows() != y.size()) {
-    return Status::InvalidArgument("LeastSquares: row/label count mismatch");
-  }
-  Matrix gram = Gram(x);
-  if (ridge > 0.0) gram.AddToDiagonal(ridge);
-  const Vector xty = MatTVec(x, y);
-  Result<Vector> spd = SolveSpd(gram, xty);
-  if (spd.ok()) return spd;
-  // Gram matrix singular (collinear columns): fall back to the minimum-norm
-  // pseudo-inverse solution.
-  return SolveSymmetricPseudo(gram, xty);
-}
-
 }  // namespace fm::linalg

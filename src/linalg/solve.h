@@ -19,13 +19,6 @@ Result<Vector> SolveSpd(const Matrix& a, const Vector& b);
 Result<Vector> SolveSymmetricPseudo(const Matrix& a, const Vector& b,
                                     double rcond = 1e-12);
 
-/// Ordinary least squares: minimizes ‖X w − y‖₂² through the normal
-/// equations XᵀX w = Xᵀy (ridge-stabilized by `ridge` ≥ 0 on the diagonal;
-/// pass 0 for exact OLS). Fails when the Gram matrix is singular and
-/// `ridge` == 0.
-Result<Vector> LeastSquares(const Matrix& x, const Vector& y,
-                            double ridge = 0.0);
-
 }  // namespace fm::linalg
 
 #endif  // FM_LINALG_SOLVE_H_

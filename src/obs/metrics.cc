@@ -223,11 +223,6 @@ const Histogram* MetricsRegistry::FindHistogram(
   return it == histograms_.end() ? nullptr : it->second.get();
 }
 
-std::string MetricsRegistry::Export(MetricsFormat format) const {
-  return format == MetricsFormat::kPrometheus ? ExportPrometheus()
-                                              : ExportJson();
-}
-
 std::string MetricsRegistry::ExportPrometheus() const {
   MutexLock lock(mutex_);
   std::string out;
@@ -335,11 +330,6 @@ std::string MetricsRegistry::ExportJson() const {
   }
   out += "}}";
   return out;
-}
-
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* const registry = new MetricsRegistry();
-  return *registry;
 }
 
 }  // namespace obs

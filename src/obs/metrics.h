@@ -142,12 +142,6 @@ class Histogram {
   Shard shards_[kMetricShards];
 };
 
-/// Export formats understood by MetricsRegistry.
-enum class MetricsFormat {
-  kPrometheus,  ///< Prometheus text exposition format.
-  kJson,        ///< One JSON object: {"counters":…,"gauges":…,"histograms":…}.
-};
-
 /// Named metric collection. GetX() returns a stable pointer, creating the
 /// metric on first use; the registry owns every metric it hands out.
 /// Names may carry Prometheus-style labels inline, e.g.
@@ -167,12 +161,10 @@ class MetricsRegistry {
   const Gauge* FindGauge(const std::string& name) const;
   const Histogram* FindHistogram(const std::string& name) const;
 
-  std::string Export(MetricsFormat format) const;
+  /// Prometheus text exposition format.
   std::string ExportPrometheus() const;
+  /// One JSON object: {"counters":…,"gauges":…,"histograms":…}.
   std::string ExportJson() const;
-
-  /// Process-wide default registry for code with no better home.
-  static MetricsRegistry& Global();
 
  private:
   mutable Mutex mutex_;

@@ -5,26 +5,6 @@
 
 namespace fm::opt {
 
-QuadraticModel& QuadraticModel::operator+=(const QuadraticModel& other) {
-  m += other.m;
-  alpha += other.alpha;
-  beta += other.beta;
-  return *this;
-}
-
-QuadraticModel& QuadraticModel::operator-=(const QuadraticModel& other) {
-  m -= other.m;
-  alpha -= other.alpha;
-  beta -= other.beta;
-  return *this;
-}
-
-void QuadraticModel::Scale(double factor) {
-  m *= factor;
-  alpha *= factor;
-  beta *= factor;
-}
-
 double QuadraticModel::Evaluate(const linalg::Vector& omega) const {
   return linalg::QuadraticForm(m, omega) + linalg::Dot(alpha, omega) + beta;
 }

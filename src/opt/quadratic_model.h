@@ -19,19 +19,6 @@ struct QuadraticModel {
   /// Dimensionality d.
   size_t dim() const { return alpha.size(); }
 
-  /// Element-wise sum: (M, α, β) += (other.M, other.α, other.β). Because the
-  /// regression objectives are plain sums over tuples (§4.2, §5.3), adding
-  /// two models adds the objectives of two disjoint tuple sets. Shapes must
-  /// match (aborts otherwise).
-  QuadraticModel& operator+=(const QuadraticModel& other);
-
-  /// Element-wise difference — the fold-cache identity: the objective of
-  /// D \ F is the objective of D minus the objective of F.
-  QuadraticModel& operator-=(const QuadraticModel& other);
-
-  /// Multiplies every coefficient by `factor` (e.g. to average objectives).
-  void Scale(double factor);
-
   /// f(ω).
   double Evaluate(const linalg::Vector& omega) const;
 

@@ -209,7 +209,7 @@ void IncrementalObjective::AddPendingAddChunk(
     const size_t end = std::min(updated_slots_.size(), begin + kChunk);
     for (size_t i = begin; i < end; ++i) take(updated_slots_[i]);
   }
-  sum->AddTuples(kind_, xs, ys, count);
+  sum->AddTuples(core::ObjectiveWeightsFor(kind_), xs, ys, count);
 }
 
 void IncrementalObjective::SubtractPendingChunk(
@@ -221,7 +221,8 @@ void IncrementalObjective::SubtractPendingChunk(
   for (size_t i = begin; i < end; ++i) {
     xs[i - begin] = pending_sub_xs_.data() + i * dim_;
   }
-  sum->AddTuples(kind_, xs, pending_sub_ys_.data() + begin, end - begin,
+  sum->AddTuples(core::ObjectiveWeightsFor(kind_), xs,
+                 pending_sub_ys_.data() + begin, end - begin,
                  /*subtract=*/true);
 }
 

@@ -1,6 +1,7 @@
 #include "serve/model_registry.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -82,8 +83,19 @@ Status ModelRegistry::RestoreFrom(io::ByteReader& reader, size_t dim,
     FM_RETURN_NOT_OK(reader.ReadLengthPrefixed(&snapshot.algorithm));
     std::vector<double> omega;
     FM_RETURN_NOT_OK(reader.ReadDoubleArray(&omega, dim));
+    // A published model is a finite ω at a finite, non-negative ε; anything
+    // else would restore and then serve NaN or Inf predictions.
+    if (!std::all_of(omega.begin(), omega.end(),
+                     [](double v) { return std::isfinite(v); })) {
+      return Status::IoError("snapshot model coefficient is not finite");
+    }
     snapshot.omega = linalg::Vector(std::move(omega));
     FM_RETURN_NOT_OK(reader.ReadDouble(&snapshot.epsilon_spent));
+    if (!std::isfinite(snapshot.epsilon_spent) ||
+        snapshot.epsilon_spent < 0.0) {
+      return Status::IoError(
+          "snapshot model epsilon is negative or not finite");
+    }
     FM_RETURN_NOT_OK(reader.ReadU8(&is_private));
     if (is_private > 1) {
       return Status::IoError("snapshot is_private byte is neither 0 nor 1");

@@ -74,8 +74,9 @@ class ModelRegistry {
   /// next_version − n + i, as Publish assigned it. Restored ω vectors are
   /// bit-exact, so predictions served after recovery match the
   /// uninterrupted service byte for byte. Fails with kIoError when the
-  /// payload is truncated, next_version is 0, or it retains more models
-  /// than next_version − 1.
+  /// payload is truncated, next_version is 0, it retains more models than
+  /// next_version − 1, or a model has a non-finite ω entry, an ε that is
+  /// negative or not finite, or an is_private byte outside {0, 1}.
   Status RestoreFrom(io::ByteReader& reader, size_t dim, data::TaskKind task);
 
  private:

@@ -67,6 +67,47 @@ TEST(NoPrivacyTest, RecoversNoiselessLinearModel) {
   EXPECT_EQ(algo.name(), "NoPrivacy");
 }
 
+TEST(NoPrivacyTest, LinearHandlesCollinearColumns) {
+  // The second column duplicates the first, so the Gram matrix is singular:
+  // the solve falls back to the finite minimum-norm solution.
+  data::RegressionDataset ds;
+  ds.x = linalg::Matrix(50, 2);
+  ds.y = linalg::Vector(50);
+  Rng data_rng(67);
+  for (size_t i = 0; i < 50; ++i) {
+    const double v = data_rng.Uniform(-0.7, 0.7);
+    ds.x(i, 0) = v;
+    ds.x(i, 1) = v;
+    ds.y[i] = 1.2 * v;
+  }
+  Rng rng(3);
+  const auto model = NoPrivacy().Train(ds, data::TaskKind::kLinear, rng);
+  ASSERT_TRUE(model.ok()) << model.status();
+  // The minimum-norm solution splits the weight: [0.6, 0.6].
+  EXPECT_NEAR(model.ValueOrDie().omega[0], 0.6, 1e-8);
+  EXPECT_NEAR(model.ValueOrDie().omega[1], 0.6, 1e-8);
+}
+
+TEST(NoPrivacyTest, ObjectiveTrainersRejectAContractViolation) {
+  // The exact objective sum needs the §3 bound, so a violating tuple is an
+  // InvalidArgument, not an abort.
+  auto linear = MakeLinearData(20, 2, 0.0, 507);
+  linear.x(0, 0) = 3.0;
+  auto logistic = MakeLogisticData(20, 2, 509);
+  logistic.y[0] = 0.5;
+  Rng rng(4);
+  EXPECT_EQ(NoPrivacy().Train(linear, data::TaskKind::kLinear, rng).status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Truncated().Train(linear, data::TaskKind::kLinear, rng).status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Truncated().Train(logistic, data::TaskKind::kLogistic, rng)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(NoPrivacyTest, LogisticLearnsSeparation) {
   const auto train = MakeLogisticData(5000, 2, 503);
   const auto test = MakeLogisticData(1000, 2, 505);
@@ -83,8 +124,9 @@ TEST(TruncatedTest, LinearEqualsNoPrivacy) {
   const auto a = NoPrivacy().Train(ds, data::TaskKind::kLinear, rng);
   const auto b = Truncated().Train(ds, data::TaskKind::kLinear, rng);
   ASSERT_TRUE(a.ok() && b.ok());
+  // Both minimize the same exact §4.2 sum, so they agree bit for bit.
   EXPECT_TRUE(linalg::AllClose(a.ValueOrDie().omega, b.ValueOrDie().omega,
-                               1e-12));
+                               0.0));
 }
 
 TEST(TruncatedTest, LogisticCloseToExactOptimum) {

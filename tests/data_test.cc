@@ -5,13 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/no_privacy.h"
 #include "common/rng.h"
 #include "core/fm_linear.h"
 #include "data/csv.h"
 #include "data/dataset.h"
 #include "data/normalizer.h"
 #include "data/table.h"
-#include "linalg/solve.h"
 #include "serve/service.h"
 
 namespace fm::data {
@@ -347,9 +347,14 @@ TEST(NormalizerTest, InterceptExtensionFitsOffsetData) {
                           .ValueOrDie()
                           .Apply(t)
                           .ValueOrDie();
-  const auto w_plain = linalg::LeastSquares(ds_plain.x, ds_plain.y);
-  const auto w_int = linalg::LeastSquares(ds_int.x, ds_int.y);
-  ASSERT_TRUE(w_plain.ok() && w_int.ok());
+  Rng fit_rng(11);
+  const baselines::NoPrivacy least_squares;
+  const auto plain_model =
+      least_squares.Train(ds_plain, TaskKind::kLinear, fit_rng);
+  const auto int_model = least_squares.Train(ds_int, TaskKind::kLinear, fit_rng);
+  ASSERT_TRUE(plain_model.ok() && int_model.ok());
+  const linalg::Vector& w_plain = plain_model.ValueOrDie().omega;
+  const linalg::Vector& w_int = int_model.ValueOrDie().omega;
   auto mse = [](const linalg::Vector& w, const RegressionDataset& ds) {
     double sum = 0.0;
     for (size_t i = 0; i < ds.size(); ++i) {
@@ -359,9 +364,8 @@ TEST(NormalizerTest, InterceptExtensionFitsOffsetData) {
     }
     return sum / static_cast<double>(ds.size());
   };
-  EXPECT_LT(mse(w_int.ValueOrDie(), ds_int),
-            0.25 * mse(w_plain.ValueOrDie(), ds_plain));
-  EXPECT_NEAR(mse(w_int.ValueOrDie(), ds_int), 0.0, 1e-9);
+  EXPECT_LT(mse(w_int, ds_int), 0.25 * mse(w_plain, ds_plain));
+  EXPECT_NEAR(mse(w_int, ds_int), 0.0, 1e-9);
 }
 
 TEST(NormalizerTest, FitRejectsBadInputs) {

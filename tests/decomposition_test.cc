@@ -15,10 +15,21 @@
 namespace fm::linalg {
 namespace {
 
+// aᵀa, by the textbook loop.
+Matrix AtA(const Matrix& a) {
+  Matrix out(a.cols(), a.cols());
+  for (size_t r = 0; r < a.rows(); ++r) {
+    for (size_t j = 0; j < a.cols(); ++j) {
+      for (size_t l = 0; l < a.cols(); ++l) out(j, l) += a(r, j) * a(r, l);
+    }
+  }
+  return out;
+}
+
 Matrix RandomSpd(size_t n, Rng& rng, double ridge = 0.5) {
   Matrix a(n, n);
   for (auto& v : a.data()) v = rng.Uniform(-1.0, 1.0);
-  Matrix spd = Gram(a);
+  Matrix spd = AtA(a);
   spd.AddToDiagonal(ridge);
   return spd;
 }
@@ -29,7 +40,7 @@ TEST(CholeskyTest, FactorReconstructs) {
   const auto chol = Cholesky::Compute(a);
   ASSERT_TRUE(chol.ok()) << chol.status();
   const Matrix l = chol.ValueOrDie().L();
-  EXPECT_LT(MaxAbsDiff(Gram(l.Transposed()), a), 1e-10);  // L·Lᵀ
+  EXPECT_LT(MaxAbsDiff(AtA(l.Transposed()), a), 1e-10);  // L·Lᵀ
 }
 
 TEST(CholeskyTest, SolveMatchesKnownSolution) {
@@ -93,8 +104,8 @@ TEST(EigenSymTest, RowsAreOrthonormal) {
   const auto eig = EigenSym(a);
   ASSERT_TRUE(eig.ok());
   const Matrix& q = eig.ValueOrDie().eigenvectors;
-  // Gram(Qᵀ) = Q·Qᵀ.
-  EXPECT_LT(MaxAbsDiff(Gram(q.Transposed()), Matrix::Identity(6)), 1e-10);
+  // AtA(Qᵀ) = Q·Qᵀ.
+  EXPECT_LT(MaxAbsDiff(AtA(q.Transposed()), Matrix::Identity(6)), 1e-10);
 }
 
 TEST(EigenSymTest, KnownEigenpair) {
@@ -203,7 +214,7 @@ TEST(EigenSymTest, PlantedHardSpectra) {
         EXPECT_GE(got.eigenvalues[k - 1], got.eigenvalues[k]);
       }
       EXPECT_LE(MaxAbsDiff(got.Reconstruct(), a), 1e-13 * a_max);
-      EXPECT_LE(MaxAbsDiff(Gram(got.eigenvectors.Transposed()),
+      EXPECT_LE(MaxAbsDiff(AtA(got.eigenvectors.Transposed()),
                            Matrix::Identity(n)),
                 1e-13);
       std::vector<double> want(planted.eigenvalues.begin(),
@@ -227,50 +238,6 @@ TEST(SolveTest, PseudoSolveDropsNullSpace) {
   ASSERT_TRUE(x.ok());
   EXPECT_NEAR(x.ValueOrDie()[0], 1.0, 1e-10);
   EXPECT_NEAR(x.ValueOrDie()[1], 1.0, 1e-10);
-}
-
-TEST(SolveTest, LeastSquaresRecoversPlantedModel) {
-  Rng rng(61);
-  const size_t n = 200, d = 4;
-  Matrix x(n, d);
-  for (auto& v : x.data()) v = rng.Uniform(-1.0, 1.0);
-  const Vector w_true = {0.5, -1.0, 2.0, 0.25};
-  Vector y = MatVec(x, w_true);
-  const auto w = LeastSquares(x, y);
-  ASSERT_TRUE(w.ok());
-  EXPECT_TRUE(AllClose(w.ValueOrDie(), w_true, 1e-10));
-}
-
-TEST(SolveTest, LeastSquaresHandlesCollinearColumns) {
-  // Second column duplicates the first; the pseudo-inverse fallback must
-  // kick in and return a finite minimum-norm solution.
-  Matrix x(50, 2);
-  Rng rng(67);
-  for (size_t i = 0; i < 50; ++i) {
-    const double v = rng.Uniform(-1.0, 1.0);
-    x(i, 0) = v;
-    x(i, 1) = v;
-  }
-  Vector y(50);
-  for (size_t i = 0; i < 50; ++i) y[i] = 3.0 * x(i, 0);
-  const auto w = LeastSquares(x, y);
-  ASSERT_TRUE(w.ok()) << w.status();
-  // Minimum-norm solution splits the weight: [1.5, 1.5].
-  EXPECT_NEAR(w.ValueOrDie()[0], 1.5, 1e-8);
-  EXPECT_NEAR(w.ValueOrDie()[1], 1.5, 1e-8);
-}
-
-TEST(SolveTest, RidgeShrinksSolution) {
-  Rng rng(71);
-  const size_t n = 100, d = 3;
-  Matrix x(n, d);
-  for (auto& v : x.data()) v = rng.Uniform(-1.0, 1.0);
-  Vector y(n);
-  for (size_t i = 0; i < n; ++i) y[i] = x(i, 0) + rng.Gaussian(0.0, 0.1);
-  const auto plain = LeastSquares(x, y, 0.0);
-  const auto ridged = LeastSquares(x, y, 100.0);
-  ASSERT_TRUE(plain.ok() && ridged.ok());
-  EXPECT_LT(ridged.ValueOrDie().Norm2(), plain.ValueOrDie().Norm2());
 }
 
 }  // namespace

@@ -18,7 +18,7 @@
 #include "core/fm_linear.h"
 #include "core/fm_logistic.h"
 #include "core/functional_mechanism.h"
-#include "core/taylor.h"
+#include "core/objective_accumulator.h"
 #include "data/census_generator.h"
 #include "data/normalizer.h"
 #include "eval/experiment.h"
@@ -43,6 +43,21 @@ double ReleaseSpaceL1(const opt::QuadraticModel& a,
   return total;
 }
 
+// The §4.2 objective of (x_i, y_i), or the §5.3 surrogate, as every fit
+// builds it.
+opt::QuadraticModel Objective(const data::RegressionDataset& ds,
+                              core::ObjectiveKind kind) {
+  return core::ObjectiveAccumulator::Build(ds, kind).Global();
+}
+
+opt::QuadraticModel LinearObjective(const linalg::Matrix& x,
+                                    const linalg::Vector& y) {
+  data::RegressionDataset ds;
+  ds.x = x;
+  ds.y = y;
+  return Objective(ds, core::ObjectiveKind::kLinear);
+}
+
 class ReleaseSensitivityTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ReleaseSensitivityTest, LinearNeighborDistanceBoundedByDelta) {
@@ -65,8 +80,8 @@ TEST_P(ReleaseSensitivityTest, LinearNeighborDistanceBoundedByDelta) {
     }
     neighbor.y[victim] = ds.y[replacement];
 
-    const auto fa = core::BuildLinearObjective(ds.x, ds.y);
-    const auto fb = core::BuildLinearObjective(neighbor.x, neighbor.y);
+    const auto fa = Objective(ds, core::ObjectiveKind::kLinear);
+    const auto fb = Objective(neighbor, core::ObjectiveKind::kLinear);
     ASSERT_LE(ReleaseSpaceL1(fa, fb), delta + 1e-9) << "dims=" << dims;
   }
 }
@@ -91,9 +106,9 @@ TEST_P(ReleaseSensitivityTest, LogisticNeighborDistanceBoundedByDelta) {
     }
     neighbor.y[victim] = rng.Bernoulli(0.5) ? 1.0 : 0.0;
 
-    const auto fa = core::BuildTruncatedLogisticObjective(ds.x, ds.y);
+    const auto fa = Objective(ds, core::ObjectiveKind::kTruncatedLogistic);
     const auto fb =
-        core::BuildTruncatedLogisticObjective(neighbor.x, neighbor.y);
+        Objective(neighbor, core::ObjectiveKind::kTruncatedLogistic);
     ASSERT_LE(ReleaseSpaceL1(fa, fb), delta + 1e-9) << "dims=" << dims;
   }
 }
@@ -116,8 +131,8 @@ TEST(EmpiricalDpTest, OutputDistributionSatisfiesEpsilonRatio) {
   linalg::Vector y1{0.4, 0.3, -1.0};
   linalg::Vector y2{0.4, 0.3, 0.9};
 
-  const auto f1 = core::BuildLinearObjective(x1, y1);
-  const auto f2 = core::BuildLinearObjective(x2, y2);
+  const auto f1 = LinearObjective(x1, y1);
+  const auto f2 = LinearObjective(x2, y2);
   const double delta = core::LinearRegressionSensitivity(1);
   const double epsilon = 1.0;
 
@@ -208,7 +223,7 @@ TEST(EmpiricalDpTest, ResamplingDoublesReportedEpsilonSpent) {
   x(2, 0) = -0.4;
   x(3, 1) = 0.5;
   linalg::Vector y{0.5, -0.2, 0.7, 0.1};
-  const auto f = core::BuildLinearObjective(x, y);
+  const auto f = LinearObjective(x, y);
   const double delta = core::LinearRegressionSensitivity(2);
 
   for (double epsilon : {0.5, 0.8, 3.2}) {

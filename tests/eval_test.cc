@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -185,10 +186,38 @@ TEST(ExperimentTest, BenchConfigReadsEnvironment) {
   ::setenv("FM_BENCH_SCALE", "0.02", 1);
   ::setenv("FM_BENCH_REPEATS", "7", 1);
   const auto config = BenchConfig::FromEnv();
-  EXPECT_DOUBLE_EQ(config.scale, 0.02);
-  EXPECT_EQ(config.repeats, 7u);
+  ASSERT_TRUE(config.ok()) << config.status();
+  EXPECT_DOUBLE_EQ(config.ValueOrDie().scale, 0.02);
+  EXPECT_EQ(config.ValueOrDie().repeats, 7u);
   ::unsetenv("FM_BENCH_SCALE");
   ::unsetenv("FM_BENCH_REPEATS");
+}
+
+TEST(ExperimentTest, BenchConfigRejectsRepeatsBelowOne) {
+  // −1 must not wrap to 2⁶⁴ − 1 repeats, and 0 must not run no folds.
+  for (const char* repeats : {"0", "-1", "-9223372036854775808"}) {
+    ::setenv("FM_BENCH_REPEATS", repeats, 1);
+    const auto config = BenchConfig::FromEnv();
+    EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument)
+        << repeats;
+  }
+  ::unsetenv("FM_BENCH_REPEATS");
+  EXPECT_TRUE(BenchConfig::FromEnv().ok());
+}
+
+TEST(CrossValidationTest, RejectsARepeatCountWhoseTaskCountOverflows) {
+  const auto ds = MakeLinearData(50, 2, 49);
+  baselines::NoPrivacy algo;
+  CvOptions options;
+  options.repeats = std::numeric_limits<size_t>::max() / options.folds + 1;
+  const auto result =
+      CrossValidate(algo, ds, data::TaskKind::kLinear, options);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  options.repeats = 0;
+  EXPECT_EQ(CrossValidate(algo, ds, data::TaskKind::kLinear, options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ExperimentTest, LoadCensusDatasetsScalesCardinality) {

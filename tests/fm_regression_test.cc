@@ -2,12 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/no_privacy.h"
 #include "common/rng.h"
 #include "core/fm_linear.h"
 #include "core/fm_logistic.h"
-#include "core/taylor.h"
+#include "core/objective_accumulator.h"
 #include "eval/metrics.h"
-#include "linalg/solve.h"
 #include "opt/logistic_loss.h"
 
 namespace fm::core {
@@ -59,7 +59,11 @@ TEST(FmLinearTest, HighEpsilonMatchesOls) {
   Rng rng(1);
   const auto fit = fm.Fit(train, rng);
   ASSERT_TRUE(fit.ok()) << fit.status();
-  const auto ols = linalg::LeastSquares(train.x, train.y).ValueOrDie();
+  Rng ols_rng(2);
+  const auto ols = baselines::NoPrivacy()
+                       .Train(train, data::TaskKind::kLinear, ols_rng)
+                       .ValueOrDie()
+                       .omega;
   // λ-regularization keeps a small bias even with negligible noise; the
   // error against exact OLS must still be tiny relative to signal scale.
   EXPECT_LT(linalg::MaxAbsDiff(fit.ValueOrDie().omega, ols), 0.05);
@@ -123,7 +127,9 @@ TEST(FmLogisticTest, HighEpsilonMatchesTruncatedOptimum) {
   ASSERT_TRUE(fit.ok()) << fit.status();
   // Compare against the noiseless truncated objective's minimizer.
   const auto truncated =
-      BuildTruncatedLogisticObjective(train.x, train.y).Minimize();
+      ObjectiveAccumulator::Build(train, ObjectiveKind::kTruncatedLogistic)
+          .Global()
+          .Minimize();
   ASSERT_TRUE(truncated.ok());
   EXPECT_LT(linalg::MaxAbsDiff(fit.ValueOrDie().omega,
                                truncated.ValueOrDie()),

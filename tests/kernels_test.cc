@@ -35,6 +35,17 @@ linalg::Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
   return m;
 }
 
+// aᵀa, by the textbook loop.
+linalg::Matrix AtA(const linalg::Matrix& a) {
+  linalg::Matrix out(a.cols(), a.cols());
+  for (size_t r = 0; r < a.rows(); ++r) {
+    for (size_t j = 0; j < a.cols(); ++j) {
+      for (size_t l = 0; l < a.cols(); ++l) out(j, l) += a(r, j) * a(r, l);
+    }
+  }
+  return out;
+}
+
 linalg::Vector RandomVector(size_t n, uint64_t seed) {
   Rng rng(seed);
   linalg::Vector v(n);
@@ -70,26 +81,6 @@ linalg::Vector RandomVector(size_t n, uint64_t seed) {
   return ::testing::AssertionSuccess();
 }
 
-TEST(SyrkKernelTest, GramBlockedMatchesReferenceBitForBit) {
-  // Row counts straddle the kSyrkRowPanel=64 panel; widths straddle the
-  // 4×8 register tile.
-  const size_t shapes[][2] = {
-      {1, 1},  {2, 3},    {7, 4},    {63, 5},   {64, 13},  {65, 13},
-      {100, 1}, {129, 17}, {1000, 5}, {40, 100}, {200, 70}, {511, 33},
-  };
-  uint64_t seed = 100;
-  for (const auto& s : shapes) {
-    const auto x = RandomMatrix(s[0], s[1], seed++);
-    linalg::Matrix ref(s[1], s[1]);
-    kernels::RefSyrkUpperAccumulate(x.data().data(), s[1], s[0], s[1],
-                                    ref.data().data(), s[1]);
-    ref.SymmetrizeFromUpper();
-    const auto gram = linalg::Gram(x);
-    EXPECT_TRUE(BitEqual(gram, ref)) << "Gram rows=" << s[0] << " d=" << s[1];
-    EXPECT_TRUE(gram.IsSymmetric(0.0));
-  }
-}
-
 TEST(SyrkKernelTest, LowerSubtractBlockedMatchesReferenceBitForBit) {
   // The blocked Cholesky's trailing update: trailing sizes n straddle the
   // kCholeskyNb=32 panel and the 4×8 tile, panel widths run up to
@@ -116,7 +107,7 @@ TEST(CholeskyKernelTest, BlockedFactorReconstructsItsInput) {
   // Sizes straddling the kCholeskyNb=32 panel: below, at, just above, and
   // several panels plus a ragged tail.
   for (size_t n : {1u, 2u, 5u, 31u, 32u, 33u, 64u, 65u, 100u, 150u}) {
-    auto spd = linalg::Gram(RandomMatrix(n + 3, n, 7000 + n));
+    auto spd = AtA(RandomMatrix(n + 3, n, 7000 + n));
     spd.AddToDiagonal(static_cast<double>(n));
     const auto chol = linalg::Cholesky::Compute(spd);
     ASSERT_TRUE(chol.ok()) << "n=" << n;
@@ -124,8 +115,8 @@ TEST(CholeskyKernelTest, BlockedFactorReconstructsItsInput) {
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = i + 1; j < n; ++j) ASSERT_EQ(l(i, j), 0.0);
     }
-    // Gram(Lᵀ) = L·Lᵀ.
-    EXPECT_LT(MaxAbsDiff(linalg::Gram(l.Transposed()), spd),
+    // AtA(Lᵀ) = L·Lᵀ.
+    EXPECT_LT(MaxAbsDiff(AtA(l.Transposed()), spd),
               1e-12 * (1.0 + spd.MaxAbs()))
         << "Cholesky n=" << n;
   }

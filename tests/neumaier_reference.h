@@ -28,13 +28,16 @@ inline opt::QuadraticModel NeumaierObjective(const data::RegressionDataset& ds,
                                                      : (v - t) + sum[idx];
     sum[idx] = t;
   };
+  const core::ObjectiveWeights weights = core::ObjectiveWeightsFor(kind);
   for (size_t row = 0; row < ds.size(); ++row) {
-    double m_scale = 0.0, alpha_bias = 0.0, beta = 0.0;
-    core::ObjectiveTupleParams(kind, ds.y[row], &m_scale, &alpha_bias, &beta);
+    const double y = ds.y[row];
+    const double alpha_bias = weights.alpha_offset + weights.alpha_label * y;
+    const double beta =
+        weights.beta_offset + weights.beta_label_square * (y * y);
     const double* x = ds.x.Row(row);
     size_t idx = 0;
     for (size_t i = 0; i < d; ++i) {
-      const double xi = m_scale * x[i];
+      const double xi = weights.m_scale * x[i];
       for (size_t j = i; j < d; ++j) add(idx++, xi * x[j]);
     }
     for (size_t j = 0; j < d; ++j) add(idx++, alpha_bias * x[j]);

@@ -3,14 +3,15 @@
 // objective derived from an ObjectiveAccumulator's global sum (global minus
 // test slice) is bitwise equal to a fresh build over the materialized
 // training split and within 1 ulp per coefficient of a Neumaier-compensated
-// reference; and CrossValidate produces the same statistics and stays
-// byte-identical across thread counts with the cache enabled.
+// reference; a direct Fit on a fold equals FitObjective on its derived
+// objective bit for bit; and CrossValidate returns the same bits with the
+// cache on and off, and across thread counts.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,8 +20,9 @@
 #include "baselines/no_privacy.h"
 #include "common/rng.h"
 #include "common/ulp.h"
+#include "core/fm_linear.h"
+#include "core/fm_logistic.h"
 #include "core/objective_accumulator.h"
-#include "core/taylor.h"
 #include "eval/cross_validation.h"
 #include "exec/thread_pool.h"
 #include "neumaier_reference.h"
@@ -62,42 +64,19 @@ data::RegressionDataset MakeDataset(size_t n, size_t d, bool binary,
   return ds;
 }
 
-opt::QuadraticModel DirectObjective(const data::RegressionDataset& ds,
-                                    core::ObjectiveKind kind) {
-  return kind == core::ObjectiveKind::kLinear
-             ? core::BuildLinearObjective(ds.x, ds.y)
-             : core::BuildTruncatedLogisticObjective(ds.x, ds.y);
+// Bitwise equality of two doubles, so +0.0 and −0.0 (and NaN payloads)
+// count as different.
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
 }
 
-TEST(QuadraticModelArithmeticTest, AddSubtractScale) {
-  opt::QuadraticModel a;
-  a.m = {{1.0, 2.0}, {2.0, 5.0}};
-  a.alpha = {3.0, -1.0};
-  a.beta = 4.0;
-  opt::QuadraticModel b;
-  b.m = {{0.5, -1.0}, {-1.0, 2.0}};
-  b.alpha = {-1.0, 1.0};
-  b.beta = 1.5;
-
-  opt::QuadraticModel sum = a;
-  sum += b;
-  EXPECT_DOUBLE_EQ(sum.m(0, 0), 1.5);
-  EXPECT_DOUBLE_EQ(sum.m(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(sum.alpha[0], 2.0);
-  EXPECT_DOUBLE_EQ(sum.beta, 5.5);
-
-  sum -= b;  // back to a
-  EXPECT_DOUBLE_EQ(sum.m(1, 1), 5.0);
-  EXPECT_DOUBLE_EQ(sum.alpha[1], -1.0);
-  EXPECT_DOUBLE_EQ(sum.beta, 4.0);
-
-  sum.Scale(2.0);
-  EXPECT_DOUBLE_EQ(sum.m(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(sum.alpha[0], 6.0);
-  EXPECT_DOUBLE_EQ(sum.beta, 8.0);
+bool SameBits(const linalg::Vector& a, const linalg::Vector& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.raw(), b.raw(), a.size() * sizeof(double)) == 0);
 }
 
-TEST(ObjectiveAccumulatorTest, GlobalMatchesDirectBuild) {
+TEST(ObjectiveAccumulatorTest, GlobalIsWithinOneUlpOfACompensatedSum) {
   for (const auto kind : {core::ObjectiveKind::kLinear,
                           core::ObjectiveKind::kTruncatedLogistic}) {
     const bool binary = kind == core::ObjectiveKind::kTruncatedLogistic;
@@ -105,20 +84,23 @@ TEST(ObjectiveAccumulatorTest, GlobalMatchesDirectBuild) {
     const auto acc = core::ObjectiveAccumulator::Build(ds, kind);
     EXPECT_EQ(acc.size(), 2500u);
     EXPECT_EQ(acc.dim(), 6u);
-
-    // The compensated global sum agrees with the plain left-to-right Build*
-    // construction up to its own accumulated rounding (well under 1e-9 for
-    // these magnitudes); exactness is checked fold-wise below.
-    const auto direct = DirectObjective(ds, kind);
-    const auto global = acc.Global();
-    for (size_t i = 0; i < 6; ++i) {
-      EXPECT_NEAR(global.alpha[i], direct.alpha[i], 1e-9);
-      for (size_t j = 0; j < 6; ++j) {
-        EXPECT_NEAR(global.m(i, j), direct.m(i, j), 1e-9);
-      }
-    }
-    EXPECT_NEAR(global.beta, direct.beta, 1e-9);
+    EXPECT_LE(MaxUlpDistance(acc.Global(), NeumaierObjective(ds, kind)), 1u);
   }
+}
+
+// AddTuples takes any weights, but only those that keep every term of a
+// §3 tuple below 4 in magnitude, which the fixed-point sum relies on.
+TEST(ExactObjectiveSumDeathTest, AddTuplesAbortsOnUnboundedWeights) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const double x[2] = {0.5, 0.5};
+  const double* xs[1] = {x};
+  const double y = 1.0;
+  core::ExactObjectiveSum sum(2);
+  core::ObjectiveWeights weights =
+      core::ObjectiveWeightsFor(core::ObjectiveKind::kLinear);
+  sum.AddTuples(weights, xs, &y, 1);
+  weights.alpha_offset = 0.5;  // |0.5| + |−2| > 2
+  EXPECT_DEATH(sum.AddTuples(weights, xs, &y, 1), "FM_CHECK failed");
 }
 
 TEST(ObjectiveAccumulatorTest, TrainObjectiveForFoldMatchesFreshBuildBitwise) {
@@ -142,27 +124,17 @@ TEST(ObjectiveAccumulatorTest, TrainObjectiveForFoldMatchesFreshBuildBitwise) {
                                   .Global()),
                   0u);
         EXPECT_LE(MaxUlpDistance(cached, NeumaierObjective(train, kind)), 1u);
-
-        // And against the plain uncompensated Build* on the split, within
-        // ordinary summation-error tolerance.
-        const auto direct = DirectObjective(train, kind);
-        EXPECT_LE(static_cast<double>(MaxUlpDistance(cached, direct)) *
-                      std::numeric_limits<double>::epsilon(),
-                  1e-10);
       }
     }
   }
 }
 
-TEST(ObjectiveAccumulatorTest, SliceOfEverythingEqualsGlobal) {
+TEST(ObjectiveAccumulatorTest, GlobalMinusEverythingIsEmpty) {
   const auto ds = MakeDataset(2900, 4, false, 55);
   const auto acc =
       core::ObjectiveAccumulator::Build(ds, core::ObjectiveKind::kLinear);
   std::vector<size_t> all(ds.size());
   std::iota(all.begin(), all.end(), 0);
-  EXPECT_EQ(MaxUlpDistance(acc.SliceObjective(all), acc.Global()), 0u);
-
-  // Global minus everything is the empty objective.
   const auto empty = acc.TrainObjectiveForFold(all);
   EXPECT_EQ(empty.beta, 0.0);
   for (size_t i = 0; i < acc.dim(); ++i) EXPECT_EQ(empty.alpha[i], 0.0);
@@ -255,12 +227,13 @@ TEST(ExactObjectiveSumTest, SubtractingTuplesUndoesAddingThemBitwise) {
     if (i % 2 == 0) even_rows.push_back(i);
   }
   const auto kind = core::ObjectiveKind::kLinear;
+  const core::ObjectiveWeights weights = core::ObjectiveWeightsFor(kind);
   core::ExactObjectiveSum all(50);
-  all.AddTuples(kind, xs.data(), ds.y.raw(), ds.size());
-  all.AddTuples(kind, odd_xs.data(), odd_ys.data(), odd_xs.size(),
+  all.AddTuples(weights, xs.data(), ds.y.raw(), ds.size());
+  all.AddTuples(weights, odd_xs.data(), odd_ys.data(), odd_xs.size(),
                 /*subtract=*/true);
   core::ExactObjectiveSum even(50);
-  even.AddTuples(kind, even_xs.data(), even_ys.data(), even_xs.size());
+  even.AddTuples(weights, even_xs.data(), even_ys.data(), even_xs.size());
   EXPECT_TRUE(all == even);
   EXPECT_LE(MaxUlpDistance(all.Round(),
                            NeumaierObjective(ds.Select(even_rows), kind)),
@@ -287,46 +260,51 @@ eval::CvResult RunCv(const baselines::RegressionAlgorithm& algorithm,
   return result.ValueOrDie();
 }
 
-TEST(CrossValidationCacheTest, StatisticsMatchDirectPath) {
-  // Deterministic algorithms first: any drift beyond solver-noise would be a
-  // cache bug, not mechanism noise.
+// Cache on and cache off return the same bits: each path sums its fold's
+// tuples exactly and rounds once.
+void ExpectSameResult(const eval::CvResult& cached,
+                      const eval::CvResult& direct, const std::string& what) {
+  EXPECT_TRUE(SameBits(cached.mean_error, direct.mean_error))
+      << what << ": " << cached.mean_error << " vs " << direct.mean_error;
+  EXPECT_TRUE(SameBits(cached.stddev_error, direct.stddev_error))
+      << what << ": " << cached.stddev_error << " vs " << direct.stddev_error;
+  EXPECT_EQ(cached.evaluations, direct.evaluations) << what;
+  EXPECT_EQ(cached.failures, direct.failures) << what;
+}
+
+TEST(CrossValidationCacheTest, CacheOnAndOffReturnTheSameBits) {
   const auto linear_ds = MakeDataset(600, 4, false, 2024);
-  baselines::NoPrivacy no_privacy;
-  const auto np_cached =
-      RunCv(no_privacy, linear_ds, data::TaskKind::kLinear, true);
-  const auto np_direct =
-      RunCv(no_privacy, linear_ds, data::TaskKind::kLinear, false);
-  EXPECT_EQ(np_cached.evaluations, np_direct.evaluations);
-  EXPECT_EQ(np_cached.failures, np_direct.failures);
-  EXPECT_NEAR(np_cached.mean_error, np_direct.mean_error, 1e-12);
-  EXPECT_NEAR(np_cached.stddev_error, np_direct.stddev_error, 1e-12);
-
   const auto logistic_ds = MakeDataset(600, 4, true, 2025);
-  baselines::Truncated truncated;
-  const auto tr_cached =
-      RunCv(truncated, logistic_ds, data::TaskKind::kLogistic, true);
-  const auto tr_direct =
-      RunCv(truncated, logistic_ds, data::TaskKind::kLogistic, false);
-  EXPECT_EQ(tr_cached.evaluations, tr_direct.evaluations);
-  EXPECT_NEAR(tr_cached.mean_error, tr_direct.mean_error, 1e-12);
-
-  // FM: same noise substreams on both paths; the ≤1-ulp objective difference
-  // perturbs the released ω (and so the error statistic) negligibly.
   core::FmOptions fm_options;
   fm_options.epsilon = 0.8;
-  baselines::FmAlgorithm fm(fm_options);
-  const auto fm_cached = RunCv(fm, linear_ds, data::TaskKind::kLinear, true);
-  const auto fm_direct = RunCv(fm, linear_ds, data::TaskKind::kLinear, false);
-  EXPECT_EQ(fm_cached.evaluations, fm_direct.evaluations);
-  EXPECT_NEAR(fm_cached.mean_error, fm_direct.mean_error,
-              1e-9 * std::max(1.0, fm_direct.mean_error));
+  const baselines::FmAlgorithm fm(fm_options);
+  const baselines::NoPrivacy no_privacy;
+  const baselines::Truncated truncated;
+  const struct {
+    const baselines::RegressionAlgorithm* algorithm;
+    const data::RegressionDataset* ds;
+    data::TaskKind task;
+  } cases[] = {
+      {&fm, &linear_ds, data::TaskKind::kLinear},
+      {&fm, &logistic_ds, data::TaskKind::kLogistic},
+      {&truncated, &logistic_ds, data::TaskKind::kLogistic},
+      {&no_privacy, &linear_ds, data::TaskKind::kLinear},
+  };
+  for (const auto& c : cases) {
+    const std::string what =
+        c.algorithm->name() +
+        (c.task == data::TaskKind::kLinear ? "/linear" : "/logistic");
+    ASSERT_TRUE(c.algorithm->SupportsObjectiveCache(c.task)) << what;
+    ExpectSameResult(RunCv(*c.algorithm, *c.ds, c.task, true),
+                     RunCv(*c.algorithm, *c.ds, c.task, false), what);
+  }
 }
 
 TEST(CrossValidationCacheTest, SingularGramFallsBackToPseudoOnBothPaths) {
   // An all-zero feature column makes every fold's Gram matrix exactly
-  // singular. linalg::LeastSquares falls back to the minimum-norm
-  // pseudo-inverse solution on the direct path, so the cached path must do
-  // the same — no fold may fail, and the statistics must agree.
+  // singular. Both paths minimize the same exact objective, with the
+  // minimum-norm pseudo-inverse fallback: no fold may fail, and the results
+  // must agree bit for bit.
   auto ds = MakeDataset(200, 4, false, 1234);
   for (size_t i = 0; i < ds.size(); ++i) ds.x(i, 2) = 0.0;
   baselines::NoPrivacy no_privacy;
@@ -337,9 +315,44 @@ TEST(CrossValidationCacheTest, SingularGramFallsBackToPseudoOnBothPaths) {
     const auto cached = RunCv(*algo, ds, data::TaskKind::kLinear, true);
     const auto direct = RunCv(*algo, ds, data::TaskKind::kLinear, false);
     EXPECT_EQ(cached.failures, 0u) << algo->name();
-    EXPECT_EQ(direct.failures, 0u) << algo->name();
-    EXPECT_EQ(cached.evaluations, direct.evaluations) << algo->name();
-    EXPECT_NEAR(cached.mean_error, direct.mean_error, 1e-12) << algo->name();
+    ExpectSameResult(cached, direct, algo->name());
+  }
+}
+
+TEST(CrossValidationCacheTest, FitEqualsFitObjectiveOnTheDerivedFold) {
+  // What CrossValidate's two paths do for one FM fold: Fit on the
+  // materialized training split, and FitObjective on the objective derived
+  // from the global sum. Same noise substream, same bits.
+  core::FmOptions options;
+  options.epsilon = 0.8;
+  for (const auto task : {data::TaskKind::kLinear, data::TaskKind::kLogistic}) {
+    const auto ds =
+        MakeDataset(1500, 6, task == data::TaskKind::kLogistic, 4343);
+    const auto acc = core::ObjectiveAccumulator::Build(
+        ds, core::ObjectiveKindForTask(task));
+    Rng fold_rng(17);
+    const auto splits = data::KFoldSplits(ds.size(), 5, fold_rng);
+    for (size_t fold = 0; fold < splits.size(); ++fold) {
+      const auto train = ds.Select(splits[fold].train);
+      const auto derived = acc.TrainObjectiveForFold(splits[fold].test);
+      Rng direct_rng(Rng::Fork(99, fold));
+      Rng cached_rng(Rng::Fork(99, fold));
+      Result<core::FmFitReport> direct = Status::Internal("unset");
+      Result<core::FmFitReport> cached = Status::Internal("unset");
+      if (task == data::TaskKind::kLinear) {
+        const core::FmLinearRegression fm(options);
+        direct = fm.Fit(train, direct_rng);
+        cached = fm.FitObjective(derived, cached_rng);
+      } else {
+        const core::FmLogisticRegression fm(options);
+        direct = fm.Fit(train, direct_rng);
+        cached = fm.FitObjective(derived, cached_rng);
+      }
+      ASSERT_TRUE(direct.ok() && cached.ok());
+      EXPECT_TRUE(
+          SameBits(direct.ValueOrDie().omega, cached.ValueOrDie().omega))
+          << "fold " << fold;
+    }
   }
 }
 

@@ -9,7 +9,7 @@
 
 #include "common/rng.h"
 #include "core/functional_mechanism.h"
-#include "core/taylor.h"
+#include "core/objective_accumulator.h"
 #include "data/dataset.h"
 #include "dp/laplace_mechanism.h"
 #include "linalg/cholesky.h"
@@ -230,7 +230,9 @@ TEST(EpsilonUtilityProperty, ErrorMonotoneInEpsilonOnAverage) {
     }
     ds.y[i] = std::clamp(y - 0.8, -1.0, 1.0);
   }
-  const opt::QuadraticModel objective = core::BuildLinearObjective(ds.x, ds.y);
+  const opt::QuadraticModel objective =
+      core::ObjectiveAccumulator::Build(ds, core::ObjectiveKind::kLinear)
+          .Global();
   const double delta = core::LinearRegressionSensitivity(d);
   const linalg::Vector w_star = objective.Minimize().ValueOrDie();
 

@@ -885,6 +885,73 @@ TEST(ModelRegistry, RestoreRejectsAnIsPrivateByteOutsideZeroOne) {
   EXPECT_EQ(restore(bytes).code(), StatusCode::kIoError);
 }
 
+// Writes `value`'s bytes over the double at `offset` of a registry payload,
+// the byte order SerializeTo uses.
+std::string WithDoubleAt(std::string bytes, size_t offset, double value) {
+  std::string encoded;
+  io::AppendDouble(&encoded, value);
+  bytes.replace(offset, encoded.size(), encoded);
+  return bytes;
+}
+
+// A CRC-valid snapshot can still carry a model the service could never
+// publish; restoring it would serve NaN or Inf predictions.
+TEST(ModelRegistry, RestoreRejectsANonFiniteCoefficient) {
+  serve::ModelRegistry registry;
+  serve::ModelSnapshot snapshot;
+  snapshot.algorithm = "FM";
+  snapshot.omega = linalg::Vector{0.5, -0.25};
+  snapshot.epsilon_spent = 0.8;
+  snapshot.is_private = true;
+  registry.Publish(snapshot);
+  std::string bytes;
+  registry.SerializeTo(&bytes);
+  // After next_version, the count and the length-prefixed name "FM".
+  const size_t omega1 = 16 + 8 + 2 + 8;
+  const auto restore = [](const std::string& payload) {
+    serve::ModelRegistry target;
+    io::ByteReader reader(payload);
+    return target.RestoreFrom(reader, 2, data::TaskKind::kLinear);
+  };
+  ASSERT_TRUE(restore(bytes).ok());
+  ASSERT_TRUE(restore(WithDoubleAt(bytes, omega1, -3.5)).ok());
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(restore(WithDoubleAt(bytes, omega1, bad)).code(),
+              StatusCode::kIoError)
+        << bad;
+  }
+}
+
+TEST(ModelRegistry, RestoreRejectsANegativeOrNonFiniteEpsilon) {
+  serve::ModelRegistry registry;
+  serve::ModelSnapshot snapshot;
+  snapshot.algorithm = "FM";
+  snapshot.omega = linalg::Vector{0.5, -0.25};
+  snapshot.epsilon_spent = 0.8;
+  snapshot.is_private = true;
+  registry.Publish(snapshot);
+  std::string bytes;
+  registry.SerializeTo(&bytes);
+  // ε follows the two ω doubles.
+  const size_t epsilon = 16 + 8 + 2 + 2 * 8;
+  const auto restore = [](const std::string& payload) {
+    serve::ModelRegistry target;
+    io::ByteReader reader(payload);
+    return target.RestoreFrom(reader, 2, data::TaskKind::kLinear);
+  };
+  ASSERT_TRUE(restore(bytes).ok());
+  // A non-private model spends 0.
+  ASSERT_TRUE(restore(WithDoubleAt(bytes, epsilon, 0.0)).ok());
+  for (const double bad : {-0.8, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(restore(WithDoubleAt(bytes, epsilon, bad)).code(),
+              StatusCode::kIoError)
+        << bad;
+  }
+}
+
 // --------------------------------------------------------------------------
 // Service
 // --------------------------------------------------------------------------

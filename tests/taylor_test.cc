@@ -3,11 +3,28 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/objective_accumulator.h"
 #include "core/taylor.h"
 #include "opt/logistic_loss.h"
 
 namespace fm::core {
 namespace {
+
+// The objective of `kind` over the tuples (x_i, y_i), summed the one way the
+// library sums an objective.
+opt::QuadraticModel BuildObjective(const linalg::Matrix& x,
+                                   const linalg::Vector& y,
+                                   ObjectiveKind kind) {
+  data::RegressionDataset ds;
+  ds.x = x;
+  ds.y = y;
+  return ObjectiveAccumulator::Build(ds, kind).Global();
+}
+
+opt::QuadraticModel TruncatedObjective(const linalg::Matrix& x,
+                                       const linalg::Vector& y) {
+  return BuildObjective(x, y, ObjectiveKind::kTruncatedLogistic);
+}
 
 TEST(TaylorTest, DerivativeConstantsMatchPaper) {
   EXPECT_NEAR(LogisticF1Value0(), std::log(2.0), 1e-15);
@@ -58,7 +75,7 @@ TEST(TaylorTest, TruncatedObjectiveMatchesSeriesOnAxis) {
   x(0, 1) = -0.3;
   linalg::Vector y(1);
   y[0] = 1.0;
-  const opt::QuadraticModel q = BuildTruncatedLogisticObjective(x, y);
+  const opt::QuadraticModel q = TruncatedObjective(x, y);
   Rng rng(95);
   for (int trial = 0; trial < 20; ++trial) {
     const linalg::Vector w = {rng.Uniform(-2.0, 2.0), rng.Uniform(-2.0, 2.0)};
@@ -82,7 +99,7 @@ TEST(TaylorTest, AverageTruncationErrorWithinLemma4Bound) {
     for (size_t j = 0; j < d; ++j) x(i, j) = rng.Uniform(0.0, scale);
     y[i] = rng.Bernoulli(0.5) ? 1.0 : 0.0;
   }
-  const opt::QuadraticModel truncated = BuildTruncatedLogisticObjective(x, y);
+  const opt::QuadraticModel truncated = TruncatedObjective(x, y);
   const opt::LogisticObjective exact(x, y);
 
   // |xᵀω| ≤ ‖x‖‖ω‖ ≤ 1 when ‖ω‖ ≤ 1: sample such ω.
@@ -108,7 +125,7 @@ TEST(TaylorTest, Figure3ShapeTruncationStaysClose) {
   x(1, 0) = 0.0;
   x(2, 0) = 1.0;
   linalg::Vector y{1.0, 0.0, 1.0};
-  const opt::QuadraticModel truncated = BuildTruncatedLogisticObjective(x, y);
+  const opt::QuadraticModel truncated = TruncatedObjective(x, y);
   const opt::LogisticObjective exact(x, y);
   for (double w = 0.0; w <= 2.0; w += 0.25) {
     const linalg::Vector omega{w};
@@ -127,7 +144,7 @@ TEST(TaylorTest, LinearObjectiveMatchesSumOfSquares) {
     for (size_t j = 0; j < d; ++j) x(i, j) = rng.Uniform(0.0, scale);
     y[i] = rng.Uniform(-1.0, 1.0);
   }
-  const opt::QuadraticModel q = BuildLinearObjective(x, y);
+  const opt::QuadraticModel q = BuildObjective(x, y, ObjectiveKind::kLinear);
   for (int trial = 0; trial < 10; ++trial) {
     linalg::Vector w(d);
     for (auto& v : w) v = rng.Uniform(-1.0, 1.0);
@@ -180,17 +197,18 @@ TEST(ChebyshevTest, CoefficientsNearTaylorForSmallRadius) {
 
 TEST(ChebyshevTest, ObjectiveMatchesPointwiseFormula) {
   const auto cheb = FitChebyshevLogistic(1.0);
-  linalg::Matrix x(1, 2);
-  x(0, 0) = 0.4;
-  x(0, 1) = -0.2;
-  linalg::Vector y{1.0};
-  const opt::QuadraticModel q = BuildChebyshevLogisticObjective(x, y, cheb);
+  data::RegressionDataset ds;
+  ds.x = linalg::Matrix(1, 2);
+  ds.x(0, 0) = 0.4;
+  ds.x(0, 1) = -0.2;
+  ds.y = linalg::Vector{1.0};
+  const opt::QuadraticModel q = BuildChebyshevLogisticObjective(ds, cheb);
   Rng rng(103);
   for (int trial = 0; trial < 20; ++trial) {
     const linalg::Vector w = {rng.Uniform(-2.0, 2.0), rng.Uniform(-2.0, 2.0)};
-    const double z = x(0, 0) * w[0] + x(0, 1) * w[1];
+    const double z = ds.x(0, 0) * w[0] + ds.x(0, 1) * w[1];
     const double expected =
-        cheb.a0 + cheb.a1 * z + cheb.a2 * z * z - y[0] * z;
+        cheb.a0 + cheb.a1 * z + cheb.a2 * z * z - ds.y[0] * z;
     EXPECT_NEAR(q.Evaluate(w), expected, 1e-12);
   }
 }
@@ -231,7 +249,7 @@ TEST(TaylorTest, TruncatedMinimizerBeatsNaivePoint) {
     x(i, 0) = rng.Uniform(-1.0, 1.0);
     y[i] = rng.Bernoulli(opt::Sigmoid(3.0 * x(i, 0))) ? 1.0 : 0.0;
   }
-  const opt::QuadraticModel truncated = BuildTruncatedLogisticObjective(x, y);
+  const opt::QuadraticModel truncated = TruncatedObjective(x, y);
   const auto w = truncated.Minimize();
   ASSERT_TRUE(w.ok());
   const opt::LogisticObjective exact(x, y);

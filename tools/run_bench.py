@@ -46,9 +46,9 @@ import subprocess
 import sys
 
 DEFAULT_FILTER = (
-    "BM_ExactBatch|BM_GramMatrix|BM_Cholesky|BM_MatVec|"
+    "BM_ExactBatch|BM_Cholesky|BM_MatVec|"
     "BM_LogisticGradient|BM_ObjectiveAccumulatorBuild|"
-    "BM_TrainObjectiveForFold|BM_BuildLinearObjective|BM_EigenSym"
+    "BM_TrainObjectiveForFold|BM_EigenSym"
 )
 
 # A twin instance: benchmark name, which side of the pair, then its args.
