@@ -1,7 +1,7 @@
 // E15: google-benchmark micro-benchmarks for the substrate hot paths — the
-// exact objective sum, Cholesky, the symmetric eigendecomposition
-// (Householder tridiagonalization plus implicit-shift QL), Laplace
-// sampling, full FM fits and the Newton logistic solver.
+// exact objective sum and the fold-bin pass, Cholesky, the symmetric
+// eigendecomposition (Householder tridiagonalization plus implicit-shift
+// QL), Laplace sampling, full FM fits and the Newton logistic solver.
 //
 // BM_ExactBatch is a twin: its `blocked` and `ref` instances time a
 // production kernel and its scalar Ref* oracle on the same inputs.
@@ -183,6 +183,27 @@ void BM_ObjectiveAccumulatorBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ObjectiveAccumulatorBuild)->Args({10000, 14})->Args({50000, 14});
+
+// The checked pass eval::CrossValidate runs once per repeat, at offline_cv's
+// shape: n = 60,000 logistic tuples (d = 13) into k = 5 fold bins. k = 1 is
+// the one-bin pass behind Build and every direct fit, so the pair shows
+// what sorting each chunk's rows into k bins costs.
+void BM_ObjectiveBinPass(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t k = static_cast<size_t>(state.range(1));
+  const auto ds = RandomDataset(n, 13, true, 5);
+  std::vector<size_t> fold_of_row;
+  if (k > 1) {
+    Rng rng(12);
+    fold_of_row = data::KFoldPartition(n, k, rng).FoldOfEachRow();
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::SumObjectiveBins(
+        ds, core::ObjectiveKind::kTruncatedLogistic, fold_of_row, k));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ObjectiveBinPass)->Args({60000, 1})->Args({60000, 5});
 
 // The per-fold cost after caching: global-sum-minus-test-slice touches only
 // the held-out n/k tuples. Compare against BM_ObjectiveAccumulatorBuild at

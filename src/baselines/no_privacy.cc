@@ -20,21 +20,13 @@ Result<linalg::Vector> MinimizeWithPseudoFallback(
   return linalg::SolveSymmetricPseudo(two_m, -objective.alpha);
 }
 
-// The exact objective of `train` for `task`, after the §3 check that Build
-// would otherwise abort on.
+// The exact objective of a non-empty `train` for `task`.
 Result<opt::QuadraticModel> BuildObjective(
     const data::RegressionDataset& train, data::TaskKind task) {
   if (train.size() == 0) {
     return Status::FailedPrecondition("cannot train on an empty dataset");
   }
-  if (!train.SatisfiesNormalizationContract(task)) {
-    return Status::InvalidArgument(
-        "dataset violates the §3 contract; run it through data::Normalizer "
-        "first");
-  }
-  return core::ObjectiveAccumulator::Build(train,
-                                           core::ObjectiveKindForTask(task))
-      .Global();
+  return core::CheckedObjective(train, core::ObjectiveKindForTask(task));
 }
 
 }  // namespace

@@ -47,9 +47,9 @@ class RegressionAlgorithm {
   /// True when, for `task`, Train consumes the training tuples only through
   /// the fold-decomposable quadratic objective (the §4.2 sum or the §5.3
   /// surrogate): Train is then TrainFromObjective on
-  /// core::ObjectiveAccumulator::Build(train, ObjectiveKindForTask(task))
-  /// .Global(), so eval::CrossValidate may pass an objective derived from a
-  /// cached global sum instead and get the same bits.
+  /// core::CheckedObjective(train, ObjectiveKindForTask(task)), so
+  /// eval::CrossValidate may pass a fold objective summed from its fold bins
+  /// instead and get the same bits.
   virtual bool SupportsObjectiveCache(data::TaskKind task) const {
     (void)task;
     return false;

@@ -9,14 +9,9 @@ Result<FmFitReport> FmLinearRegression::Fit(
   if (train.size() == 0) {
     return Status::FailedPrecondition("cannot fit on an empty dataset");
   }
-  if (!train.SatisfiesNormalizationContract(data::TaskKind::kLinear)) {
-    return Status::InvalidArgument(
-        "dataset violates the §3 contract (‖x‖ ≤ 1, y ∈ [−1,1]); run it "
-        "through data::Normalizer first");
-  }
-  return FitObjective(
-      ObjectiveAccumulator::Build(train, ObjectiveKind::kLinear).Global(),
-      rng);
+  FM_ASSIGN_OR_RETURN(const opt::QuadraticModel objective,
+                      CheckedObjective(train, ObjectiveKind::kLinear));
+  return FitObjective(objective, rng);
 }
 
 Result<FmFitReport> FmLinearRegression::FitObjective(

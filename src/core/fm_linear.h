@@ -26,17 +26,17 @@ class FmLinearRegression {
   explicit FmLinearRegression(const FmOptions& options) : options_(options) {}
 
   /// Runs the mechanism on `train` using randomness from `rng`: FitObjective
-  /// on core::ObjectiveAccumulator::Build(train, kLinear).Global(). The sum
-  /// is exact, so this returns the same bits as FitObjective on any exact
-  /// derivation of the same tuples' objective (a fold of a cached global
-  /// sum, say). Fails when the dataset is empty, violates the §3 contract,
-  /// or ε ≤ 0.
+  /// on core::CheckedObjective(train, kLinear). The sum is exact, so this
+  /// returns the same bits as FitObjective on any exact derivation of the
+  /// same tuples' objective (a cross-validation fold summed from fold bins,
+  /// say). Fails when the dataset is empty, violates the §3 contract, or
+  /// ε ≤ 0.
   Result<FmFitReport> Fit(const data::RegressionDataset& train,
                           Rng& rng) const;
 
-  /// Runs the mechanism on a pre-built §4.2 objective (e.g. one derived from
-  /// a core::ObjectiveAccumulator's cached global sum) instead of
-  /// re-summing the training tuples. The caller is responsible for the
+  /// Runs the mechanism on a pre-built §4.2 objective (e.g. a
+  /// cross-validation fold's, summed from fold bins) instead of re-summing
+  /// the training tuples. The caller is responsible for the
   /// objective having been built from contract-satisfying data — Δ = 2(d+1)²
   /// is only valid under ‖x‖ ≤ 1, y ∈ [−1, 1].
   Result<FmFitReport> FitObjective(const opt::QuadraticModel& objective,

@@ -10,15 +10,10 @@ Result<FmFitReport> FmLogisticRegression::Fit(
   if (train.size() == 0) {
     return Status::FailedPrecondition("cannot fit on an empty dataset");
   }
-  if (!train.SatisfiesNormalizationContract(data::TaskKind::kLogistic)) {
-    return Status::InvalidArgument(
-        "dataset violates the §3 contract (‖x‖ ≤ 1, y ∈ {0, 1} per "
-        "Definition 2); run it through data::Normalizer first");
-  }
-  return FitObjective(ObjectiveAccumulator::Build(
-                          train, ObjectiveKind::kTruncatedLogistic)
-                          .Global(),
-                      rng);
+  FM_ASSIGN_OR_RETURN(
+      const opt::QuadraticModel objective,
+      CheckedObjective(train, ObjectiveKind::kTruncatedLogistic));
+  return FitObjective(objective, rng);
 }
 
 Result<FmFitReport> FmLogisticRegression::FitObjective(

@@ -24,16 +24,16 @@ class FmLogisticRegression {
       : options_(options) {}
 
   /// Runs Algorithm 2 on `train` using randomness from `rng`: FitObjective
-  /// on core::ObjectiveAccumulator::Build(train, kTruncatedLogistic)
-  /// .Global(), so the result matches FitObjective on any exact derivation
-  /// of the same tuples' surrogate bit for bit. Fails when the dataset is
-  /// empty, violates the §3 contract, or ε ≤ 0.
+  /// on core::CheckedObjective(train, kTruncatedLogistic), so the result
+  /// matches FitObjective on any exact derivation of the same tuples'
+  /// surrogate bit for bit. Fails when the dataset is empty, violates the
+  /// §3 contract, or ε ≤ 0.
   Result<FmFitReport> Fit(const data::RegressionDataset& train,
                           Rng& rng) const;
 
   /// Runs the perturb-and-minimize tail of Algorithm 2 on a pre-built §5.3
-  /// surrogate (e.g. one derived from a core::ObjectiveAccumulator's cached
-  /// global sum). The caller is responsible for the objective having been
+  /// surrogate (e.g. a cross-validation fold's, summed from fold bins).
+  /// The caller is responsible for the objective having been
   /// built from contract-satisfying {0,1}-labeled data — Δ = d²/4 + 3d
   /// depends on it.
   Result<FmFitReport> FitObjective(const opt::QuadraticModel& objective,

@@ -96,8 +96,8 @@ struct FmFitReport {
 /// class is the reusable engine for any optimization-based analysis whose
 /// (possibly truncated) objective is a finite polynomial:
 ///
-///   opt::QuadraticModel objective =
-///       ObjectiveAccumulator::Build(train, ObjectiveKind::kLinear).Global();
+///   FM_ASSIGN_OR_RETURN(opt::QuadraticModel objective,
+///       CheckedObjective(train, ObjectiveKind::kLinear));
 ///   double delta = LinearRegressionSensitivity(train.dim());
 ///   FM_ASSIGN_OR_RETURN(FmFitReport fit,
 ///       FunctionalMechanism::FitQuadratic(objective, delta, options, rng));

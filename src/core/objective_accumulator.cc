@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "common/logging.h"
 #include "core/taylor.h"
@@ -173,35 +174,143 @@ void SumChunks(size_t num_chunks,
   for (const ExactObjectiveSum& partial : partials) sum->Add(partial);
 }
 
+ObjectiveBinPass::ObjectiveBinPass(const data::RegressionDataset& dataset,
+                                   ObjectiveKind kind,
+                                   const std::vector<size_t>& bin_of_row,
+                                   size_t num_bins, size_t max_tasks)
+    : dataset_(dataset),
+      kind_(kind),
+      bin_of_row_(bin_of_row),
+      num_bins_(num_bins) {
+  FM_CHECK(num_bins >= 1 && max_tasks >= 1);
+  FM_CHECK(bin_of_row.empty() || bin_of_row.size() == dataset.size());
+  if (dataset.y.size() != dataset.size()) return;  // Finish reports it
+  const size_t chunks =
+      (dataset.size() + kObjectiveShardRows - 1) / kObjectiveShardRows;
+  Partial zero;
+  zero.bins.assign(num_bins, ExactObjectiveSum(dataset.dim()));
+  partials_.assign(std::min(chunks, max_tasks), zero);
+}
+
+void ObjectiveBinPass::RunTask(size_t t) {
+  FM_CHECK(t < partials_.size());
+  Partial& partial = partials_[t];
+  partial.ran = true;
+  const data::TaskKind task = TaskForObjectiveKind(kind_);
+  const ObjectiveWeights weights = ObjectiveWeightsFor(kind_);
+  const size_t n = dataset_.size();
+  const double* xs[kObjectiveShardRows];
+  double ys[kObjectiveShardRows];
+  std::vector<size_t> next(num_bins_ + 1);
+  const auto bin_of = [this](size_t row) {
+    return bin_of_row_.empty() ? size_t{0} : bin_of_row_[row];
+  };
+  for (size_t begin = t * kObjectiveShardRows; begin < n;
+       begin += partials_.size() * kObjectiveShardRows) {
+    const size_t end = std::min(n, begin + kObjectiveShardRows);
+    // A counting sort of the chunk's rows by bin, so that each bin's rows
+    // reach AddTuples in one call: count, then prefix-sum into each bin's
+    // first slot.
+    std::fill(next.begin(), next.end(), 0);
+    for (size_t row = begin; row < end; ++row) {
+      // The contract bounds every term, which the fixed-point sum relies
+      // on. Checked here, in the pass that reads the row anyway.
+      Status check = data::CheckNormalizationContract(
+          dataset_.x.Row(row), dataset_.dim(), dataset_.y[row], task);
+      if (!check.ok()) {
+        partial.violation_row = row;
+        partial.violation = std::move(check);
+        return;
+      }
+      FM_CHECK(bin_of(row) < num_bins_);
+      ++next[bin_of(row) + 1];
+    }
+    for (size_t b = 0; b < num_bins_; ++b) next[b + 1] += next[b];
+    for (size_t row = begin; row < end; ++row) {
+      const size_t slot = next[bin_of(row)]++;
+      xs[slot] = dataset_.x.Row(row);
+      ys[slot] = dataset_.y[row];
+    }
+    // Each next[b] has advanced to the end of bin b's slots.
+    size_t from = 0;
+    for (size_t b = 0; b < num_bins_; ++b) {
+      partial.bins[b].AddTuples(weights, xs + from, ys + from, next[b] - from);
+      from = next[b];
+    }
+  }
+}
+
+Result<std::vector<ExactObjectiveSum>> ObjectiveBinPass::Finish() const {
+  if (dataset_.y.size() != dataset_.size()) {
+    return Status::InvalidArgument(
+        std::to_string(dataset_.y.size()) + " labels for " +
+        std::to_string(dataset_.size()) + " rows");
+  }
+  // Each task stops at its own first violation, and its chunks run in row
+  // order, so the lowest violating row over all tasks is the dataset's
+  // first.
+  const Partial* first = nullptr;
+  for (const Partial& partial : partials_) {
+    FM_CHECK(partial.ran);
+    if (!partial.violation.ok() &&
+        (first == nullptr || partial.violation_row < first->violation_row)) {
+      first = &partial;
+    }
+  }
+  if (first != nullptr) {
+    return Status::InvalidArgument("row " +
+                                   std::to_string(first->violation_row) +
+                                   ": " + first->violation.message());
+  }
+  std::vector<ExactObjectiveSum> bins(num_bins_,
+                                      ExactObjectiveSum(dataset_.dim()));
+  for (const Partial& partial : partials_) {
+    for (size_t b = 0; b < num_bins_; ++b) bins[b].Add(partial.bins[b]);
+  }
+  return bins;
+}
+
+Result<std::vector<ExactObjectiveSum>> SumObjectiveBins(
+    const data::RegressionDataset& dataset, ObjectiveKind kind,
+    const std::vector<size_t>& bin_of_row, size_t num_bins,
+    exec::ThreadPool* pool) {
+  exec::ThreadPool& workers =
+      pool != nullptr ? *pool : exec::ThreadPool::Global();
+  ObjectiveBinPass pass(dataset, kind, bin_of_row, num_bins,
+                        workers.num_threads());
+  exec::ParallelFor(
+      pass.tasks(), [&](size_t t) { pass.RunTask(t); }, workers);
+  return pass.Finish();
+}
+
+opt::QuadraticModel TrainObjectiveFromBins(
+    const std::vector<ExactObjectiveSum>& bins, size_t fold) {
+  FM_CHECK(fold < bins.size());
+  ExactObjectiveSum train(bins[fold].dim());
+  for (size_t g = 0; g < bins.size(); ++g) {
+    if (g != fold) train.Add(bins[g]);
+  }
+  return train.Round();
+}
+
+Result<opt::QuadraticModel> CheckedObjective(
+    const data::RegressionDataset& dataset, ObjectiveKind kind,
+    exec::ThreadPool* pool) {
+  FM_ASSIGN_OR_RETURN(const std::vector<ExactObjectiveSum> sums,
+                      SumObjectiveBins(dataset, kind, {}, 1, pool));
+  return sums[0].Round();
+}
+
 ObjectiveAccumulator ObjectiveAccumulator::Build(
     const data::RegressionDataset& dataset, ObjectiveKind kind,
     exec::ThreadPool* pool) {
-  FM_CHECK(dataset.y.size() == dataset.size());
-  const data::TaskKind task = TaskForObjectiveKind(kind);
-  const ObjectiveWeights weights = ObjectiveWeightsFor(kind);
+  Result<std::vector<ExactObjectiveSum>> checked =
+      SumObjectiveBins(dataset, kind, {}, 1, pool);
+  FM_CHECK(checked.ok());
   ObjectiveAccumulator acc;
   acc.dataset_ = &dataset;
   acc.kind_ = kind;
-  acc.sum_ = ExactObjectiveSum(dataset.dim());
-  const size_t n = dataset.size();
-  SumChunks(
-      (n + kObjectiveShardRows - 1) / kObjectiveShardRows,
-      [&](size_t c, ExactObjectiveSum* partial) {
-        const size_t begin = c * kObjectiveShardRows;
-        const size_t end = std::min(n, begin + kObjectiveShardRows);
-        const double* xs[kObjectiveShardRows];
-        for (size_t row = begin; row < end; ++row) {
-          xs[row - begin] = dataset.x.Row(row);
-          // The contract bounds every term, which the fixed-point sum
-          // relies on. Checked here, in the pass that reads the row anyway.
-          FM_CHECK(data::CheckNormalizationContract(
-                       xs[row - begin], dataset.dim(), dataset.y[row], task)
-                       .ok());
-        }
-        partial->AddTuples(weights, xs, dataset.y.raw() + begin,
-                           end - begin);
-      },
-      &acc.sum_, pool);
+  acc.sum_ = std::move(checked.ValueOrDie()[0]);
   return acc;
 }
 

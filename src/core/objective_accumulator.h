@@ -5,6 +5,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/result.h"
 #include "data/dataset.h"
 #include "data/normalizer.h"
 #include "opt/quadratic_model.h"
@@ -134,28 +135,90 @@ void SumChunks(size_t num_chunks,
                const std::function<void(size_t, ExactObjectiveSum*)>& fill,
                ExactObjectiveSum* sum, exec::ThreadPool* pool);
 
-/// Fold-decomposable objective cache — the algorithmic core of the k-fold
-/// speedup. Both regression objectives are plain sums of per-tuple quadratic
-/// contributions (§4.2, §5.3), so a fold's training objective is the
-/// dataset-global sum minus the held-out tuples' contribution:
+/// The checked k-bin sum — the one pass every objective in the library is
+/// summed by. It reads a dataset's rows in row order, checks each row's §3
+/// contract (data::CheckNormalizationContract), and adds the row's
+/// contribution under `kind` into bin bin_of_row[r], or into bin 0 when
+/// bin_of_row is empty. Both regression objectives are plain sums over
+/// tuples (§4.2, §5.3), so with one bin per cross-validation fold, fold f's
+/// training objective is Σ_{g≠f} bin_g: O(k · d²) per fold after one
+/// O(n · d²) pass per repeat, and bit-identical to a fresh sum over the
+/// fold's training rows, because every sum is exact.
 ///
-///   f_train(ω) = f_D(ω) − f_test(ω).
-///
-/// Build sums every tuple once, in parallel chunks of kObjectiveShardRows
-/// rows, into one ExactObjectiveSum. Each fold's training objective is then
-/// derived in O(|test| · d²) instead of O(|train| · d²): over a k-fold
-/// repeat that turns (k−1)·n tuple visits into n, and the global pass is
-/// shared by all repeats. The subtraction is exact, so a derived training
-/// objective is bit-identical to a fresh build over the training tuples,
-/// for every thread count.
+/// The rows are cut into chunks of kObjectiveShardRows and dealt
+/// round-robin to tasks(): task t sums chunks t, t + tasks(), … into
+/// partial bins of its own, in increasing row order, and stops at its
+/// first violating row. The caller runs each task once, on any thread
+/// (SumObjectiveBins runs them on a pool), then calls Finish. The bins do
+/// not depend on the task count or on which thread ran which task.
+class ObjectiveBinPass {
+ public:
+  /// A pass of at most max_tasks ≥ 1 tasks. bin_of_row must be empty or
+  /// hold one bin below num_bins per row (checked). The dataset and
+  /// bin_of_row must outlive the pass.
+  ObjectiveBinPass(const data::RegressionDataset& dataset, ObjectiveKind kind,
+                   const std::vector<size_t>& bin_of_row, size_t num_bins,
+                   size_t max_tasks);
+
+  size_t tasks() const { return partials_.size(); }
+
+  /// Runs task t < tasks(). Distinct tasks may run concurrently.
+  void RunTask(size_t t);
+
+  /// Once every task has run: the num_bins sums. InvalidArgument when y
+  /// does not hold one label per row, or naming the dataset's first row
+  /// that violates the §3 contract — the same row for every task count.
+  Result<std::vector<ExactObjectiveSum>> Finish() const;
+
+ private:
+  struct Partial {
+    std::vector<ExactObjectiveSum> bins;
+    bool ran = false;
+    size_t violation_row = 0;  // meaningful when !violation.ok()
+    Status violation;
+  };
+
+  const data::RegressionDataset& dataset_;
+  ObjectiveKind kind_;
+  const std::vector<size_t>& bin_of_row_;
+  size_t num_bins_;
+  std::vector<Partial> partials_;  // one per task
+};
+
+/// Runs every task of an ObjectiveBinPass on `pool` (nullptr → the global
+/// FM_THREADS pool) and returns its Finish().
+Result<std::vector<ExactObjectiveSum>> SumObjectiveBins(
+    const data::RegressionDataset& dataset, ObjectiveKind kind,
+    const std::vector<size_t>& bin_of_row, size_t num_bins,
+    exec::ThreadPool* pool = nullptr);
+
+/// Fold `fold`'s training objective from one bin per fold: Σ_{g≠fold}
+/// bins[g], rounded once per coefficient. O(k · d²).
+opt::QuadraticModel TrainObjectiveFromBins(
+    const std::vector<ExactObjectiveSum>& bins, size_t fold);
+
+/// The objective of all of `dataset`'s tuples: the one-bin pass, rounded
+/// once per coefficient. This is how every direct fit builds its objective,
+/// so a fit on a dataset and a fit on a fold summed from bins see the same
+/// bits. InvalidArgument as ObjectiveBinPass::Finish.
+Result<opt::QuadraticModel> CheckedObjective(
+    const data::RegressionDataset& dataset, ObjectiveKind kind,
+    exec::ThreadPool* pool = nullptr);
+
+/// A dataset's global objective sum, kept to derive fold objectives by
+/// subtraction: a fold's training objective is the global sum minus its
+/// held-out tuples' contribution, f_train(ω) = f_D(ω) − f_test(ω), exactly.
+/// eval::CrossValidate sums fold bins instead (ObjectiveBinPass), which
+/// reads each tuple once per repeat rather than the test slices a second
+/// time; the two give the same bits.
 ///
 /// The accumulator keeps a pointer to the dataset it was built from (to read
 /// test-slice tuples); the dataset must outlive it.
 class ObjectiveAccumulator {
  public:
   /// Sums all tuple contributions of `dataset` on `pool` (nullptr → the
-  /// global FM_THREADS pool). O(n · d²), one pass. The dataset must satisfy
-  /// the §3 normalization contract (checked; aborts otherwise).
+  /// global FM_THREADS pool): the one-bin pass, O(n · d²). The dataset must
+  /// satisfy the §3 normalization contract (checked; aborts otherwise).
   static ObjectiveAccumulator Build(const data::RegressionDataset& dataset,
                                     ObjectiveKind kind,
                                     exec::ThreadPool* pool = nullptr);
@@ -166,10 +229,7 @@ class ObjectiveAccumulator {
   /// Number of tuples accumulated.
   size_t size() const { return dataset_ == nullptr ? 0 : dataset_->size(); }
 
-  /// The rounded dataset-global objective: the exact sum, rounded once per
-  /// coefficient. This is how every fit in the library builds its
-  /// objective, so a fit on a dataset and a fit on a fold derived from a
-  /// larger dataset's sum see the same bits.
+  /// The rounded dataset-global objective: CheckedObjective's bits.
   opt::QuadraticModel Global() const;
 
   /// The training objective of the fold whose held-out (test) tuples are

@@ -13,11 +13,10 @@ namespace {
 // Slack on the §3 bounds for the round-off of normalization itself.
 constexpr double kContractTolerance = 1e-9;
 
-// The §3 rule: nullptr when the tuple satisfies the contract, otherwise the
-// message naming the first clause it violates. Returning a literal keeps
-// Status construction out of SatisfiesNormalizationContract's per-row loop.
-inline const char* ContractViolation(const double* x, size_t dim, double y,
-                                     TaskKind task) {
+}  // namespace
+
+Status CheckNormalizationContract(const double* x, size_t dim, double y,
+                                  TaskKind task) {
   double norm_sq = 0.0;
   for (size_t j = 0; j < dim; ++j) norm_sq += x[j] * x[j];
   // A non-finite feature makes norm_sq ∞ or NaN, which fails the negated
@@ -25,36 +24,34 @@ inline const char* ContractViolation(const double* x, size_t dim, double y,
   // the message.
   if (!(norm_sq <= (1.0 + kContractTolerance) * (1.0 + kContractTolerance))) {
     for (size_t j = 0; j < dim; ++j) {
-      if (!std::isfinite(x[j])) return "feature values must be finite";
+      if (!std::isfinite(x[j])) {
+        return Status::InvalidArgument("feature values must be finite");
+      }
     }
-    return "‖x‖₂ > 1 violates the §3 normalization contract; run tuples "
-           "through data::Normalizer first";
+    return Status::InvalidArgument(
+        "‖x‖₂ > 1 violates the §3 normalization contract; run tuples "
+        "through data::Normalizer first");
   }
-  if (!std::isfinite(y)) return "label must be finite";
+  if (!std::isfinite(y)) return Status::InvalidArgument("label must be finite");
   switch (task) {
     case TaskKind::kLinear:
       if (y < -1.0 - kContractTolerance || y > 1.0 + kContractTolerance) {
-        return "linear-task label outside [−1, 1] violates the §3 contract";
+        return Status::InvalidArgument(
+            "linear-task label outside [−1, 1] violates the §3 contract");
       }
       break;
     case TaskKind::kLogistic:
-      if (y != 0.0 && y != 1.0) return "logistic-task label must be 0 or 1";
+      if (y != 0.0 && y != 1.0) {
+        return Status::InvalidArgument("logistic-task label must be 0 or 1");
+      }
       break;
   }
-  return nullptr;
-}
-
-}  // namespace
-
-Status CheckNormalizationContract(const double* x, size_t dim, double y,
-                                  TaskKind task) {
-  const char* violation = ContractViolation(x, dim, y, task);
-  return violation == nullptr ? Status::OK()
-                              : Status::InvalidArgument(violation);
+  return Status::OK();
 }
 
 RegressionDataset RegressionDataset::Select(
     const std::vector<size_t>& rows) const {
+  FM_CHECK(y.size() == x.rows());
   RegressionDataset out;
   out.x = linalg::Matrix(rows.size(), x.cols());
   out.y = linalg::Vector(rows.size());
@@ -77,33 +74,42 @@ RegressionDataset RegressionDataset::Sample(double rate, Rng& rng) const {
   return Select(order);
 }
 
-bool RegressionDataset::SatisfiesNormalizationContract(TaskKind task) const {
-  if (y.size() != x.rows()) return false;
-  for (size_t i = 0; i < x.rows(); ++i) {
-    if (ContractViolation(x.Row(i), x.cols(), y[i], task) != nullptr) {
-      return false;
-    }
+KFoldPartition::KFoldPartition(size_t n, size_t k, Rng& rng)
+    : folds_(k), order_(n) {
+  FM_CHECK(k >= 2 && k <= n);
+  std::iota(order_.begin(), order_.end(), 0);
+  rng.Shuffle(order_);
+}
+
+std::vector<size_t> KFoldPartition::TestRows(size_t fold) const {
+  FM_CHECK(fold < folds_);
+  return std::vector<size_t>(order_.begin() + Begin(fold),
+                             order_.begin() + Begin(fold + 1));
+}
+
+std::vector<size_t> KFoldPartition::TrainRows(size_t fold) const {
+  FM_CHECK(fold < folds_);
+  std::vector<size_t> rows;
+  rows.reserve(order_.size() - (Begin(fold + 1) - Begin(fold)));
+  rows.insert(rows.end(), order_.begin(), order_.begin() + Begin(fold));
+  rows.insert(rows.end(), order_.begin() + Begin(fold + 1), order_.end());
+  return rows;
+}
+
+std::vector<size_t> KFoldPartition::FoldOfEachRow() const {
+  std::vector<size_t> fold_of(order_.size());
+  for (size_t f = 0; f < folds_; ++f) {
+    for (size_t p = Begin(f); p < Begin(f + 1); ++p) fold_of[order_[p]] = f;
   }
-  return true;
+  return fold_of;
 }
 
 std::vector<Split> KFoldSplits(size_t n, size_t k, Rng& rng) {
-  FM_CHECK(k >= 2 && k <= n);
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  rng.Shuffle(order);
-
-  // Fold f owns the contiguous chunk [f*n/k, (f+1)*n/k) of the shuffled
-  // order, so fold sizes differ by at most one.
+  const KFoldPartition partition(n, k, rng);
   std::vector<Split> splits(k);
   for (size_t f = 0; f < k; ++f) {
-    const size_t begin = f * n / k;
-    const size_t end = (f + 1) * n / k;
-    auto& split = splits[f];
-    split.test.assign(order.begin() + begin, order.begin() + end);
-    split.train.reserve(n - (end - begin));
-    split.train.insert(split.train.end(), order.begin(), order.begin() + begin);
-    split.train.insert(split.train.end(), order.begin() + end, order.end());
+    splits[f].test = partition.TestRows(f);
+    splits[f].train = partition.TrainRows(f);
   }
   return splits;
 }

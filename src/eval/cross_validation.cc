@@ -2,7 +2,7 @@
 
 #include <cmath>
 #include <limits>
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -33,6 +33,11 @@ Result<CvResult> CrossValidate(const baselines::RegressionAlgorithm& algorithm,
   if (options.folds < 2) {
     return Status::InvalidArgument("cross-validation needs >= 2 folds");
   }
+  if (dataset.y.size() != dataset.size()) {
+    return Status::InvalidArgument(
+        std::to_string(dataset.y.size()) + " labels for " +
+        std::to_string(dataset.size()) + " rows");
+  }
   if (dataset.size() < options.folds) {
     return Status::FailedPrecondition("dataset smaller than fold count");
   }
@@ -45,65 +50,85 @@ Result<CvResult> CrossValidate(const baselines::RegressionAlgorithm& algorithm,
 
   // One task per (repeat, fold), each with its own RNG substream keyed by
   // the flat task index, so any interleaving of tasks across threads
-  // produces the same models. Each task re-derives its repeat's fold
-  // assignment (an O(n) shuffle, dwarfed by training) instead of holding
-  // all repeats × folds index vectors in memory at once.
+  // produces the same models. Repeats run one after another, each holding
+  // only its own fold assignment: one shuffle, O(n) indices, whatever the
+  // repeat count.
+  const size_t folds = options.folds;
   const uint64_t train_root = DeriveSeed(options.seed, 1);
   exec::ThreadPool& pool =
       options.pool != nullptr ? *options.pool : exec::ThreadPool::Global();
+  const core::ObjectiveKind kind = core::ObjectiveKindForTask(task);
 
-  // Fold-objective cache: one parallel pass over the dataset's tuples, after
-  // which every (repeat, fold) task derives its training objective as
-  // global-sum-minus-test-slice in O(|test| · d²) instead of re-summing its
-  // (k−1)/k·n training tuples. Shared by all repeats — the global sum does
-  // not depend on the fold partition. Both paths sum exactly and round
-  // once, so a derived fold objective has the bits a direct Train builds.
-  // The cache path skips the per-fold §3 validation, so it is taken only
-  // when the whole dataset passes it. The check is row-wise, so a violating
-  // dataset takes the direct path, where the per-fold failures surface.
-  std::optional<core::ObjectiveAccumulator> cache;
-  if (options.use_objective_cache && algorithm.SupportsObjectiveCache(task) &&
-      dataset.SatisfiesNormalizationContract(task)) {
-    cache.emplace(core::ObjectiveAccumulator::Build(
-        dataset, core::ObjectiveKindForTask(task), &pool));
-  }
+  // Fold bins: one parallel pass per repeat sums each fold's tuples into
+  // its own exact bin, and fold f trains on Σ_{g≠f} bin_g. The sums are
+  // exact, so a fold objective has the bits a direct Train builds from the
+  // materialized training rows. The pass checks the §3 contract as it reads
+  // each row; a violating dataset sends the call to the direct path, where
+  // each fold's Train reports its own failure.
+  bool use_bins =
+      options.use_objective_cache && algorithm.SupportsObjectiveCache(task);
+  std::vector<FoldOutcome> outcomes;
+  for (size_t repeat = 0; repeat < options.repeats; ++repeat) {
+    Rng fold_rng(DeriveSeed(options.seed, repeat * 2));
+    const data::KFoldPartition partition(dataset.size(), folds, fold_rng);
+    std::vector<core::ExactObjectiveSum> bins;
+    // The pass's thread CPU time, summed over its tasks; each fold is
+    // charged 1/k of it.
+    double pass_seconds = 0.0;
+    if (use_bins) {
+      const std::vector<size_t> fold_of_row = partition.FoldOfEachRow();
+      core::ObjectiveBinPass pass(dataset, kind, fold_of_row, folds,
+                                  pool.num_threads());
+      std::vector<double> task_seconds(pass.tasks());
+      exec::ParallelFor(
+          pass.tasks(),
+          [&](size_t t) {
+            ThreadCpuStopwatch watch;
+            pass.RunTask(t);
+            task_seconds[t] = watch.Seconds();
+          },
+          pool);
+      for (const double seconds : task_seconds) pass_seconds += seconds;
+      Result<std::vector<core::ExactObjectiveSum>> summed = pass.Finish();
+      use_bins = summed.ok();
+      if (use_bins) bins = std::move(summed).ValueOrDie();
+    }
 
-  const auto outcomes = exec::ParallelMap(
-      options.repeats * options.folds,
-      [&](size_t task_id) {
-        const size_t repeat = task_id / options.folds;
-        const size_t fold = task_id % options.folds;
-        Rng fold_rng(DeriveSeed(options.seed, repeat * 2));
-        const data::Split split = std::move(
-            data::KFoldSplits(dataset.size(), options.folds, fold_rng)[fold]);
-
-        FoldOutcome outcome;
-        Rng train_rng(Rng::Fork(train_root, task_id));
-        // The direct path materializes its fold matrix outside the timed
-        // region — the figs 7–9 columns measure training.
-        data::RegressionDataset train;
-        if (!cache.has_value()) train = dataset.Select(split.train);
-        // Thread CPU time, not wall-clock: folds train concurrently, and
-        // wall-clock would charge each fold for its siblings' contention.
-        // On the cache path the objective derivation is part of the cost.
-        ThreadCpuStopwatch watch;
-        const Result<baselines::TrainedModel> trained =
-            cache.has_value()
-                ? algorithm.TrainFromObjective(
-                      cache->TrainObjectiveForFold(split.test), task, train_rng)
-                : algorithm.Train(train, task, train_rng);
-        outcome.seconds = watch.Seconds();
-        if (!trained.ok()) {
-          outcome.status = trained.status();
+    std::vector<FoldOutcome> repeat_outcomes = exec::ParallelMap(
+        folds,
+        [&](size_t fold) {
+          FoldOutcome outcome;
+          Rng train_rng(Rng::Fork(train_root, repeat * folds + fold));
+          // The direct path materializes its fold matrix outside the timed
+          // region — the figs 7–9 columns measure training.
+          data::RegressionDataset train;
+          if (!use_bins) train = dataset.Select(partition.TrainRows(fold));
+          // Thread CPU time, not wall-clock: folds train concurrently, and
+          // wall-clock would charge each fold for its siblings' contention.
+          ThreadCpuStopwatch watch;
+          const Result<baselines::TrainedModel> trained =
+              use_bins ? algorithm.TrainFromObjective(
+                             core::TrainObjectiveFromBins(bins, fold), task,
+                             train_rng)
+                       : algorithm.Train(train, task, train_rng);
+          outcome.seconds =
+              watch.Seconds() + pass_seconds / static_cast<double>(folds);
+          if (!trained.ok()) {
+            outcome.status = trained.status();
+            return outcome;
+          }
+          // Index-based test view, in shuffled order; bit-identical to
+          // materializing the fold.
+          outcome.ok = true;
+          outcome.error = TaskError(task, trained.ValueOrDie().omega, dataset,
+                                    partition.TestRows(fold));
           return outcome;
-        }
-        // Index-based test view; bit-identical to materializing the fold.
-        outcome.ok = true;
-        outcome.error =
-            TaskError(task, trained.ValueOrDie().omega, dataset, split.test);
-        return outcome;
-      },
-      pool);
+        },
+        pool);
+    for (FoldOutcome& outcome : repeat_outcomes) {
+      outcomes.push_back(std::move(outcome));
+    }
+  }
 
   CvResult result;
   double sum = 0.0;

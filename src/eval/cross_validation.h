@@ -28,12 +28,12 @@ struct CvOptions {
   exec::ThreadPool* pool = nullptr;
   /// When true (the default), algorithms that consume training tuples only
   /// through the fold-decomposable quadratic objective (FM, Truncated,
-  /// linear NoPrivacy) are trained from a core::ObjectiveAccumulator:
-  /// per-tuple contributions are summed once for the whole dataset and each
-  /// fold's training objective is the global sum minus its held-out slice,
-  /// instead of k re-summations per repeat. A pure speed switch: both paths
-  /// sum exactly and round once, so the result is bit-identical either way,
-  /// and across thread counts.
+  /// linear NoPrivacy) are trained from fold bins: one parallel pass per
+  /// repeat sums each fold's tuples into its own exact bin
+  /// (core::ObjectiveBinPass), and fold f trains on Σ_{g≠f} bin_g, instead
+  /// of k re-summations of the training rows per repeat. A pure speed
+  /// switch: both paths sum exactly and round once, so the result is
+  /// bit-identical either way, and across thread counts.
   bool use_objective_cache = true;
 };
 
@@ -45,7 +45,8 @@ struct CvResult {
   double stddev_error = 0.0;
   /// Mean training time per fold, seconds (§7.4's metric), measured on the
   /// training thread's CPU clock so concurrent folds don't inflate each
-  /// other's readings.
+  /// other's readings. With fold bins, each fold is also charged 1/k of its
+  /// repeat's bin pass (thread CPU time summed over the pass's tasks).
   double mean_train_seconds = 0.0;
   /// folds × repeats that produced a model.
   size_t evaluations = 0;
@@ -53,14 +54,15 @@ struct CvResult {
   size_t failures = 0;
 };
 
-/// Runs `algorithm` through repeated k-fold cross-validation on `dataset`,
-/// training the folds × repeats tasks concurrently on options.pool (or the
-/// global pool). Per-task randomness (fold assignment and mechanism noise)
-/// is derived deterministically from options.seed via per-task substreams,
-/// so the statistics are bit-identical regardless of thread count.
-/// Individual Train failures are tolerated and counted; the call fails only
-/// when every fold fails, the dataset is too small for the requested fold
-/// count, or repeats × folds overflows.
+/// Runs `algorithm` through repeated k-fold cross-validation on `dataset`.
+/// Repeats run in order; each shuffles the rows once (data::KFoldPartition)
+/// and trains its k folds concurrently on options.pool (or the global pool).
+/// Randomness (fold assignment per repeat, mechanism noise per fold) is
+/// derived deterministically from options.seed via substreams, so the
+/// statistics are bit-identical regardless of thread count. Individual
+/// Train failures are tolerated and counted; the call fails only when every
+/// fold fails, y does not hold one label per row, the dataset is too small
+/// for the requested fold count, or repeats × folds overflows.
 Result<CvResult> CrossValidate(const baselines::RegressionAlgorithm& algorithm,
                                const data::RegressionDataset& dataset,
                                data::TaskKind task, const CvOptions& options);

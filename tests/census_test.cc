@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/objective_accumulator.h"
 #include "data/census_generator.h"
 #include "data/normalizer.h"
 
@@ -139,7 +140,7 @@ TEST(CensusGeneratorTest, NormalizesCleanly) {
         t, features, CensusGenerator::LabelColumn(), options);
     ASSERT_TRUE(norm.ok());
     const auto ds = norm.ValueOrDie().Apply(t).ValueOrDie();
-    EXPECT_TRUE(ds.SatisfiesNormalizationContract(TaskKind::kLinear));
+    EXPECT_TRUE(core::CheckedObjective(ds, core::ObjectiveKind::kLinear).ok());
     EXPECT_EQ(ds.dim(), static_cast<size_t>(dims - 1));
   }
 }

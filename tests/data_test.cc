@@ -8,6 +8,7 @@
 #include "baselines/no_privacy.h"
 #include "common/rng.h"
 #include "core/fm_linear.h"
+#include "core/objective_accumulator.h"
 #include "data/csv.h"
 #include "data/dataset.h"
 #include "data/normalizer.h"
@@ -16,6 +17,13 @@
 
 namespace fm::data {
 namespace {
+
+// The dataset-level §3 verdict: the checked objective sum every fit and the
+// cross-validation fold bins run, which checks each row with
+// CheckNormalizationContract.
+bool PassesContract(const RegressionDataset& ds, TaskKind task) {
+  return core::CheckedObjective(ds, core::ObjectiveKindForTask(task)).ok();
+}
 
 Table MakeSmallTable() {
   auto table = Table::Create({"a", "b", "y"}).ValueOrDie();
@@ -121,6 +129,13 @@ TEST(DatasetTest, SelectPreservesRows) {
   EXPECT_DOUBLE_EQ(sub.x(1, 2), ds.x(2, 2));
 }
 
+TEST(DatasetDeathTest, SelectAbortsOnALabelVectorOfTheWrongLength) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  RegressionDataset ds = MakeDataset(10, 3, 1);
+  ds.y = linalg::Vector(5);
+  EXPECT_DEATH(ds.Select({7, 2}), "FM_CHECK failed");
+}
+
 TEST(DatasetTest, SampleRespectsRate) {
   const RegressionDataset ds = MakeDataset(100, 2, 2);
   Rng rng(3);
@@ -132,12 +147,30 @@ TEST(DatasetTest, SampleRespectsRate) {
 
 TEST(DatasetTest, NormalizationContract) {
   RegressionDataset ds = MakeDataset(20, 4, 4);
-  EXPECT_TRUE(ds.SatisfiesNormalizationContract(TaskKind::kLinear));
+  EXPECT_TRUE(PassesContract(ds, TaskKind::kLinear));
+  const auto check_row = [&ds](size_t i, TaskKind task) {
+    return CheckNormalizationContract(ds.x.Row(i), ds.dim(), ds.y[i], task);
+  };
   ds.y[0] = 2.0;
-  EXPECT_FALSE(ds.SatisfiesNormalizationContract(TaskKind::kLinear));
+  EXPECT_EQ(check_row(0, TaskKind::kLinear).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(PassesContract(ds, TaskKind::kLinear));
+  ds.y[0] = 0.0;
+  EXPECT_TRUE(check_row(0, TaskKind::kLinear).ok());
+  EXPECT_TRUE(check_row(0, TaskKind::kLogistic).ok());
+  ds.y[0] = 0.5;  // inside [−1, 1], but not a class label
+  EXPECT_TRUE(check_row(0, TaskKind::kLinear).ok());
+  EXPECT_EQ(check_row(0, TaskKind::kLogistic).code(),
+            StatusCode::kInvalidArgument);
   ds.y[0] = 0.0;
   ds.x(0, 0) = 5.0;
-  EXPECT_FALSE(ds.SatisfiesNormalizationContract(TaskKind::kLinear));
+  EXPECT_EQ(check_row(0, TaskKind::kLinear).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(PassesContract(ds, TaskKind::kLinear));
+  // A label vector of the wrong length fails the dataset check.
+  RegressionDataset short_labels = MakeDataset(20, 4, 4);
+  short_labels.y = linalg::Vector(19);
+  EXPECT_FALSE(PassesContract(short_labels, TaskKind::kLinear));
 }
 
 TEST(DatasetTest, NormalizationContractRejectsNonFiniteValues) {
@@ -148,12 +181,10 @@ TEST(DatasetTest, NormalizationContractRejectsNonFiniteValues) {
   for (const double bad : {nan, inf, -inf}) {
     RegressionDataset feature = MakeDataset(20, 4, 4);
     feature.x(3, 1) = bad;
-    EXPECT_FALSE(feature.SatisfiesNormalizationContract(TaskKind::kLinear))
-        << bad;
+    EXPECT_FALSE(PassesContract(feature, TaskKind::kLinear)) << bad;
     RegressionDataset label = MakeDataset(20, 4, 4);
     label.y[5] = bad;
-    EXPECT_FALSE(label.SatisfiesNormalizationContract(TaskKind::kLinear))
-        << bad;
+    EXPECT_FALSE(PassesContract(label, TaskKind::kLinear)) << bad;
   }
 }
 
@@ -169,7 +200,7 @@ TEST(DatasetTest, BoundaryTupleGetsOneContractVerdictEverywhere) {
   ds.y = linalg::Vector(1);
   ds.y[0] = 0.5;
 
-  EXPECT_FALSE(ds.SatisfiesNormalizationContract(TaskKind::kLinear));
+  EXPECT_FALSE(PassesContract(ds, TaskKind::kLinear));
   Rng rng(7);
   EXPECT_EQ(core::FmLinearRegression(core::FmOptions{})
                 .Fit(ds, rng)
@@ -217,6 +248,26 @@ TEST(KFoldTest, TrainAndTestDisjoint) {
   }
 }
 
+TEST(KFoldTest, PartitionIsTheSplitsAndFoldOfEachRowInvertsIt) {
+  // KFoldSplits is one KFoldPartition drawn from the same stream, and
+  // FoldOfEachRow names, for every row, the fold whose TestRows hold it.
+  for (const size_t n : {23u, 100u}) {
+    Rng split_rng(11);
+    Rng partition_rng(11);
+    const auto splits = KFoldSplits(n, 5, split_rng);
+    const KFoldPartition partition(n, 5, partition_rng);
+    const std::vector<size_t> fold_of = partition.FoldOfEachRow();
+    ASSERT_EQ(fold_of.size(), n);
+    for (size_t f = 0; f < 5; ++f) {
+      EXPECT_EQ(partition.TestRows(f), splits[f].test);
+      EXPECT_EQ(partition.TrainRows(f), splits[f].train);
+      for (const size_t row : splits[f].test) EXPECT_EQ(fold_of[row], f);
+    }
+    // Both consumed the stream identically.
+    EXPECT_EQ(split_rng.Next(), partition_rng.Next());
+  }
+}
+
 TEST(NormalizerTest, FeaturesLandInUnitSphere) {
   Table t = Table::Create({"x1", "x2", "y"}).ValueOrDie();
   Rng rng(8);
@@ -230,8 +281,7 @@ TEST(NormalizerTest, FeaturesLandInUnitSphere) {
   ASSERT_TRUE(norm.ok());
   const auto ds = norm.ValueOrDie().Apply(t);
   ASSERT_TRUE(ds.ok());
-  EXPECT_TRUE(
-      ds.ValueOrDie().SatisfiesNormalizationContract(TaskKind::kLinear));
+  EXPECT_TRUE(PassesContract(ds.ValueOrDie(), TaskKind::kLinear));
 }
 
 TEST(NormalizerTest, LinearLabelSpansMinusOneToOne) {
@@ -294,7 +344,7 @@ TEST(NormalizerTest, ClampsUnseenOutOfRangeValues) {
   wild.AppendRow({-100.0, -7.0});
   wild.AppendRow({1000.0, 7.0});
   const auto ds = norm.ValueOrDie().Apply(wild).ValueOrDie();
-  EXPECT_TRUE(ds.SatisfiesNormalizationContract(TaskKind::kLinear));
+  EXPECT_TRUE(PassesContract(ds, TaskKind::kLinear));
 }
 
 TEST(NormalizerTest, ConstantFeatureMapsToZero) {
@@ -324,7 +374,7 @@ TEST(NormalizerTest, InterceptExtensionAddsConstantCoordinate) {
   ASSERT_TRUE(norm.ok());
   const auto ds = norm.ValueOrDie().Apply(t).ValueOrDie();
   EXPECT_EQ(ds.dim(), 3u);
-  EXPECT_TRUE(ds.SatisfiesNormalizationContract(TaskKind::kLinear));
+  EXPECT_TRUE(PassesContract(ds, TaskKind::kLinear));
   const double expected = 1.0 / std::sqrt(3.0);
   for (size_t i = 0; i < ds.size(); ++i) {
     ASSERT_DOUBLE_EQ(ds.x(i, 2), expected);

@@ -6,6 +6,7 @@
 #include "baselines/fm_algorithm.h"
 #include "baselines/no_privacy.h"
 #include "common/rng.h"
+#include "core/objective_accumulator.h"
 #include "eval/cross_validation.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
@@ -220,6 +221,36 @@ TEST(CrossValidationTest, RejectsARepeatCountWhoseTaskCountOverflows) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(CrossValidationTest, RejectsALabelVectorOfTheWrongLength) {
+  // 200 rows and 100 labels: both the direct path (which copies the
+  // training rows with Select) and the fold bins would read past the labels.
+  Rng rng(51);
+  data::RegressionDataset ds;
+  ds.x = linalg::Matrix(200, 3);
+  for (size_t i = 0; i < ds.size(); ++i) {
+    for (size_t j = 0; j < 3; ++j) ds.x(i, j) = rng.Uniform(0.0, 0.5);
+  }
+  ds.y = linalg::Vector(100);
+  core::FmOptions fm_options;
+  fm_options.epsilon = 0.8;
+  const baselines::FmAlgorithm fm(fm_options);
+  const baselines::NoPrivacy no_privacy;
+  CvOptions options;
+  options.repeats = 1;
+  for (const bool use_cache : {true, false}) {
+    options.use_objective_cache = use_cache;
+    EXPECT_EQ(CrossValidate(no_privacy, ds, data::TaskKind::kLogistic, options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "cache=" << use_cache;
+    EXPECT_EQ(
+        CrossValidate(fm, ds, data::TaskKind::kLinear, options).status().code(),
+        StatusCode::kInvalidArgument)
+        << "cache=" << use_cache;
+  }
+}
+
 TEST(ExperimentTest, LoadCensusDatasetsScalesCardinality) {
   const auto bundles = LoadCensusDatasets(0.01, 99);
   ASSERT_TRUE(bundles.ok()) << bundles.status();
@@ -238,7 +269,9 @@ TEST(ExperimentTest, PrepareTaskBuildsContractSatisfyingDatasets) {
     for (auto task : {data::TaskKind::kLinear, data::TaskKind::kLogistic}) {
       const auto ds = PrepareTask(bundles[0].table, dims, task);
       ASSERT_TRUE(ds.ok()) << ds.status();
-      EXPECT_TRUE(ds.ValueOrDie().SatisfiesNormalizationContract(task));
+      EXPECT_TRUE(core::CheckedObjective(ds.ValueOrDie(),
+                                         core::ObjectiveKindForTask(task))
+                      .ok());
       EXPECT_EQ(ds.ValueOrDie().dim(), static_cast<size_t>(dims - 1));
     }
   }

@@ -11,6 +11,7 @@
 #include "baselines/fm_algorithm.h"
 #include "baselines/no_privacy.h"
 #include "common/rng.h"
+#include "core/objective_accumulator.h"
 #include "data/census_generator.h"
 #include "eval/cross_validation.h"
 #include "eval/experiment.h"
@@ -144,8 +145,9 @@ TEST_F(IntegrationTest, SamplingRateSweepKeepsContract) {
   Rng rng(107);
   for (double rate : {0.1, 0.5, 1.0}) {
     const auto sampled = full.Sample(rate, rng);
-    EXPECT_TRUE(
-        sampled.SatisfiesNormalizationContract(data::TaskKind::kLogistic));
+    EXPECT_TRUE(core::CheckedObjective(sampled,
+                                       core::ObjectiveKind::kTruncatedLogistic)
+                    .ok());
     EXPECT_EQ(sampled.size(),
               static_cast<size_t>(std::ceil(rate * static_cast<double>(full.size()))));
   }

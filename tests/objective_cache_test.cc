@@ -1,11 +1,13 @@
 // Equivalence tests for the exact objective sum and the fold-objective
 // cache: core::RoundFixedPoint rounds correctly (ties to even); a training
 // objective derived from an ObjectiveAccumulator's global sum (global minus
-// test slice) is bitwise equal to a fresh build over the materialized
-// training split and within 1 ulp per coefficient of a Neumaier-compensated
-// reference; a direct Fit on a fold equals FitObjective on its derived
-// objective bit for bit; and CrossValidate returns the same bits with the
-// cache on and off, and across thread counts.
+// test slice) or summed from fold bins (Σ_{g≠f} bin_g) is bitwise equal to
+// a fresh build over the materialized training split and within 1 ulp per
+// coefficient of a Neumaier-compensated reference; the checked pass names
+// the first violating row for every task count; a direct Fit on a fold
+// equals FitObjective on its derived objective bit for bit; and
+// CrossValidate returns the same bits with the cache on and off, and
+// across thread counts.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -23,6 +25,7 @@
 #include "core/fm_linear.h"
 #include "core/fm_logistic.h"
 #include "core/objective_accumulator.h"
+#include "data/dataset.h"
 #include "eval/cross_validation.h"
 #include "exec/thread_pool.h"
 #include "neumaier_reference.h"
@@ -180,6 +183,97 @@ TEST(ObjectiveAccumulatorDeathTest, BuildAbortsOnAContractViolation) {
                "FM_CHECK failed");
 }
 
+// Row counts for the fold-bin tests, none divisible by 2, 5 or 10: one below
+// a single kObjectiveShardRows chunk, one spanning several chunks.
+constexpr size_t kOneChunkRows = 997;
+constexpr size_t kManyChunkRows = 3 * core::kObjectiveShardRows + 7;
+
+TEST(ObjectiveBinsTest, FoldObjectivesEqualFreshBuildsAndGlobalMinusSlice) {
+  exec::ThreadPool pool(3);
+  for (const size_t n : {kOneChunkRows, kManyChunkRows}) {
+    const auto kind = n == kOneChunkRows
+                          ? core::ObjectiveKind::kLinear
+                          : core::ObjectiveKind::kTruncatedLogistic;
+    const auto ds = MakeDataset(n, 5, kind != core::ObjectiveKind::kLinear,
+                                n);
+    const auto acc = core::ObjectiveAccumulator::Build(ds, kind, &pool);
+    for (const size_t k : {2u, 5u, 10u}) {
+      for (uint64_t repeat = 0; repeat < 3; ++repeat) {
+        Rng fold_rng(DeriveSeed(k, repeat * 2));
+        const data::KFoldPartition partition(n, k, fold_rng);
+        const auto bins = core::SumObjectiveBins(
+            ds, kind, partition.FoldOfEachRow(), k, &pool);
+        ASSERT_TRUE(bins.ok()) << bins.status();
+        ASSERT_EQ(bins.ValueOrDie().size(), k);
+        for (size_t f = 0; f < k; ++f) {
+          const std::string what = "n=" + std::to_string(n) +
+                                   " k=" + std::to_string(k) +
+                                   " repeat=" + std::to_string(repeat) +
+                                   " fold=" + std::to_string(f);
+          const auto from_bins =
+              core::TrainObjectiveFromBins(bins.ValueOrDie(), f);
+          const auto fresh =
+              core::ObjectiveAccumulator::Build(
+                  ds.Select(partition.TrainRows(f)), kind, &pool)
+                  .Global();
+          EXPECT_EQ(MaxUlpDistance(from_bins, fresh), 0u) << what;
+          EXPECT_EQ(MaxUlpDistance(from_bins, acc.TrainObjectiveForFold(
+                                                  partition.TestRows(f))),
+                    0u)
+              << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(ObjectiveBinsTest, BinsAreBitIdenticalAcrossTaskCounts) {
+  const auto ds = MakeDataset(kManyChunkRows, 4, false, 83);
+  Rng fold_rng(5);
+  const data::KFoldPartition partition(ds.size(), 5, fold_rng);
+  const std::vector<size_t> fold_of = partition.FoldOfEachRow();
+  exec::ThreadPool serial(1);
+  const auto baseline = core::SumObjectiveBins(
+      ds, core::ObjectiveKind::kLinear, fold_of, 5, &serial);
+  ASSERT_TRUE(baseline.ok());
+  for (const size_t threads : {3u, 8u}) {
+    exec::ThreadPool pool(threads);
+    const auto bins = core::SumObjectiveBins(
+        ds, core::ObjectiveKind::kLinear, fold_of, 5, &pool);
+    ASSERT_TRUE(bins.ok());
+    EXPECT_TRUE(bins.ValueOrDie() == baseline.ValueOrDie())
+        << "threads=" << threads;
+  }
+}
+
+// The checked pass returns InvalidArgument instead of aborting, and names
+// the dataset's first violating row whichever task reads it first.
+TEST(ObjectiveBinsTest, ReportsTheFirstViolatingRowForEveryTaskCount) {
+  auto ds = MakeDataset(kManyChunkRows, 4, false, 89);
+  ds.y[2 * core::kObjectiveShardRows + 3] = 1.5;  // chunk 2
+  ds.x(core::kObjectiveShardRows + 9, 0) = 3.0;   // chunk 1: the first
+  const std::string first =
+      "row " + std::to_string(core::kObjectiveShardRows + 9) + ":";
+  for (const size_t threads : {1u, 3u, 8u}) {
+    exec::ThreadPool pool(threads);
+    const auto bins =
+        core::SumObjectiveBins(ds, core::ObjectiveKind::kLinear, {}, 1, &pool);
+    EXPECT_EQ(bins.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(bins.status().message().rfind(first, 0), 0u)
+        << "threads=" << threads << ": " << bins.status().message();
+    EXPECT_EQ(core::CheckedObjective(ds, core::ObjectiveKind::kLinear, &pool)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  auto short_labels = MakeDataset(10, 4, false, 89);
+  short_labels.y = linalg::Vector(9);
+  EXPECT_EQ(core::CheckedObjective(short_labels, core::ObjectiveKind::kLinear)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
 // units = (2⁵³ + odd) · 2^shift ± small: the correctly rounded double of
 // units · 2⁻⁸², computed independently of RoundFixedPoint.
 TEST(ExactObjectiveSumTest, RoundFixedPointRoundsToNearestTiesToEven) {
@@ -249,9 +343,11 @@ TEST(ObjectiveKindTest, TaskMapping) {
 
 eval::CvResult RunCv(const baselines::RegressionAlgorithm& algorithm,
                      const data::RegressionDataset& ds, data::TaskKind task,
-                     bool use_cache, exec::ThreadPool* pool = nullptr) {
+                     bool use_cache, exec::ThreadPool* pool = nullptr,
+                     size_t folds = 5, size_t repeats = 2) {
   eval::CvOptions options;
-  options.repeats = 2;
+  options.folds = folds;
+  options.repeats = repeats;
   options.seed = 4242;
   options.use_objective_cache = use_cache;
   options.pool = pool;
@@ -297,6 +393,60 @@ TEST(CrossValidationCacheTest, CacheOnAndOffReturnTheSameBits) {
     ASSERT_TRUE(c.algorithm->SupportsObjectiveCache(c.task)) << what;
     ExpectSameResult(RunCv(*c.algorithm, *c.ds, c.task, true),
                      RunCv(*c.algorithm, *c.ds, c.task, false), what);
+  }
+}
+
+TEST(CrossValidationCacheTest, FoldBinsMatchTheDirectPathOnEveryPool) {
+  // The fold-bin path against the direct path (cache off), for row counts
+  // below one chunk and across several, fold counts that do not divide
+  // them, one and several repeats, on pools of 1, 3 and 8 threads.
+  core::FmOptions fm_options;
+  fm_options.epsilon = 0.8;
+  const baselines::FmAlgorithm fm(fm_options);
+  exec::ThreadPool one(1), three(3), eight(8);
+  for (const size_t n : {kOneChunkRows, kManyChunkRows}) {
+    const auto task = n == kOneChunkRows ? data::TaskKind::kLinear
+                                         : data::TaskKind::kLogistic;
+    const auto ds =
+        MakeDataset(n, 4, task == data::TaskKind::kLogistic, 7 * n);
+    for (const size_t k : {2u, 5u, 10u}) {
+      for (const size_t repeats : {1u, 3u}) {
+        const std::string what = "n=" + std::to_string(n) +
+                                 " k=" + std::to_string(k) +
+                                 " repeats=" + std::to_string(repeats);
+        const auto direct = RunCv(fm, ds, task, false, &one, k, repeats);
+        EXPECT_EQ(direct.evaluations, k * repeats) << what;
+        for (exec::ThreadPool* pool : {&one, &three, &eight}) {
+          ExpectSameResult(RunCv(fm, ds, task, true, pool, k, repeats),
+                           direct,
+                           what + " threads=" +
+                               std::to_string(pool->num_threads()));
+        }
+      }
+    }
+  }
+}
+
+TEST(CrossValidationCacheTest, ViolationInTheLastChunkFailsAsTheDirectPath) {
+  // The pass meets the violating row last: the call still takes the direct
+  // path, and the folds that train on the row fail exactly as with the
+  // cache off (4 of 5 per repeat).
+  auto ds = MakeDataset(kManyChunkRows, 3, false, 97);
+  ds.y[ds.size() - 1] = -1.5;  // a linear-task label outside [−1, 1]
+  core::FmOptions fm_options;
+  fm_options.epsilon = 0.8;
+  const baselines::FmAlgorithm fm(fm_options);
+  exec::ThreadPool one(1), four(4);
+  for (const size_t repeats : {1u, 3u}) {
+    const auto direct =
+        RunCv(fm, ds, data::TaskKind::kLinear, false, &one, 5, repeats);
+    EXPECT_EQ(direct.failures, 4 * repeats);
+    EXPECT_EQ(direct.evaluations, repeats);
+    for (exec::ThreadPool* pool : {&one, &four}) {
+      ExpectSameResult(
+          RunCv(fm, ds, data::TaskKind::kLinear, true, pool, 5, repeats),
+          direct, "repeats=" + std::to_string(repeats));
+    }
   }
 }
 

@@ -47,7 +47,7 @@ import sys
 
 DEFAULT_FILTER = (
     "BM_ExactBatch|BM_Cholesky|BM_MatVec|"
-    "BM_LogisticGradient|BM_ObjectiveAccumulatorBuild|"
+    "BM_LogisticGradient|BM_ObjectiveAccumulatorBuild|BM_ObjectiveBinPass|"
     "BM_TrainObjectiveForFold|BM_EigenSym"
 )
 
