@@ -8,17 +8,26 @@
 
 namespace fm::linalg {
 
-/// Cholesky factorization A = L Lᵀ of a symmetric positive-definite matrix.
+/// Cholesky factorization A = L Lᵀ of a symmetric positive-definite matrix,
+/// by the scalar left-looking loop.
 ///
 /// The factorization doubles as the library's positive-definiteness test:
 /// `Cholesky::Compute` fails with kNumericalError exactly when A is not
-/// (numerically) positive definite — this is how the Functional Mechanism's
-/// post-processing decides whether spectral trimming is needed.
+/// positive definite to working precision — this is how the quadratic
+/// solvers decide that an objective has no unique minimizer. Every pivot
+/// must exceed n·2⁻⁵²·maxᵢ A(i,i), the stopping rule of LAPACK's pivoted
+/// Cholesky (dpstrf). A smaller pivot is rounding error, so a rank-deficient
+/// matrix is refused like an indefinite one — such as the Gram matrix of a
+/// design whose rows all sit on one point, or whose columns repeat — and
+/// the caller takes its minimum-norm or damped fallback instead of dividing
+/// by noise. The loop does not pivot, so the refusal is certain only while
+/// the leading rank-r block is well conditioned: rounding in an
+/// ill-conditioned one can leave a trailing pivot above the floor.
 class Cholesky {
  public:
-  /// Factorizes `a` (must be square and symmetric). Returns kNumericalError
-  /// when a non-positive pivot is encountered (A not positive definite),
-  /// kInvalidArgument when `a` is not square/symmetric.
+  /// Factorizes `a`. Returns kInvalidArgument when `a` is not square,
+  /// finite and symmetric (CheckSymmetric), and kNumericalError when a
+  /// pivot is at or below the floor above.
   static Result<Cholesky> Compute(const Matrix& a);
 
   /// The lower-triangular factor L.
@@ -27,21 +36,11 @@ class Cholesky {
   /// Solves A x = b via the two triangular solves. `b` must match A's size.
   Vector Solve(const Vector& b) const;
 
-  /// Solves A X = B column-by-column.
-  Matrix Solve(const Matrix& b) const;
-
-  /// log(det A) = 2 Σ log L(i,i); always finite for a valid factorization.
-  double LogDeterminant() const;
-
  private:
   explicit Cholesky(Matrix l) : l_(std::move(l)) {}
 
   Matrix l_;
 };
-
-/// Convenience: true iff `a` is symmetric positive definite (Cholesky
-/// succeeds).
-bool IsPositiveDefinite(const Matrix& a);
 
 }  // namespace fm::linalg
 

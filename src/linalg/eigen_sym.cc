@@ -197,19 +197,7 @@ Matrix SymmetricEigen::Reconstruct() const {
 }
 
 Result<SymmetricEigen> EigenSym(const Matrix& a) {
-  if (a.rows() != a.cols()) {
-    return Status::InvalidArgument("EigenSym requires a square matrix");
-  }
-  // Checked first: MaxAbs skips NaN, and the symmetry test passes NaN and
-  // Inf − Inf.
-  for (double x : a.data()) {
-    if (!std::isfinite(x)) {
-      return Status::InvalidArgument("EigenSym requires finite entries");
-    }
-  }
-  if (!a.IsSymmetric(1e-9 * (1.0 + a.MaxAbs()))) {
-    return Status::InvalidArgument("EigenSym requires a symmetric matrix");
-  }
+  FM_RETURN_NOT_OK(CheckSymmetric(a, "EigenSym"));
   const size_t n = a.rows();
   SymmetricEigen out;
   if (n == 0) return out;

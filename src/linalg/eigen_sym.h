@@ -27,10 +27,10 @@ struct SymmetricEigen {
 /// 9d³ with the eigenvectors; serial, so the result does not depend on the
 /// thread count.
 ///
-/// Fails with kInvalidArgument when `a` is not square, has a non-finite
-/// entry, or is not symmetric to within 1e-9·(1 + max|a_ij|); and with
-/// kNumericalError when the QL iteration does not converge within 30·d
-/// iterations or an eigenvalue overflows.
+/// Fails with kInvalidArgument when `a` fails CheckSymmetric (not square,
+/// a non-finite entry, or not symmetric to within 1e-9·(1 + max|a_ij|));
+/// and with kNumericalError when the QL iteration does not converge within
+/// 30·d iterations or an eigenvalue overflows.
 Result<SymmetricEigen> EigenSym(const Matrix& a);
 
 }  // namespace fm::linalg

@@ -1,8 +1,6 @@
 #include "linalg/kernels.h"
 
-#include <algorithm>
 #include <cstring>
-#include <vector>
 
 // The Ref* implementations are the deterministic anchor and the perf
 // baseline that BENCH_linalg.json speedups are measured against; keep them
@@ -15,60 +13,6 @@
 #endif
 
 namespace fm::linalg::kernels {
-
-// ---------------------------------------------------------------------------
-// SYRK lower subtract (single panel) — the blocked Cholesky trailing update.
-// ---------------------------------------------------------------------------
-
-void SyrkLowerSubtract(const double* p, size_t ldp, size_t n, size_t width,
-                       double* c, size_t ldc) {
-  if (n == 0 || width == 0) return;
-  constexpr size_t kTi = 4;
-  constexpr size_t kTj = 8;
-  // Transpose the panel (exact copies) so the inner loop reads contiguous
-  // spans over j: pt(k, i) = p(i, k), pt is width×n.
-  std::vector<double> pt(width * n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t k = 0; k < width; ++k) pt[k * n + i] = p[i * ldp + k];
-  }
-  for (size_t i0 = 0; i0 < n; i0 += kTi) {
-    const size_t ib = std::min(kTi, n - i0);
-    for (size_t j0 = 0; j0 <= i0 + ib - 1; j0 += kTj) {
-      const size_t jb = std::min(kTj, n - j0);
-      double acc[kTi][kTj] = {};
-      for (size_t k = 0; k < width; ++k) {
-        const double* __restrict ptk = pt.data() + k * n;
-        for (size_t ti = 0; ti < ib; ++ti) {
-          const double pik = ptk[i0 + ti];
-          for (size_t tj = 0; tj < jb; ++tj) {
-            acc[ti][tj] += pik * ptk[j0 + tj];
-          }
-        }
-      }
-      for (size_t ti = 0; ti < ib; ++ti) {
-        const size_t i = i0 + ti;
-        for (size_t tj = 0; tj < jb; ++tj) {
-          const size_t j = j0 + tj;
-          if (j <= i) c[i * ldc + j] -= acc[ti][tj];
-        }
-      }
-    }
-  }
-}
-
-FM_SCALAR_REF
-void RefSyrkLowerSubtract(const double* p, size_t ldp, size_t n, size_t width,
-                          double* c, size_t ldc) {
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j <= i; ++j) {
-      double acc = 0.0;
-      for (size_t k = 0; k < width; ++k) {
-        acc += p[i * ldp + k] * p[j * ldp + k];
-      }
-      c[i * ldc + j] -= acc;
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // BLAS-1
@@ -93,53 +37,7 @@ void Axpy(double* __restrict y, double alpha, const double* __restrict x,
 
 void MatVec(const double* a, size_t lda, size_t rows, size_t cols,
             const double* __restrict x, double* __restrict y) {
-  size_t i = 0;
-  if (cols < 32) {
-    // Too few columns for the 4-row ILP scheme to amortize its setup; the
-    // per-row sequential dot is the same bits either way.
-    for (; i < rows; ++i) {
-      const double* __restrict row = a + i * lda;
-      double sum = 0.0;
-      for (size_t j = 0; j < cols; ++j) sum += row[j] * x[j];
-      y[i] = sum;
-    }
-    return;
-  }
-  for (; i + kMatVecMr <= rows; i += kMatVecMr) {
-    const double* __restrict r0 = a + i * lda;
-    const double* __restrict r1 = r0 + lda;
-    const double* __restrict r2 = r1 + lda;
-    const double* __restrict r3 = r2 + lda;
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    for (size_t j = 0; j < cols; ++j) {
-      const double xj = x[j];
-      s0 += r0[j] * xj;
-      s1 += r1[j] * xj;
-      s2 += r2[j] * xj;
-      s3 += r3[j] * xj;
-    }
-    y[i] = s0;
-    y[i + 1] = s1;
-    y[i + 2] = s2;
-    y[i + 3] = s3;
-  }
-  for (; i < rows; ++i) {
-    const double* __restrict row = a + i * lda;
-    double sum = 0.0;
-    for (size_t j = 0; j < cols; ++j) sum += row[j] * x[j];
-    y[i] = sum;
-  }
-}
-
-FM_SCALAR_REF
-void RefMatVec(const double* a, size_t lda, size_t rows, size_t cols,
-               const double* __restrict x, double* __restrict y) {
-  for (size_t i = 0; i < rows; ++i) {
-    const double* row = a + i * lda;
-    double sum = 0.0;
-    for (size_t j = 0; j < cols; ++j) sum += row[j] * x[j];
-    y[i] = sum;
-  }
+  for (size_t i = 0; i < rows; ++i) y[i] = Dot(a + i * lda, x, cols);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,28 +6,22 @@
 
 namespace fm::linalg::kernels {
 
-/// Cache-blocked, SIMD-friendly micro-kernels behind every linalg hot path
-/// (the blocked Cholesky's trailing update, matvec, exact objective
-/// accumulation), plus a scalar reference (`Ref*`) implementation of each.
+/// The micro-kernels behind the linalg hot paths that workloads run (dot,
+/// axpy, matvec and the exact objective accumulation), plus the scalar
+/// reference (`Ref*`) implementation of the one blocked kernel.
 ///
 /// ## Determinism contract (bit-identity)
 ///
-/// Production code calls the blocked kernels only. Each `Ref*` function is
-/// the scalar oracle its blocked kernel must reproduce **bit for bit**, for
-/// all shapes: `tests/kernels_test.cc` calls both directly and asserts
-/// exact equality across ragged sizes, and the micro-benchmark times both
-/// on the same inputs.
+/// Production code calls the blocked kernel only. Its `Ref*` twin is the
+/// scalar oracle it must reproduce **bit for bit**, for all shapes:
+/// `tests/kernels_test.cc` calls both directly and asserts exact equality
+/// across ragged sizes, and the micro-benchmark times both on the same
+/// inputs. The other kernels are their own specification:
 ///
-/// The identity is achieved by fixing a *summation specification* that both
-/// implementations follow, rather than by restricting the blocked code to
-/// the naive loop order:
-///
-/// - **SYRK-subtract** (the Cholesky trailing update): per element, the
-///   panel's products are summed in k order and subtracted as one total.
 /// - **Matvec / dot**: reductions are strictly sequential in element order
-///   (never split into SIMD partial sums, which would reassociate). The
-///   blocked kernels gain throughput from instruction-level parallelism
-///   *across* independent rows, not from splitting any single reduction.
+///   (never split into SIMD partial sums, which would reassociate), and
+///   `MatVec` is one such reduction per row, so each output equals `Dot` of
+///   its row with x.
 /// - **Exact accumulation** (core::ExactObjectiveSum, the one way the
 ///   library sums an objective): each term is split into two integers by
 ///   the same scalar operations in both kernels, and integers add exactly,
@@ -43,21 +37,6 @@ namespace fm::linalg::kernels {
 /// dimensions (row strides) in elements. Aliasing between inputs and
 /// outputs is not allowed (hence `__restrict`).
 
-/// Block-size constants (see docs/PERFORMANCE.md for the rationale).
-inline constexpr size_t kCholeskyNb = 32;  ///< blocked Cholesky panel width
-inline constexpr size_t kMatVecMr = 4;     ///< matvec rows in flight (ILP)
-
-// ---------------------------------------------------------------------------
-// SYRK-subtract (lower), single k-panel: C(i,j) -= Σ_k P(i,k)·P(j,k) for
-// j ≤ i, with the in-panel sum sequential in k and subtracted as one grouped
-// total. This is the trailing update of the blocked right-looking Cholesky
-// (P is the just-factored panel, width ≤ kCholeskyNb).
-// ---------------------------------------------------------------------------
-void SyrkLowerSubtract(const double* p, size_t ldp, size_t n, size_t width,
-                       double* c, size_t ldc);
-void RefSyrkLowerSubtract(const double* p, size_t ldp, size_t n, size_t width,
-                          double* c, size_t ldc);
-
 // ---------------------------------------------------------------------------
 // BLAS-1 style fused kernels. Dot is a strictly sequential reduction (it is
 // its own reference); Axpy vectorizes legally because distinct elements are
@@ -68,13 +47,11 @@ void Axpy(double* __restrict y, double alpha, const double* __restrict x,
           size_t n);
 
 // ---------------------------------------------------------------------------
-// Matvec: y(i) = Σ_j A(i,j)·x(j), each row a sequential reduction; the
-// blocked kernel keeps kMatVecMr independent row accumulators in flight.
+// Matvec: y(i) = Σ_j A(i,j)·x(j), rows in order, each row a sequential
+// reduction.
 // ---------------------------------------------------------------------------
 void MatVec(const double* a, size_t lda, size_t rows, size_t cols,
             const double* __restrict x, double* __restrict y);
-void RefMatVec(const double* a, size_t lda, size_t rows, size_t cols,
-               const double* __restrict x, double* __restrict y);
 
 // ---------------------------------------------------------------------------
 // Exact fixed-point per-tuple objective contribution — the hot loop of

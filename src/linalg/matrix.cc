@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "common/logging.h"
 #include "linalg/kernels.h"
@@ -34,8 +35,7 @@ Matrix Matrix::Diagonal(const Vector& diag) {
 Vector Matrix::RowVector(size_t r) const {
   FM_DCHECK(r < rows_);
   Vector v(cols_);
-  const auto row = RowSpan(r);
-  std::copy(row.begin(), row.end(), v.data().begin());
+  std::copy(Row(r), Row(r) + cols_, v.data().begin());
   return v;
 }
 
@@ -50,7 +50,7 @@ Vector Matrix::ColVector(size_t c) const {
 void Matrix::SetRow(size_t r, const Vector& v) {
   FM_DCHECK(r < rows_);
   FM_CHECK(v.size() == cols_);
-  std::copy(v.begin(), v.end(), RowSpan(r).begin());
+  std::copy(v.begin(), v.end(), Row(r));
 }
 
 void Matrix::Fill(double value) {
@@ -77,24 +77,6 @@ Matrix& Matrix::operator*=(double scalar) {
 void Matrix::AddToDiagonal(double value) {
   FM_CHECK(rows_ == cols_);
   for (size_t i = 0; i < rows_; ++i) (*this)(i, i) += value;
-}
-
-Matrix Matrix::Transposed() const {
-  // Cache-blocked tiles: both the read and the write stay within a
-  // 32×32-element working set instead of striding a full row/column per
-  // element. Pure copies, so the result is exact for any tiling.
-  constexpr size_t kTile = 32;
-  Matrix t(cols_, rows_);
-  for (size_t r0 = 0; r0 < rows_; r0 += kTile) {
-    const size_t r1 = std::min(rows_, r0 + kTile);
-    for (size_t c0 = 0; c0 < cols_; c0 += kTile) {
-      const size_t c1 = std::min(cols_, c0 + kTile);
-      for (size_t r = r0; r < r1; ++r) {
-        for (size_t c = c0; c < c1; ++c) t(c, r) = (*this)(r, c);
-      }
-    }
-  }
-  return t;
 }
 
 bool Matrix::IsSymmetric(double tol) const {
@@ -200,6 +182,28 @@ double MaxAbsDiff(const Matrix& a, const Matrix& b) {
 bool AllClose(const Matrix& a, const Matrix& b, double tol) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
   return MaxAbsDiff(a, b) <= tol;
+}
+
+Status CheckSymmetric(const Matrix& a, const char* who) {
+  if (a.rows() != a.cols()) {
+    return Status::InvalidArgument(std::string(who) +
+                                   " requires a square matrix");
+  }
+  // One pass finds both: |x| ≤ DBL_MAX is false for NaN and ±Inf.
+  double max_abs = 0.0;
+  for (double x : a.data()) {
+    const double abs_x = std::fabs(x);
+    if (!(abs_x <= std::numeric_limits<double>::max())) {
+      return Status::InvalidArgument(std::string(who) +
+                                     " requires finite entries");
+    }
+    max_abs = std::max(max_abs, abs_x);
+  }
+  if (!a.IsSymmetric(1e-9 * (1.0 + max_abs))) {
+    return Status::InvalidArgument(std::string(who) +
+                                   " requires a symmetric matrix");
+  }
+  return Status::OK();
 }
 
 }  // namespace fm::linalg

@@ -7,25 +7,10 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/status.h"
 #include "linalg/vector.h"
 
 namespace fm::linalg {
-
-/// Lightweight contiguous view — a C++17 stand-in for std::span<double>.
-/// Used for zero-copy row access on the kernel hot paths
-/// (src/linalg/kernels.h).
-template <typename T>
-struct Span {
-  T* ptr = nullptr;
-  size_t len = 0;
-
-  T* data() const { return ptr; }
-  size_t size() const { return len; }
-  bool empty() const { return len == 0; }
-  T* begin() const { return ptr; }
-  T* end() const { return ptr + len; }
-  T& operator[](size_t i) const { return ptr[i]; }
-};
 
 /// Dense row-major matrix of doubles.
 ///
@@ -75,16 +60,6 @@ class Matrix {
   const double* Row(size_t r) const { return data_.data() + r * cols_; }
   double* Row(size_t r) { return data_.data() + r * cols_; }
 
-  /// Contiguous zero-copy view of row `r` (the kernel-layer accessor).
-  Span<const double> RowSpan(size_t r) const {
-    FM_DCHECK(r < rows_);
-    return {Row(r), cols_};
-  }
-  Span<double> RowSpan(size_t r) {
-    FM_DCHECK(r < rows_);
-    return {Row(r), cols_};
-  }
-
   /// Copies row `r` into a Vector.
   Vector RowVector(size_t r) const;
 
@@ -108,9 +83,6 @@ class Matrix {
 
   /// Adds `value` to every main-diagonal entry (ridge shift M + value*I).
   void AddToDiagonal(double value);
-
-  /// Returns the transpose.
-  Matrix Transposed() const;
 
   /// True iff square and |m(i,j) - m(j,i)| <= tol for all i, j.
   bool IsSymmetric(double tol = 1e-12) const;
@@ -154,6 +126,13 @@ double MaxAbsDiff(const Matrix& a, const Matrix& b);
 
 /// True iff shapes match and all entries are within `tol`.
 bool AllClose(const Matrix& a, const Matrix& b, double tol);
+
+/// The input check of the symmetric decompositions (Cholesky, EigenSym):
+/// kInvalidArgument, naming `who`, unless `a` is square, every entry is
+/// finite, and |a(i,j) − a(j,i)| ≤ 1e-9·(1 + max|a(i,j)|). Finiteness is
+/// checked first: the symmetry test passes NaN and Inf − Inf, and a
+/// decomposition that reads one triangle would not see the other's.
+Status CheckSymmetric(const Matrix& a, const char* who);
 
 }  // namespace fm::linalg
 

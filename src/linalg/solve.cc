@@ -2,15 +2,9 @@
 
 #include <cmath>
 
-#include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
 
 namespace fm::linalg {
-
-Result<Vector> SolveSpd(const Matrix& a, const Vector& b) {
-  FM_ASSIGN_OR_RETURN(Cholesky chol, Cholesky::Compute(a));
-  return chol.Solve(b);
-}
 
 Result<Vector> SolveSymmetricPseudo(const Matrix& a, const Vector& b,
                                     double rcond) {

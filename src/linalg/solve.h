@@ -8,10 +8,6 @@
 
 namespace fm::linalg {
 
-/// Solves the SPD system A x = b via Cholesky. Fails when A is not positive
-/// definite.
-Result<Vector> SolveSpd(const Matrix& a, const Vector& b);
-
 /// Minimum-norm least-squares solve of symmetric A x = b through the
 /// eigendecomposition: eigencomponents with |λ| <= rcond * max|λ| are
 /// dropped. This is the solver behind §6.2 spectral trimming's

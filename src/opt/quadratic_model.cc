@@ -1,7 +1,6 @@
 #include "opt/quadratic_model.h"
 
 #include "linalg/cholesky.h"
-#include "linalg/solve.h"
 
 namespace fm::opt {
 
@@ -16,14 +15,12 @@ linalg::Vector QuadraticModel::Gradient(const linalg::Vector& omega) const {
   return g;
 }
 
-bool QuadraticModel::IsPositiveDefinite() const {
-  return linalg::IsPositiveDefinite(m);
-}
-
 Result<linalg::Vector> QuadraticModel::Minimize() const {
   linalg::Matrix two_m = m;
   two_m *= 2.0;
-  return linalg::SolveSpd(two_m, -alpha);
+  FM_ASSIGN_OR_RETURN(const linalg::Cholesky chol,
+                      linalg::Cholesky::Compute(two_m));
+  return chol.Solve(-alpha);
 }
 
 }  // namespace fm::opt

@@ -25,10 +25,6 @@ struct QuadraticModel {
   /// ∇f(ω) = 2 M ω + α (M symmetric).
   linalg::Vector Gradient(const linalg::Vector& omega) const;
 
-  /// True iff M is (numerically) positive definite, i.e. f has a unique
-  /// minimizer — the §6 boundedness condition.
-  bool IsPositiveDefinite() const;
-
   /// Solves ∇f = 0, i.e. 2 M ω = −α, via Cholesky. Fails with
   /// kNumericalError when M is not positive definite (unbounded or flat
   /// objective) — callers then apply §6 post-processing.

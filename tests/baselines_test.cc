@@ -1,4 +1,9 @@
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,7 +14,9 @@
 #include "baselines/no_privacy.h"
 #include "baselines/objective_perturbation.h"
 #include "common/rng.h"
+#include "core/objective_accumulator.h"
 #include "eval/metrics.h"
+#include "linalg/solve.h"
 #include "opt/logistic_loss.h"
 
 namespace fm::baselines {
@@ -86,6 +93,91 @@ TEST(NoPrivacyTest, LinearHandlesCollinearColumns) {
   // The minimum-norm solution splits the weight: [0.6, 0.6].
   EXPECT_NEAR(model.ValueOrDie().omega[0], 0.6, 1e-8);
   EXPECT_NEAR(model.ValueOrDie().omega[1], 0.6, 1e-8);
+}
+
+// A d=13 linear design whose n rows all sit on the grid-center point
+// x_j = 1/(2√13): what DPME and FP synthesize from a HistogramGrid with one
+// bin per feature. Its Gram matrix is exactly rank 1.
+data::RegressionDataset GridCenterDesign(size_t n, Rng& rng) {
+  constexpr size_t kD = 13;
+  data::RegressionDataset ds;
+  ds.x = linalg::Matrix(n, kD);
+  ds.x.Fill(0.5 / std::sqrt(static_cast<double>(kD)));
+  ds.y = linalg::Vector(n);
+  for (auto& y : ds.y) y = rng.Uniform(-1.0, 1.0);
+  return ds;
+}
+
+// The minimum-norm minimizer of `objective`, as §6.2 solves a flat one.
+linalg::Vector MinimumNormOmega(const opt::QuadraticModel& objective) {
+  linalg::Matrix two_m = objective.m;
+  two_m *= 2.0;
+  return linalg::SolveSymmetricPseudo(two_m, -objective.alpha).ValueOrDie();
+}
+
+TEST(NoPrivacyTest, RankOneDesignReturnsTheMinimumNormSolution) {
+  // Cholesky must refuse the rank-1 Gram, whatever its rounding, so the
+  // solve takes the minimum-norm fallback. A factor built on a pivot of
+  // rounding error returns a different minimizer with |ω|∞ near 0.5.
+  std::vector<uint64_t> moved;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    Rng data_rng(9000 + seed);
+    const size_t n = 50 + data_rng.UniformInt(5000);
+    const auto ds = GridCenterDesign(n, data_rng);
+    const auto objective =
+        core::CheckedObjective(ds, core::ObjectiveKind::kLinear);
+    ASSERT_TRUE(objective.ok()) << objective.status();
+    const linalg::Vector want = MinimumNormOmega(objective.ValueOrDie());
+    Rng rng(seed);
+    const auto model = NoPrivacy().Train(ds, data::TaskKind::kLinear, rng);
+    ASSERT_TRUE(model.ok()) << model.status();
+    if (!linalg::AllClose(model.ValueOrDie().omega, want, 0.0)) {
+      moved.push_back(seed);
+    }
+  }
+  EXPECT_TRUE(moved.empty()) << moved.size() << " of 200 draws, first seed "
+                             << moved.front();
+}
+
+TEST(NoPrivacyTest, RankOneSolutionIgnoresOneUlpGramNudges) {
+  // A one-ulp change to one Gram entry leaves the matrix singular to
+  // working precision, so ω must stay at the minimum-norm point. 50 nudges
+  // per design: each diagonal entry and each first-row pair (0, j), (j, 0),
+  // one ulp up and one down; 20 designs.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng data_rng(9500);
+  std::vector<std::string> moved;
+  size_t nudges = 0;
+  for (size_t n = 50; n <= 430; n += 20) {
+    const auto ds = GridCenterDesign(n, data_rng);
+    const auto base = core::CheckedObjective(ds, core::ObjectiveKind::kLinear);
+    ASSERT_TRUE(base.ok()) << base.status();
+    const linalg::Vector want = MinimumNormOmega(base.ValueOrDie());
+    std::vector<std::pair<size_t, size_t>> entries;
+    for (size_t i = 0; i < want.size(); ++i) entries.emplace_back(i, i);
+    for (size_t j = 1; j < want.size(); ++j) entries.emplace_back(0, j);
+    for (const auto& [r, c] : entries) {
+      for (const double toward : {-kInf, kInf}) {
+        opt::QuadraticModel nudged = base.ValueOrDie();
+        nudged.m(r, c) = std::nextafter(nudged.m(r, c), toward);
+        nudged.m(c, r) = nudged.m(r, c);
+        Rng rng(nudges++);
+        const auto model = NoPrivacy().TrainFromObjective(
+            nudged, data::TaskKind::kLinear, rng);
+        ASSERT_TRUE(model.ok()) << model.status();
+        const linalg::Vector& omega = model.ValueOrDie().omega;
+        if (linalg::MaxAbsDiff(omega, want) > 1e-12 * want.NormInf()) {
+          moved.push_back("n=" + std::to_string(n) + " (" + std::to_string(r) +
+                          "," + std::to_string(c) + ") |w|inf=" +
+                          std::to_string(omega.NormInf()));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(nudges, 1000u);
+  EXPECT_TRUE(moved.empty()) << moved.size() << " of " << nudges
+                             << " nudges moved ω off the minimum-norm point, "
+                             << "first " << moved.front();
 }
 
 TEST(NoPrivacyTest, ObjectiveTrainersRejectAContractViolation) {

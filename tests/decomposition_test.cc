@@ -26,6 +26,17 @@ Matrix AtA(const Matrix& a) {
   return out;
 }
 
+// a·aᵀ, by the textbook loop.
+Matrix AAt(const Matrix& a) {
+  Matrix out(a.rows(), a.rows());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < a.rows(); ++j) {
+      for (size_t l = 0; l < a.cols(); ++l) out(i, j) += a(i, l) * a(j, l);
+    }
+  }
+  return out;
+}
+
 Matrix RandomSpd(size_t n, Rng& rng, double ridge = 0.5) {
   Matrix a(n, n);
   for (auto& v : a.data()) v = rng.Uniform(-1.0, 1.0);
@@ -40,7 +51,7 @@ TEST(CholeskyTest, FactorReconstructs) {
   const auto chol = Cholesky::Compute(a);
   ASSERT_TRUE(chol.ok()) << chol.status();
   const Matrix l = chol.ValueOrDie().L();
-  EXPECT_LT(MaxAbsDiff(AtA(l.Transposed()), a), 1e-10);  // L·Lᵀ
+  EXPECT_LT(MaxAbsDiff(AAt(l), a), 1e-10);
 }
 
 TEST(CholeskyTest, SolveMatchesKnownSolution) {
@@ -55,8 +66,8 @@ TEST(CholeskyTest, SolveMatchesKnownSolution) {
 
 TEST(CholeskyTest, RejectsIndefiniteAndNonSymmetric) {
   Matrix indefinite = {{1.0, 0.0}, {0.0, -1.0}};
-  EXPECT_FALSE(Cholesky::Compute(indefinite).ok());
-  EXPECT_FALSE(IsPositiveDefinite(indefinite));
+  EXPECT_EQ(Cholesky::Compute(indefinite).status().code(),
+            StatusCode::kNumericalError);
 
   Matrix asym = {{1.0, 2.0}, {0.0, 1.0}};
   EXPECT_EQ(Cholesky::Compute(asym).status().code(),
@@ -67,11 +78,105 @@ TEST(CholeskyTest, RejectsIndefiniteAndNonSymmetric) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(CholeskyTest, LogDeterminant) {
-  Matrix a = {{4.0, 0.0}, {0.0, 9.0}};
-  const auto chol = Cholesky::Compute(a);
-  ASSERT_TRUE(chol.ok());
-  EXPECT_NEAR(chol.ValueOrDie().LogDeterminant(), std::log(36.0), 1e-12);
+// B·Bᵀ·2^exponent for a random n×k Gaussian B: rank k, up to the
+// rounding of the products.
+Matrix PlantedGram(size_t n, size_t k, int exponent, Rng& rng) {
+  Matrix b(n, k);
+  for (auto& v : b.data()) v = rng.Gaussian();
+  Matrix gram = AAt(b);
+  gram *= std::ldexp(1.0, exponent);
+  return gram;
+}
+
+// XᵀX·2^exponent for a 100×n design X whose first k columns are random
+// and whose other columns copy one of them: rank k, exactly.
+Matrix DuplicateColumnGram(size_t n, size_t k, int exponent, Rng& rng) {
+  std::vector<size_t> source(n);
+  for (size_t j = 0; j < n; ++j) source[j] = j < k ? j : rng.UniformInt(k);
+  Matrix x(100, n);
+  for (size_t r = 0; r < x.rows(); ++r) {
+    for (size_t j = 0; j < k; ++j) x(r, j) = rng.Uniform(-1.0, 1.0);
+    for (size_t j = k; j < n; ++j) x(r, j) = x(r, source[j]);
+  }
+  Matrix gram = AtA(x);
+  gram *= std::ldexp(1.0, exponent);
+  return gram;
+}
+
+TEST(CholeskyTest, PivotFloorRefusesRankDeficientAndFactorsGraded) {
+  // A pivot at or below n·2⁻⁵²·max A(i,i) is rounding error, so rank-1 and
+  // rank-k Grams are refused like indefinite matrices, whatever their
+  // magnitude. Without pivoting the floor holds while the leading rank-k
+  // block is well conditioned: k ≤ n/2 keeps a random Gaussian one so, and
+  // copied columns keep it so up to k = n − 1.
+  Rng rng(59);
+  for (size_t n : {size_t{2}, size_t{13}, size_t{50}}) {
+    for (int exponent : {-30, 0, 30}) {
+      for (size_t k : {size_t{1}, size_t{2}, n / 4, n / 2}) {
+        if (k == 0 || 2 * k > n) continue;
+        for (int trial = 0; trial < 20; ++trial) {
+          EXPECT_EQ(Cholesky::Compute(PlantedGram(n, k, exponent, rng))
+                        .status()
+                        .code(),
+                    StatusCode::kNumericalError)
+              << "n=" << n << " k=" << k << " 2^" << exponent << " #"
+              << trial;
+        }
+      }
+      for (size_t k : {size_t{1}, n / 2, n - 1}) {
+        for (int trial = 0; trial < 10; ++trial) {
+          EXPECT_EQ(
+              Cholesky::Compute(DuplicateColumnGram(n, k, exponent, rng))
+                  .status()
+                  .code(),
+              StatusCode::kNumericalError)
+              << "copied columns, n=" << n << " k=" << k << " 2^" << exponent
+              << " #" << trial;
+        }
+      }
+      // The least-squares Gram of m rows that all sit on the grid-center
+      // point x_j = 1/(2√n), as a DPME/FP synthetic dataset does on a grid
+      // with one bin per feature: every entry is the same double.
+      const double c = 0.5 / std::sqrt(static_cast<double>(n));
+      for (int m = 50; m < 250; ++m) {
+        Matrix center(n, n);
+        center.Fill(std::ldexp(m * c * c, exponent));
+        EXPECT_EQ(Cholesky::Compute(center).status().code(),
+                  StatusCode::kNumericalError)
+            << "grid center, n=" << n << " m=" << m << " 2^" << exponent;
+      }
+    }
+  }
+  // Graded but full rank: 2⁻⁴⁰ is far above the floor 3·2⁻⁵².
+  const auto graded = Cholesky::Compute(
+      Matrix::Diagonal(Vector{1.0, std::ldexp(1.0, -40), 1.0}));
+  ASSERT_TRUE(graded.ok()) << graded.status();
+  EXPECT_EQ(graded.ValueOrDie().L()(1, 1), std::ldexp(1.0, -20));
+}
+
+TEST(SymmetricInputTest, BothDecompositionsRejectNonFiniteEntries) {
+  // The symmetry test passes NaN and Inf − Inf, and Cholesky reads only the
+  // lower triangle, so finiteness must be checked on its own, and before
+  // either decomposition runs. The base matrix is positive definite.
+  const Matrix base = {{3.0, 1.0, 0.0}, {1.0, 2.0, 0.5}, {0.0, 0.5, 1.0}};
+  ASSERT_TRUE(Cholesky::Compute(base).ok());
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    Matrix diagonal = base;
+    diagonal(1, 1) = bad;
+    Matrix pair = base;
+    pair(0, 2) = pair(2, 0) = bad;
+    Matrix upper = base;
+    upper(0, 2) = bad;
+    Matrix lower = base;
+    lower(2, 1) = bad;
+    for (const Matrix* a : {&diagonal, &pair, &upper, &lower}) {
+      SCOPED_TRACE(testing::Message() << bad << "\n" << a->ToString());
+      EXPECT_EQ(Cholesky::Compute(*a).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(EigenSym(*a).status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(EigenSymTest, DiagonalMatrixSortedDescending) {
@@ -104,8 +209,7 @@ TEST(EigenSymTest, RowsAreOrthonormal) {
   const auto eig = EigenSym(a);
   ASSERT_TRUE(eig.ok());
   const Matrix& q = eig.ValueOrDie().eigenvectors;
-  // AtA(Qᵀ) = Q·Qᵀ.
-  EXPECT_LT(MaxAbsDiff(AtA(q.Transposed()), Matrix::Identity(6)), 1e-10);
+  EXPECT_LT(MaxAbsDiff(AAt(q), Matrix::Identity(6)), 1e-10);
 }
 
 TEST(EigenSymTest, KnownEigenpair) {
@@ -124,26 +228,6 @@ TEST(EigenSymTest, KnownEigenpair) {
 TEST(EigenSymTest, RejectsNonSymmetric) {
   Matrix a = {{1.0, 2.0}, {0.0, 1.0}};
   EXPECT_EQ(EigenSym(a).status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(EigenSymTest, RejectsNonFiniteEntries) {
-  // Neither the symmetry test nor MaxAbs sees NaN, and Inf − Inf is NaN, so
-  // these must be caught before the reduction runs on them.
-  const Matrix base = {{3.0, 1.0, 0.0}, {1.0, 2.0, 0.5}, {0.0, 0.5, 1.0}};
-  const double kInf = std::numeric_limits<double>::infinity();
-  for (double bad : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
-    SCOPED_TRACE(bad);
-    Matrix diagonal = base;
-    diagonal(1, 1) = bad;
-    EXPECT_EQ(EigenSym(diagonal).status().code(),
-              StatusCode::kInvalidArgument);
-    Matrix pair = base;
-    pair(0, 2) = pair(2, 0) = bad;
-    EXPECT_EQ(EigenSym(pair).status().code(), StatusCode::kInvalidArgument);
-    Matrix single = base;
-    single(2, 1) = bad;
-    EXPECT_EQ(EigenSym(single).status().code(), StatusCode::kInvalidArgument);
-  }
 }
 
 TEST(EigenSymTest, OverflowIsANumericalError) {
@@ -214,8 +298,7 @@ TEST(EigenSymTest, PlantedHardSpectra) {
         EXPECT_GE(got.eigenvalues[k - 1], got.eigenvalues[k]);
       }
       EXPECT_LE(MaxAbsDiff(got.Reconstruct(), a), 1e-13 * a_max);
-      EXPECT_LE(MaxAbsDiff(AtA(got.eigenvectors.Transposed()),
-                           Matrix::Identity(n)),
+      EXPECT_LE(MaxAbsDiff(AAt(got.eigenvectors), Matrix::Identity(n)),
                 1e-13);
       std::vector<double> want(planted.eigenvalues.begin(),
                                planted.eigenvalues.end());

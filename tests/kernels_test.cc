@@ -1,10 +1,11 @@
-// Differential tests for the blocked kernel layer (src/linalg/kernels.h):
-// every kernel production code calls must match its scalar `Ref*` oracle
-// bit for bit — not approximately — across ragged sizes (n not a multiple
-// of any block size, 1×1, tall-skinny, d larger than a panel). Each test
-// calls the production kernel and its oracle directly on the same inputs;
-// no test touches process-global state. Also re-checks the
-// ObjectiveAccumulator thread-count byte-identity contract.
+// Differential tests for the kernel layer (src/linalg/kernels.h): the
+// blocked exact-accumulation kernel must match its scalar `Ref*` oracle,
+// and MatVec and the logistic Value/Gradient the per-row Dot loop, bit for
+// bit — not approximately — across ragged sizes (1×1, tall-skinny, d not a
+// multiple of the batch). Each test calls both sides directly on the same
+// inputs; no test touches process-global state. Also checks that Cholesky
+// reconstructs its input, and re-checks the ObjectiveAccumulator
+// thread-count byte-identity contract.
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -46,6 +47,17 @@ linalg::Matrix AtA(const linalg::Matrix& a) {
   return out;
 }
 
+// a·aᵀ, by the textbook loop.
+linalg::Matrix AAt(const linalg::Matrix& a) {
+  linalg::Matrix out(a.rows(), a.rows());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < a.rows(); ++j) {
+      for (size_t l = 0; l < a.cols(); ++l) out(i, j) += a(i, l) * a(j, l);
+    }
+  }
+  return out;
+}
+
 linalg::Vector RandomVector(size_t n, uint64_t seed) {
   Rng rng(seed);
   linalg::Vector v(n);
@@ -81,32 +93,11 @@ linalg::Vector RandomVector(size_t n, uint64_t seed) {
   return ::testing::AssertionSuccess();
 }
 
-TEST(SyrkKernelTest, LowerSubtractBlockedMatchesReferenceBitForBit) {
-  // The blocked Cholesky's trailing update: trailing sizes n straddle the
-  // kCholeskyNb=32 panel and the 4×8 tile, panel widths run up to
-  // kCholeskyNb, and both operands sit in wider row-major storage (ld > n).
-  uint64_t seed = 200;
-  for (size_t n : {1u, 2u, 5u, 8u, 31u, 32u, 33u, 64u, 65u, 100u}) {
-    for (size_t width : {size_t{1}, size_t{7}, kernels::kCholeskyNb - 1,
-                         kernels::kCholeskyNb}) {
-      const size_t ld = n + width + 3;
-      const auto p = RandomMatrix(n, ld, seed++);
-      const auto c = RandomMatrix(n, ld, seed++);
-      linalg::Matrix blk = c;
-      linalg::Matrix ref = c;
-      kernels::SyrkLowerSubtract(p.data().data(), ld, n, width,
-                                 blk.data().data(), ld);
-      kernels::RefSyrkLowerSubtract(p.data().data(), ld, n, width,
-                                    ref.data().data(), ld);
-      EXPECT_TRUE(BitEqual(blk, ref)) << "n=" << n << " width=" << width;
-    }
-  }
-}
-
-TEST(CholeskyKernelTest, BlockedFactorReconstructsItsInput) {
-  // Sizes straddling the kCholeskyNb=32 panel: below, at, just above, and
-  // several panels plus a ragged tail.
-  for (size_t n : {1u, 2u, 5u, 31u, 32u, 33u, 64u, 65u, 100u, 150u}) {
+TEST(CholeskyKernelTest, FactorReconstructsItsInput) {
+  // From 1×1 up past every size a workload factors: d=13 (the figures) and
+  // d=50 (serve_churn).
+  for (size_t n : {1u, 2u, 5u, 13u, 31u, 32u, 33u, 50u, 64u, 65u, 100u,
+                   150u}) {
     auto spd = AtA(RandomMatrix(n + 3, n, 7000 + n));
     spd.AddToDiagonal(static_cast<double>(n));
     const auto chol = linalg::Cholesky::Compute(spd);
@@ -115,17 +106,14 @@ TEST(CholeskyKernelTest, BlockedFactorReconstructsItsInput) {
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = i + 1; j < n; ++j) ASSERT_EQ(l(i, j), 0.0);
     }
-    // AtA(Lᵀ) = L·Lᵀ.
-    EXPECT_LT(MaxAbsDiff(AtA(l.Transposed()), spd),
-              1e-12 * (1.0 + spd.MaxAbs()))
+    EXPECT_LT(MaxAbsDiff(AAt(l), spd), 1e-12 * (1.0 + spd.MaxAbs()))
         << "Cholesky n=" << n;
   }
 }
 
 TEST(CholeskyKernelTest, NonPositiveDefiniteReportsTheBadColumn) {
-  // Bad pivots both inside the first kCholeskyNb=32 diagonal block (column
-  // 20) and past it (column 35, reached only after a trailing update has
-  // run) must fail at that column.
+  // A bad pivot must fail at its own column, whether it comes early
+  // (column 20) or late (column 35) in the loop.
   for (size_t bad : {20u, 35u}) {
     linalg::Matrix not_pd = linalg::Matrix::Identity(40);
     not_pd(bad, bad) = -1.0;
@@ -137,9 +125,9 @@ TEST(CholeskyKernelTest, NonPositiveDefiniteReportsTheBadColumn) {
   }
 }
 
-TEST(MatVecKernelTest, BlockedMatchesReferenceBitForBit) {
-  // Column counts on both sides of the 32-column cutoff of the 4-row
-  // scheme, row counts on both sides of kMatVecMr.
+TEST(MatVecKernelTest, EachRowIsItsSequentialDot) {
+  // MatVec's specification: row i of the result is kernels::Dot of row i
+  // with x, bit for bit, over tall, wide and ragged shapes.
   const size_t shapes[][2] = {{1, 1},   {3, 5},    {4, 8},   {5, 13},
                               {63, 7},  {64, 64},  {1000, 3}, {129, 65},
                               {7, 32},  {6, 33}};
@@ -147,9 +135,11 @@ TEST(MatVecKernelTest, BlockedMatchesReferenceBitForBit) {
   for (const auto& s : shapes) {
     const auto a = RandomMatrix(s[0], s[1], seed++);
     const auto x = RandomVector(s[1], seed++);
-    linalg::Vector ref(s[0]);
-    kernels::RefMatVec(a.data().data(), s[1], s[0], s[1], x.raw(), ref.raw());
-    EXPECT_TRUE(BitEqual(linalg::MatVec(a, x), ref))
+    linalg::Vector want(s[0]);
+    for (size_t i = 0; i < s[0]; ++i) {
+      want[i] = kernels::Dot(a.Row(i), x.raw(), s[1]);
+    }
+    EXPECT_TRUE(BitEqual(linalg::MatVec(a, x), want))
         << "MatVec " << s[0] << "x" << s[1];
   }
 }
